@@ -423,7 +423,12 @@ def main(argv=None) -> int:
         if args.command == "scan":
             workers = args.workers
             if workers is None:
-                workers = int(os.environ.get("GMHD2D_WORKERS", "1"))
+                raw = os.environ.get("GMHD2D_WORKERS", "1")
+                try:
+                    workers = int(raw)
+                except ValueError:
+                    raise ParameterError(
+                        f"GMHD2D_WORKERS must be an integer, got {raw!r}") from None
             return cmd_scan(load_run_config(args.config),
                             _parse_range(args.alpha, "--alpha"),
                             _parse_range(args.beta, "--beta"),

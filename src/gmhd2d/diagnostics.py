@@ -25,13 +25,12 @@ from .spectral import (
     Grid,
     ParameterError,
     biot_savart,
-    derivative,
     field_from_potential,
     l2_inner,
     lp_norm,
     spectral_l2,
-    to_physical,
-    to_spectral,
+    to_physical_half,
+    to_spectral_half,
 )
 
 __all__ = [
@@ -150,10 +149,12 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
     u1c, u2c = biot_savart(g, wc)
     b1c, b2c, jc = field_from_potential(g, ac)
 
-    w = to_physical(g, wc)
-    j = to_physical(g, jc)
-    b1 = to_physical(g, b1c)
-    b2 = to_physical(g, b2c)
+    h = g.half_cols
+    ik = (g.half_ik1, g.half_ik2)
+    w = to_physical_half(g, wc[:, :h])
+    j = to_physical_half(g, jc[:, :h])
+    b1 = to_physical_half(g, b1c[:, :h])
+    b2 = to_physical_half(g, b2c[:, :h])
 
     energy = 0.5 * (
         spectral_l2(g, u1c) ** 2 + spectral_l2(g, u2c) ** 2
@@ -169,10 +170,11 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
     h2 = (omega_l2**2 + homogeneous_sobolev_norm(g, wc, 1.0) ** 2
           + j_l2**2 + homogeneous_sobolev_norm(g, jc, 1.0) ** 2)
 
-    du = [to_physical(g, derivative(g, c, ax)) for c in (u1c, u2c) for ax in (0, 1)]
+    du = [to_physical_half(g, ik[ax] * c[:, :h])
+          for c in (u1c, u2c) for ax in (0, 1)]
     grad_u_linf = float(np.max(np.sqrt(sum(x * x for x in du))))
-    jx = to_physical(g, derivative(g, jc, 0))
-    jy = to_physical(g, derivative(g, jc, 1))
+    jx = to_physical_half(g, ik[0] * jc[:, :h])
+    jy = to_physical_half(g, ik[1] * jc[:, :h])
     grad_j_mag = np.hypot(jx, jy)
 
     dfn = direction_field_norms(g, b1, b2, eps_bhat)
@@ -384,16 +386,17 @@ def _unit_field_jet(grid: Grid, b1: np.ndarray, b2: np.ndarray, eps: float) -> d
     scalar curl curl_vec, and the unregularized magnitude mag.
     """
     comps = (b1, b2)
-    coeffs = tuple(to_spectral(grid, c) for c in comps)
+    coeffs = tuple(to_spectral_half(grid, c) for c in comps)
+    ik = (grid.half_ik1, grid.half_ik2)
 
     def dval(c, ax):
-        return to_physical(grid, derivative(grid, c, ax))
+        return to_physical_half(grid, ik[ax] * c)
 
     # first partials d[j][i] and second partials d2[j][(i, k)], i <= k
     d = [[dval(c, 0), dval(c, 1)] for c in coeffs]
-    d2 = [{(0, 0): dval(derivative(grid, c, 0), 0),
-           (0, 1): dval(derivative(grid, c, 0), 1),
-           (1, 1): dval(derivative(grid, c, 1), 1)} for c in coeffs]
+    d2 = [{(0, 0): dval(ik[0] * c, 0),
+           (0, 1): dval(ik[0] * c, 1),
+           (1, 1): dval(ik[1] * c, 1)} for c in coeffs]
 
     def second(jc, i, k):
         return d2[jc][(i, k) if i <= k else (k, i)]

@@ -379,6 +379,17 @@ class TestUsageErrors:
                      "--beta", "1:1:1", "--workers", "0"]) == 1
         assert "workers" in capsys.readouterr().err
 
+    def test_non_integer_workers_env_exits_one(self, tmp_path, capsys,
+                                               monkeypatch):
+        cfg = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path / "o"))
+        monkeypatch.setenv("GMHD2D_WORKERS", "abc")
+        assert main(["scan", "--config", str(cfg), "--alpha", "1:1:1",
+                     "--beta", "1:1:1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: GMHD2D_WORKERS")
+        assert "'abc'" in err
+        assert not (tmp_path / "o").exists()
+
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

@@ -7,6 +7,7 @@ expressions, never through the code under test.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -31,8 +32,11 @@ from gmhd2d.dynamics import (
 from gmhd2d.spectral import (
     ParameterError,
     biot_savart,
+    dealiased_product,
     derivative,
+    field_from_potential,
     get_grid,
+    hermitian_defect,
     spectral_l2,
     to_physical,
     to_spectral,
@@ -186,6 +190,51 @@ class TestNonlinearRhs:
         scale = np.max(np.abs(oracle_dw))
         assert np.max(np.abs(to_physical(g, ten.d_omega) - oracle_dw)) < 1e-10 * scale
         assert np.max(np.abs(to_physical(g, ten.d_a) - oracle_da)) < 1e-10 * scale
+
+    @staticmethod
+    def broadband_state(n, seed):
+        # support out to the band edge: column 0, the rim of the 2/3 band and
+        # products that alias past the Nyquist line are all exercised
+        g = get_grid(n)
+        return initial_condition("random_band_limited", g, seed=seed,
+                                 k_max=g.dealias_k, amplitude=3.0)
+
+    @staticmethod
+    def oracle_tendency(g, wc, ac):
+        # the same tendency from the full-complex public primitives
+        u1c, u2c = biot_savart(g, wc)
+        b1c, b2c, jc = field_from_potential(g, ac)
+
+        def dot(v1, v2, f):
+            return (dealiased_product(g, v1, derivative(g, f, 0))
+                    + dealiased_product(g, v2, derivative(g, f, 1)))
+
+        dw = dot(b1c, b2c, jc) - dot(u1c, u2c, wc)
+        da = -dot(u1c, u2c, ac)
+        dw[0, 0] = da[0, 0] = 0.0  # analytically zero: transport of a mean
+        return dw, da
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_broadband_against_complex_oracle(self, n):
+        for seed in (1, 2):
+            st = self.broadband_state(n, seed)
+            ten = nonlinear_rhs(st, Params(n=n))
+            dw, da = self.oracle_tendency(st.grid, st.omega_hat, st.a_hat)
+            for got, want in ((ten.d_omega, dw), (ten.d_a, da)):
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                assert hermitian_defect(got) == 0.0
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_broadband_step_keeps_state_invariant(self, n):
+        st = self.broadband_state(n, seed=3)
+        g = st.grid
+        out = step(st, Params(nu=0.05, kappa=0.05, alpha=1.5, beta=0.5, n=n),
+                   1e-3)
+        for c in (out.omega_hat, out.a_hat):
+            assert hermitian_defect(c) <= 1e-15 * np.linalg.norm(c)
+            assert c[0, 0] == 0.0
+            assert not np.any(c[~g.dealias])
+            assert np.linalg.norm(c) > 0.0
 
     def test_linear_part_is_diagonal_multiplier(self):
         g = get_grid(32)
@@ -352,6 +401,38 @@ class TestCflandStep:
             step(st, Params(n=32), 0.0)
         with pytest.raises(ParameterError, match="dt"):
             step(st, Params(n=32), np.nan)
+
+    def test_ideal_run_with_huge_exponent(self):
+        # |k|^400 overflows at n = 64; with nu = 0 the channel is off, so the
+        # run must not blow up (0 * inf) and must match alpha = 1 exactly
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=5, k_max=12)
+        outs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in (200.0, 1.0):
+                p = Params(nu=0.0, kappa=0.0, alpha=alpha, n=64)
+                s = st
+                for _ in range(3):
+                    s = step(s, p, 1e-3)
+                outs.append(s)
+        np.testing.assert_array_equal(outs[0].omega_hat, outs[1].omega_hat)
+        np.testing.assert_array_equal(outs[0].a_hat, outs[1].a_hat)
+
+    def test_overflowing_decay_is_exact_and_quiet(self):
+        # nu > 0: the overflowing multiplier is -inf and exp(-inf dt) = 0
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=5, k_max=12)
+        p = Params(nu=1.0, kappa=0.0, alpha=200.0, n=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ten = nonlinear_rhs(st, p)
+            out = step(st, p, 1e-3)
+        with np.errstate(over="ignore"):
+            expected = -(g.kabs ** 400.0)
+        assert np.isinf(expected).sum() > g.n  # |k| >~ 5.9 overflows
+        np.testing.assert_array_equal(ten.lin_omega, expected)
+        assert np.all(np.isfinite(out.omega_hat))
 
     def test_blow_up_signal(self):
         g = get_grid(32)

@@ -17,6 +17,7 @@ from gmhd2d.spectral import (
     derivative,
     field_from_potential,
     fractional_power,
+    full_spectrum,
     get_grid,
     hermitian_defect,
     hermitian_part,
@@ -27,7 +28,9 @@ from gmhd2d.spectral import (
     random_band_limited_field,
     spectral_l2,
     to_physical,
+    to_physical_half,
     to_spectral,
+    to_spectral_half,
 )
 
 
@@ -142,6 +145,51 @@ class TestTransforms:
             to_spectral(g, np.zeros((8, 8)))
         with pytest.raises(ParameterError, match="shape"):
             to_physical(g, np.zeros((8, 8), complex))
+
+
+class TestHalfSpectrum:
+    """Real transforms on the k2 >= 0 half and the half -> full expansion."""
+
+    @staticmethod
+    def random_half(n, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n, n // 2 + 1)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def test_half_multipliers_are_column_slices(self):
+        g = get_grid(16)
+        h = g.half_cols
+        assert h == 9
+        for half, full in ((g.half_ik1, g.ik1), (g.half_ik2, g.ik2),
+                           (g.half_ksq, g.ksq), (g.half_inv_ksq, g.inv_ksq),
+                           (g.half_dealias, g.dealias)):
+            np.testing.assert_array_equal(half, full[:, :h])
+
+    def test_matches_complex_transforms(self):
+        g = get_grid(32)
+        vals = random_values(32, seed=6)
+        c = to_spectral(g, vals)
+        half = to_spectral_half(g, vals)
+        np.testing.assert_allclose(half, c[:, :g.half_cols], atol=1e-15)
+        np.testing.assert_allclose(to_physical_half(g, half), vals, atol=1e-13)
+
+    def test_full_spectrum_restores_hermitian_arrays(self):
+        g = get_grid(32)
+        c = to_spectral(g, random_values(32, seed=7))
+        np.testing.assert_allclose(full_spectrum(g, c[:, :g.half_cols]), c,
+                                   atol=1e-16)
+
+    def test_full_spectrum_is_exactly_hermitian(self):
+        # column 0 and the Nyquist column of an arbitrary half are projected;
+        # the synthesis sees only that projection, like to_physical
+        for n in (8, 16, 18):
+            g = get_grid(n)
+            half = self.random_half(n, seed=n)
+            full = full_spectrum(g, half)
+            assert hermitian_defect(full) == 0.0
+            np.testing.assert_array_equal(full[:, 1:n // 2], half[:, 1:n // 2])
+            np.testing.assert_allclose(to_physical_half(g, half),
+                                       to_physical(g, full), atol=1e-14)
 
 
 class TestMultipliers:
