@@ -12,6 +12,26 @@ maximum of the pointwise Euclidean magnitude over all (ordered) components;
 the W^{1,inf}/W^{2,inf} norms of the direction field take the maximum over
 individual partial derivatives instead (documented choice).  H^1 norms are
 inhomogeneous: ||f||_{H^1}^2 = ||f||_2^2 + ||Lambda f||_2^2.
+
+Cost of one record: 14 real syntheses (irfft2) from the k2 >= 0 half
+spectra of omega and a, and no other transform.  The planes are w, j, b1,
+b2, three of grad u, three of grad b and four of the second partials of b.
+The rest follows from div u = div b = 0 and j = curl b:
+
+    d2 u2 = -d1 u1,   d2 b2 = -d1 b1,
+    d1d2 b2 = -d1d1 b1,   d2d2 b2 = -d1d2 b1,
+    grad j = (d1d1 b2 - d1d2 b1,  -d1d1 b1 - d2d2 b1).
+
+With the Nyquist-zeroed i*k multipliers these hold exactly only for spectra
+without content on the Nyquist lines, which every state from
+initial_condition, step and load_snapshot satisfies (the 2/3 band excludes
+them).  The quadratic quantities (energy, the dissipation sums, h2, cross
+helicity) are weighted sums over the power spectra |w_hat|^2 and |a_hat|^2;
+a weight is applied only where the power is nonzero, so an overflowing
+|k|^{2s} gives inf on a sum that is truly beyond float range and never
+inf * 0 = nan on an empty mode.  Magnitudes of b come from np.hypot:
+squaring first overflows at |b| ~ 1e154, and then the default
+eps = 1e-6 * max|b| would read inf on a state that is large but finite.
 """
 
 from __future__ import annotations
@@ -24,9 +44,6 @@ from .dynamics import GmhdState, Params
 from .spectral import (
     Grid,
     ParameterError,
-    biot_savart,
-    field_from_potential,
-    l2_inner,
     lp_norm,
     spectral_l2,
     to_physical_half,
@@ -57,16 +74,17 @@ def homogeneous_sobolev_norm(grid: Grid, coeffs: np.ndarray, s: float) -> float:
     """||Lambda^s f||_{L2} computed spectrally: (sum |k|^{2s}|fhat|^2 (2pi)^2)^{1/2}.
 
     s = 0 reproduces the L2 norm including the mean; for s < 0 the zero mode
-    is excluded (callers pass zero-mean fields).
+    is excluded (callers pass zero-mean fields).  Only modes with nonzero
+    coefficients are weighted, so a norm beyond float range reads inf, never
+    nan from an overflowed |k|^s on an empty mode.
     """
     if not np.isfinite(s):
         raise ParameterError(f"Sobolev order must be finite, got {s!r}")
     if s == 0.0:
         return spectral_l2(grid, coeffs)
-    w = np.zeros_like(grid.kabs)
-    nz = grid.ksq > 0
-    w[nz] = grid.kabs[nz] ** s
-    return 2.0 * np.pi * float(np.linalg.norm(w * coeffs))
+    mag = np.abs(coeffs)
+    nz = (grid.ksq > 0) & (mag != 0)
+    return 2.0 * np.pi * float(np.linalg.norm(grid.kabs[nz] ** s * mag[nz]))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +151,6 @@ def compute_record(
         DiagnosticsRecord (bkm_accum and energy_residual are 0 on the first
         sample).
     """
-    g = state.grid
     ps = sorted({float(p) for p in p_list})
     for p in ps:
         if not p >= 1:
@@ -145,39 +162,52 @@ def compute_record(
 
 def _compute_record(state, params, ps, eps_bhat, prev, e0):
     g = state.grid
-    wc, ac = state.omega_hat, state.a_hat
-    u1c, u2c = biot_savart(g, wc)
-    b1c, b2c, jc = field_from_potential(g, ac)
-
     h = g.half_cols
-    ik = (g.half_ik1, g.half_ik2)
-    w = to_physical_half(g, wc[:, :h])
-    j = to_physical_half(g, jc[:, :h])
-    b1 = to_physical_half(g, b1c[:, :h])
-    b2 = to_physical_half(g, b2c[:, :h])
+    wh, ah = state.omega_hat[:, :h], state.a_hat[:, :h]
+    i1, i2 = g.half_ik1, g.half_ik2
 
-    energy = 0.5 * (
-        spectral_l2(g, u1c) ** 2 + spectral_l2(g, u2c) ** 2
-        + spectral_l2(g, b1c) ** 2 + spectral_l2(g, b2c) ** 2)
-    diss_u = (homogeneous_sobolev_norm(g, u1c, params.alpha) ** 2
-              + homogeneous_sobolev_norm(g, u2c, params.alpha) ** 2)
-    diss_b = (homogeneous_sobolev_norm(g, b1c, params.beta) ** 2
-              + homogeneous_sobolev_norm(g, b2c, params.beta) ** 2)
+    def synth(c):
+        return to_physical_half(g, c)
 
+    # the record's 14 syntheses; the other partials follow from the
+    # identities in the module docstring
+    psi = -g.half_inv_ksq * wh
+    u1h, u2h = -(i2 * psi), i1 * psi
+    b1h, b2h = -(i2 * ah), i1 * ah
+    b1_1h, b1_2h, b2_1h = i1 * b1h, i2 * b1h, i1 * b2h
+    w = synth(wh)
+    j = synth(-g.half_ksq * ah)
+    b1, b2 = synth(b1h), synth(b2h)
+    u1_1, u1_2, u2_1 = synth(i1 * u1h), synth(i2 * u1h), synth(i1 * u2h)
+    b1_1, b1_2, b2_1 = synth(b1_1h), synth(b1_2h), synth(b2_1h)
+    b1_11, b1_12 = synth(i1 * b1_1h), synth(i2 * b1_1h)
+    b1_22, b2_11 = synth(i2 * b1_2h), synth(i1 * b2_1h)
+    b2_12, b2_22 = -b1_11, -b1_12
+
+    sums = _spectral_sums(g, wh, ah, params)
     omega_l2 = lp_norm(g, w, 2)
     j_l2 = lp_norm(g, j, 2)
     h1 = omega_l2**2 + j_l2**2
-    h2 = (omega_l2**2 + homogeneous_sobolev_norm(g, wc, 1.0) ** 2
-          + j_l2**2 + homogeneous_sobolev_norm(g, jc, 1.0) ** 2)
+    h2 = omega_l2**2 + sums["grad_w_sq"] + j_l2**2 + sums["grad_j_sq"]
 
-    du = [to_physical_half(g, ik[ax] * c[:, :h])
-          for c in (u1c, u2c) for ax in (0, 1)]
-    grad_u_linf = float(np.max(np.sqrt(sum(x * x for x in du))))
-    jx = to_physical_half(g, ik[0] * jc[:, :h])
-    jy = to_physical_half(g, ik[1] * jc[:, :h])
-    grad_j_mag = np.hypot(jx, jy)
+    # |grad u|^2 = (d1 u1)^2 + (d2 u1)^2 + (d1 u2)^2 + (d2 u2)^2, d2 u2 = -d1 u1
+    grad_u_linf = float(np.sqrt(np.max(2.0 * u1_1 * u1_1 + u1_2 * u1_2
+                                       + u2_1 * u2_1)))
+    # |grad j| feeds only the L^p sums, which overflow with its square
+    # anyway for p >= 2; sqrt of squares is several times cheaper than hypot
+    jx, jy = b2_11 - b1_12, b2_12 - b1_22
+    grad_j_mag = np.sqrt(jx * jx + jy * jy)
 
-    dfn = direction_field_norms(g, b1, b2, eps_bhat)
+    mag = np.hypot(b1, b2)
+    b_linf = float(np.max(mag))
+    eps = _regularization(b_linf, eps_bhat)
+    _, dbhat, d2bhat = _unit_field_derivatives(
+        (b1, b2), mag,
+        [[b1_1, b1_2], [b2_1, -b1_1]],
+        [{(0, 0): b1_11, (0, 1): b1_12, (1, 1): b1_22},
+         {(0, 0): b2_11, (0, 1): b2_12, (1, 1): b2_22}],
+        eps)
+    bhat_w1inf, bhat_w2inf = _sup_norms(dbhat, d2bhat)
 
     omega_linf = lp_norm(g, w, np.inf)
     j_linf = lp_norm(g, j, np.inf)
@@ -189,17 +219,17 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
         dt = state.t - prev.t
         bkm_accum = prev.bkm_accum + 0.5 * (
             (prev.omega_linf + prev.j_linf) + integrand) * dt
-        d_prev = params.nu * prev.diss_u + params.kappa * prev.diss_b
-        d_cur = params.nu * diss_u + params.kappa * diss_b
-        drift = energy - prev.energy + 0.5 * (d_prev + d_cur) * dt
+        d_prev = _dissipation(params, prev.diss_u, prev.diss_b)
+        d_cur = _dissipation(params, sums["diss_u"], sums["diss_b"])
+        drift = sums["energy"] - prev.energy + 0.5 * (d_prev + d_cur) * dt
         den = e0 if (e0 is not None and e0 > 0.0) else 1.0
         energy_residual = abs(drift) / den
 
     return DiagnosticsRecord(
         t=state.t,
-        energy=energy,
-        diss_u=diss_u,
-        diss_b=diss_b,
+        energy=sums["energy"],
+        diss_u=sums["diss_u"],
+        diss_b=sums["diss_b"],
         omega_l2=omega_l2,
         j_l2=j_l2,
         omega_linf=omega_linf,
@@ -208,18 +238,71 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
         h1=h1,
         h2=h2,
         bkm_accum=bkm_accum,
-        bhat_w1inf=dfn.w1inf,
-        bhat_w2inf=dfn.w2inf,
+        bhat_w1inf=bhat_w1inf,
+        bhat_w2inf=bhat_w2inf,
         energy_residual=energy_residual,
         omega_lp={p: lp_norm(g, w, p) for p in ps},
         grad_j_lp={p: lp_norm(g, grad_j_mag, p) for p in ps},
-        a_l2=spectral_l2(g, ac),
-        b_linf=float(np.max(np.hypot(b1, b2))),
-        cross_helicity=l2_inner(g, u1c, b1c) + l2_inner(g, u2c, b2c),
-        diss_omega=homogeneous_sobolev_norm(g, wc, params.alpha) ** 2,
-        diss_j=homogeneous_sobolev_norm(g, jc, params.beta) ** 2,
-        min_abs_b=dfn.min_abs_b,
+        a_l2=float(np.sqrt(sums["a_sq"])),
+        b_linf=b_linf,
+        cross_helicity=sums["cross_helicity"],
+        diss_omega=sums["diss_omega"],
+        diss_j=sums["diss_j"],
+        min_abs_b=float(np.min(mag)),
     )
+
+
+def _spectral_sums(grid: Grid, wh: np.ndarray, ah: np.ndarray, params: Params) -> dict:
+    # The quadratic record quantities as weighted sums over the half power
+    # spectra; Parseval's (2 pi)^2 and the conjugate mirror of columns
+    # 1..n/2-1 (absent from the half) are folded into the column weights.
+    cell = (2.0 * np.pi) ** 2
+    col = np.full(grid.half_cols, 2.0 * cell)
+    col[[0, -1]] = cell
+
+    def total(x):
+        return float(np.sum(x, axis=0) @ col)
+
+    weights = {}
+
+    def sobolev(x, s):
+        # sum of |k|^{2s} x over the modes where x != 0 (ksq**0 keeps the mean)
+        if s not in weights:
+            weights[s] = grid.half_ksq ** s
+        return total(np.multiply(weights[s], x, out=np.zeros_like(x),
+                                 where=x != 0))
+
+    ksq, inv = grid.half_ksq, grid.half_inv_ksq
+    kd2 = grid.half_ik1.imag**2 + grid.half_ik2.imag**2  # |perp-grad|^2
+    pw = wh.real**2 + wh.imag**2
+    pa = ah.real**2 + ah.imag**2
+    pu = kd2 * inv * inv * pw   # |u1_hat|^2 + |u2_hat|^2
+    pb = kd2 * pa               # |b1_hat|^2 + |b2_hat|^2
+    pj = ksq * ksq * pa         # |j_hat|^2
+    return {
+        "energy": 0.5 * total(pu + pb),
+        "diss_u": sobolev(pu, params.alpha),
+        "diss_b": sobolev(pb, params.beta),
+        "diss_omega": sobolev(pw, params.alpha),
+        "diss_j": sobolev(pj, params.beta),
+        "grad_w_sq": sobolev(pw, 1.0),
+        "grad_j_sq": sobolev(pj, 1.0),
+        "a_sq": total(pa),
+        # int u.b = sum |perp-grad|^2 Re(conj(psi_hat) a_hat), psi = -w/|k|^2
+        "cross_helicity": -total(kd2 * inv * (wh.real * ah.real
+                                              + wh.imag * ah.imag)),
+    }
+
+
+def _dissipation(params: Params, diss_u: float, diss_b: float) -> float:
+    # nu*diss_u + kappa*diss_b; a switched-off channel adds exactly 0, even
+    # where its Sobolev sum overflowed (no 0 * inf = nan)
+    rate = 0.0
+    if params.nu != 0.0:
+        rate += params.nu * diss_u
+    if params.kappa != 0.0:
+        rate += params.kappa * diss_b
+    return rate
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +330,8 @@ def energy_balance_residual(series, params: Params) -> float:
     den = e0 if e0 > 0.0 else 1.0
     worst = 0.0
     for r1, r2 in zip(series[:-1], series[1:]):
-        d1 = params.nu * r1.diss_u + params.kappa * r1.diss_b
-        d2 = params.nu * r2.diss_u + params.kappa * r2.diss_b
+        d1 = _dissipation(params, r1.diss_u, r1.diss_b)
+        d2 = _dissipation(params, r2.diss_u, r2.diss_b)
         drift = r2.energy - r1.energy + 0.5 * (d1 + d2) * (r2.t - r1.t)
         worst = max(worst, abs(drift) / den)
     return worst
@@ -276,8 +359,8 @@ def h1_ledger(series, params: Params) -> H1LedgerReport:
     acc = 0.0
     values = [series[0].h1]
     for r1, r2 in zip(series[:-1], series[1:]):
-        g1 = 2.0 * params.nu * r1.diss_omega + 2.0 * params.kappa * r1.diss_j
-        g2 = 2.0 * params.nu * r2.diss_omega + 2.0 * params.kappa * r2.diss_j
+        g1 = 2.0 * _dissipation(params, r1.diss_omega, r1.diss_j)
+        g2 = 2.0 * _dissipation(params, r2.diss_omega, r2.diss_j)
         acc += 0.5 * (g1 + g2) * (r2.t - r1.t)
         values.append(r2.h1 + acc)
     return H1LedgerReport(
@@ -372,81 +455,102 @@ class DirectionFieldNorms:
     eps: float
 
 
+_PAIRS = ((0, 0), (0, 1), (1, 1))
+
+
+def _regularization(bmax: float, eps: float | None) -> float:
+    # the direction-field floor: eps as given, or 1e-6 * max|b| (1e-6 for b = 0)
+    if eps is None:
+        eps = 1e-6 * bmax if bmax > 0.0 else 1e-6
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ParameterError(f"eps must be positive and finite, got {eps!r}")
+    return float(eps)
+
+
+def _unit_field_derivatives(b, mag, db, d2b, eps):
+    """Chain rule for bhat = b / rho, rho = (|b|^2 + eps^2)^{1/2}, pointwise.
+
+    b = (b1, b2) and mag = |b| are physical values, db[j][i] = d_i b_j and
+    d2b[j][(i, k)] = d_i d_k b_j for i <= k.  With r = 1/rho and
+    t_i = bhat . d_i b (= d_i rho):
+
+        d_i bhat_j     = (d_i b_j - bhat_j t_i) r
+        T_ik           = sum_m (d_k bhat_m d_i b_m + bhat_m d_i d_k b_m)
+                       = d_k t_i
+        d_i d_k bhat_j = (d_i d_k b_j - d_k bhat_j t_i - d_i bhat_j t_k
+                          - bhat_j T_ik) r
+
+    Returns (bhat, dbhat, d2bhat) laid out like (b, db, d2b).
+    """
+    r = 1.0 / np.sqrt(mag * mag + eps * eps)
+    bhat = [b[0] * r, b[1] * r]
+    t = [bhat[0] * db[0][i] + bhat[1] * db[1][i] for i in (0, 1)]
+    dbhat = [[(db[jc][i] - bhat[jc] * t[i]) * r for i in (0, 1)]
+             for jc in (0, 1)]
+    d2bhat = [{}, {}]
+    for i, k in _PAIRS:
+        tik = (dbhat[0][k] * db[0][i] + dbhat[1][k] * db[1][i]
+               + bhat[0] * d2b[0][(i, k)] + bhat[1] * d2b[1][(i, k)])
+        for jc in (0, 1):
+            d2bhat[jc][(i, k)] = (d2b[jc][(i, k)] - dbhat[jc][k] * t[i]
+                                  - dbhat[jc][i] * t[k] - bhat[jc] * tik) * r
+    return bhat, dbhat, d2bhat
+
+
+def _sup_norms(dbhat, d2bhat) -> tuple[float, float]:
+    # max-over-partials W^{1,inf} and W^{2,inf} seminorms of bhat
+    w1inf = max(float(np.max(np.abs(dbhat[jc][i])))
+                for jc in (0, 1) for i in (0, 1))
+    w2inf = max(float(np.max(np.abs(v)))
+                for jc in (0, 1) for v in d2bhat[jc].values())
+    return w1inf, w2inf
+
+
+def _coefficient_fields(bhat, dbhat, d2bhat):
+    """vec = bhat.grad bhat - (div bhat) bhat and its scalar curl, pointwise."""
+    def second(jc, i, k):
+        return d2bhat[jc][(i, k) if i <= k else (k, i)]
+
+    div_bhat = dbhat[0][0] + dbhat[1][1]
+    vec = [bhat[0] * dbhat[jc][0] + bhat[1] * dbhat[jc][1] - div_bhat * bhat[jc]
+           for jc in (0, 1)]
+
+    def dvec(jc, k):  # d_k vec_j
+        adv = sum(dbhat[i][k] * dbhat[jc][i] + bhat[i] * second(jc, i, k)
+                  for i in (0, 1))
+        ddiv = second(0, 0, k) + second(1, 1, k)
+        return adv - ddiv * bhat[jc] - div_bhat * dbhat[jc][k]
+
+    return vec, dvec(1, 0) - dvec(0, 1)
+
+
 def _unit_field_jet(grid: Grid, b1: np.ndarray, b2: np.ndarray, eps: float) -> dict:
     """Pointwise derivatives of bhat = b/(|b|^2+eps^2)^{1/2} up to second order.
 
-    All derivatives of the band-limited components b1, b2 are spectral; the
-    chain rule then assembles the derivatives of bhat pointwise.  (bhat itself
-    is a rational function of b with point singularities, so differentiating
-    it directly in Fourier space would pollute the whole grid with Gibbs
-    error; the product-rule route stays exact.)
+    All derivatives of the band-limited components b1, b2 are spectral (2
+    analyses, 10 syntheses: b need not be divergence free here); the chain
+    rule then assembles the derivatives of bhat pointwise.  (bhat itself is a
+    rational function of b with point singularities, so differentiating it
+    directly in Fourier space would pollute the whole grid with Gibbs error;
+    the product-rule route stays exact.)
 
     Returns a dict with bhat[j], dbhat[j][i], d2bhat[j][(i,k)] (i <= k), the
     coefficient vector field vec = bhat.grad bhat - (div bhat) bhat, its
     scalar curl curl_vec, and the unregularized magnitude mag.
     """
-    comps = (b1, b2)
-    coeffs = tuple(to_spectral_half(grid, c) for c in comps)
     ik = (grid.half_ik1, grid.half_ik2)
-
-    def dval(c, ax):
-        return to_physical_half(grid, ik[ax] * c)
-
-    # first partials d[j][i] and second partials d2[j][(i, k)], i <= k
-    d = [[dval(c, 0), dval(c, 1)] for c in coeffs]
-    d2 = [{(0, 0): dval(ik[0] * c, 0),
-           (0, 1): dval(ik[0] * c, 1),
-           (1, 1): dval(ik[1] * c, 1)} for c in coeffs]
-
-    def second(jc, i, k):
-        return d2[jc][(i, k) if i <= k else (k, i)]
-
-    rho = np.sqrt(b1 * b1 + b2 * b2 + eps * eps)
-    s = [b1 * d[0][i] + b2 * d[1][i] for i in (0, 1)]          # b . d_i b
-    drho = [s[i] / rho for i in (0, 1)]
-    d2rho = {}
-    for i in (0, 1):
-        for k in (i, 1):
-            d2rho[(i, k)] = ((d[0][k] * d[0][i] + d[1][k] * d[1][i]
-                              + b1 * second(0, i, k) + b2 * second(1, i, k)) / rho
-                             - s[i] * s[k] / rho**3)
-
-    bhat = [b1 / rho, b2 / rho]
-    dbhat = [[d[jc][i] / rho - comps[jc] * drho[i] / rho**2 for i in (0, 1)]
-             for jc in (0, 1)]
-
-    def d2rho_at(i, k):
-        return d2rho[(i, k) if i <= k else (k, i)]
-
-    d2bhat = [{}, {}]
-    for jc in (0, 1):
-        for i in (0, 1):
-            for k in (i, 1):
-                d2bhat[jc][(i, k)] = (
-                    second(jc, i, k) / rho
-                    - d[jc][i] * drho[k] / rho**2
-                    - d[jc][k] * drho[i] / rho**2
-                    - comps[jc] * d2rho_at(i, k) / rho**2
-                    + 2.0 * comps[jc] * drho[i] * drho[k] / rho**3)
-
-    def d2bhat_at(jc, i, k):
-        return d2bhat[jc][(i, k) if i <= k else (k, i)]
-
-    # coefficient fields: vec = bhat.grad bhat - (div bhat) bhat and its curl
-    div_bhat = dbhat[0][0] + dbhat[1][1]
-    vec = [sum(bhat[i] * dbhat[jc][i] for i in (0, 1)) - div_bhat * bhat[jc]
-           for jc in (0, 1)]
-    dvec = {}
-    for jc in (0, 1):
-        for k in (0, 1):
-            adv = sum(dbhat[i][k] * dbhat[jc][i] + bhat[i] * d2bhat_at(jc, i, k)
-                      for i in (0, 1))
-            ddiv = d2bhat_at(0, 0, k) + d2bhat_at(1, 1, k)
-            dvec[(jc, k)] = adv - ddiv * bhat[jc] - div_bhat * dbhat[jc][k]
-    curl_vec = dvec[(1, 0)] - dvec[(0, 1)]
-
+    db, d2b = [], []
+    for comp in (b1, b2):
+        c = to_spectral_half(grid, comp)
+        dc = [ik[0] * c, ik[1] * c]
+        db.append([to_physical_half(grid, x) for x in dc])
+        d2b.append({(i, k): to_physical_half(grid, ik[k] * dc[i])
+                    for i, k in _PAIRS})
+    mag = np.hypot(b1, b2)
+    bhat, dbhat, d2bhat = _unit_field_derivatives((b1, b2), mag, db, d2b, eps)
+    vec, curl_vec = _coefficient_fields(bhat, dbhat, d2bhat)
     return {"bhat": bhat, "dbhat": dbhat, "d2bhat": d2bhat, "vec": vec,
-            "curl_vec": curl_vec, "mag": np.hypot(b1, b2)}
+            "curl_vec": curl_vec, "mag": mag}
 
 
 def direction_field_norms(
@@ -467,17 +571,10 @@ def direction_field_norms(
     """
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
-    bmax = float(np.max(np.hypot(b1, b2)))
-    if eps is None:
-        eps = 1e-6 * bmax if bmax > 0.0 else 1e-6
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ParameterError(f"eps must be positive and finite, got {eps!r}")
+    eps = _regularization(float(np.max(np.hypot(b1, b2))), eps)
 
     jet = _unit_field_jet(grid, b1, b2, eps)
-    w1inf = max(float(np.max(np.abs(jet["dbhat"][jc][i])))
-                for jc in (0, 1) for i in (0, 1))
-    w2inf = max(float(np.max(np.abs(v)))
-                for jc in (0, 1) for v in jet["d2bhat"][jc].values())
+    w1inf, w2inf = _sup_norms(jet["dbhat"], jet["d2bhat"])
     min_abs_b = float(np.min(jet["mag"]))
     return DirectionFieldNorms(
         w1inf=w1inf,
@@ -486,7 +583,7 @@ def direction_field_norms(
         a_coeff_linf=float(np.max(np.abs(jet["curl_vec"]))),
         b_coeff_linf=float(np.max(np.hypot(jet["vec"][0], jet["vec"][1]))),
         regularization_dominated=min_abs_b < eps,
-        eps=float(eps),
+        eps=eps,
     )
 
 

@@ -6,6 +6,9 @@ audits against the closed-form decaying shear, and the unit-field derivatives
 against sympy symbolic differentiation away from the zero set of |b|.
 """
 
+from collections import Counter
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -23,10 +26,19 @@ from gmhd2d.diagnostics import (
     write_csv,
     _unit_field_jet,
 )
-from gmhd2d.dynamics import GmhdState, Params, initial_condition, project_state, run
+from gmhd2d.dynamics import (
+    GmhdState,
+    Params,
+    initial_condition,
+    project_state,
+    run,
+    step,
+)
 from gmhd2d.spectral import (
     ParameterError,
+    biot_savart,
     derivative,
+    field_from_potential,
     get_grid,
     lp_norm,
     random_band_limited_field,
@@ -53,6 +65,12 @@ class TestSobolevNorm:
         assert homogeneous_sobolev_norm(g, c, -1.0) == pytest.approx(base / 2, rel=1e-13)
         assert homogeneous_sobolev_norm(g, c, 0.5) == pytest.approx(
             np.sqrt(2) * base, rel=1e-13)
+        # |k|^250 overflows on the empty high modes (|k| <= 16 sqrt 2) but not
+        # on the occupied |k| = 2 one (built exactly: no roundoff content)
+        exact = np.zeros((32, 32), complex)
+        exact[2, 0], exact[-2, 0] = -0.5j, 0.5j
+        assert homogeneous_sobolev_norm(g, exact, 250.0) == pytest.approx(
+            2.0**250 * base, rel=1e-12)
 
     def test_s_zero_is_l2(self):
         g = get_grid(64)
@@ -135,6 +153,113 @@ class TestComputeRecord:
         with pytest.raises(ParameterError, match="p_list"):
             compute_record(st, Params(n=32), p_list=(0.5,))
 
+    @staticmethod
+    def _oracle(st, params, ps, prev=None, e0=None):
+        # the record rebuilt from the full-complex public primitives and
+        # collocation quadrature (exact: every squared field has degree < n)
+        g = st.grid
+        wc, ac = st.omega_hat, st.a_hat
+        u1c, u2c = biot_savart(g, wc)
+        b1c, b2c, jc = field_from_potential(g, ac)
+        w, j = to_physical(g, wc), to_physical(g, jc)
+        u1, u2, b1, b2 = (to_physical(g, c) for c in (u1c, u2c, b1c, b2c))
+        cell = (2 * np.pi / g.n) ** 2
+        du = [to_physical(g, derivative(g, c, ax))
+              for c in (u1c, u2c) for ax in (0, 1)]
+        grad_j = np.hypot(to_physical(g, derivative(g, jc, 0)),
+                          to_physical(g, derivative(g, jc, 1)))
+        dfn = direction_field_norms(g, b1, b2)
+        hs = homogeneous_sobolev_norm
+        rec = dict(
+            t=st.t,
+            energy=0.5 * cell * np.sum(u1**2 + u2**2 + b1**2 + b2**2),
+            diss_u=hs(g, u1c, params.alpha)**2 + hs(g, u2c, params.alpha)**2,
+            diss_b=hs(g, b1c, params.beta)**2 + hs(g, b2c, params.beta)**2,
+            omega_l2=lp_norm(g, w, 2),
+            j_l2=lp_norm(g, j, 2),
+            omega_linf=lp_norm(g, w, np.inf),
+            j_linf=lp_norm(g, j, np.inf),
+            grad_u_linf=np.max(np.sqrt(sum(x**2 for x in du))),
+            h1=lp_norm(g, w, 2)**2 + lp_norm(g, j, 2)**2,
+            h2=(lp_norm(g, w, 2)**2 + hs(g, wc, 1.0)**2
+                + lp_norm(g, j, 2)**2 + hs(g, jc, 1.0)**2),
+            bhat_w1inf=dfn.w1inf,
+            bhat_w2inf=dfn.w2inf,
+            omega_lp={p: lp_norm(g, w, p) for p in ps},
+            grad_j_lp={p: lp_norm(g, grad_j, p) for p in ps},
+            a_l2=lp_norm(g, to_physical(g, ac), 2),
+            b_linf=np.max(np.hypot(b1, b2)),
+            cross_helicity=cell * np.sum(u1 * b1 + u2 * b2),
+            diss_omega=hs(g, wc, params.alpha)**2,
+            diss_j=hs(g, jc, params.beta)**2,
+            min_abs_b=dfn.min_abs_b,
+        )
+        if prev is None:
+            rec.update(bkm_accum=0.0, energy_residual=0.0)
+        else:
+            dt = st.t - prev["t"]
+            rec["bkm_accum"] = prev["bkm_accum"] + 0.5 * dt * (
+                prev["omega_linf"] + prev["j_linf"]
+                + rec["omega_linf"] + rec["j_linf"])
+            rate = [params.nu * r["diss_u"] + params.kappa * r["diss_b"]
+                    for r in (prev, rec)]
+            rec["energy_residual"] = abs(rec["energy"] - prev["energy"]
+                                         + 0.5 * dt * sum(rate)) / e0
+        return rec
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.3, 2.5)])
+    def test_matches_full_spectrum_oracle(self, n, alpha, beta):
+        g = get_grid(n)
+        st0 = initial_condition("random_band_limited", g, seed=n,
+                                k_max=g.dealias_k)
+        p = Params(nu=0.1, kappa=0.05, alpha=alpha, beta=beta, n=n)
+        ps = (2.0, 4.0, 6.0)
+        rec0 = compute_record(st0, p, p_list=ps)
+        rec1 = compute_record(step(st0, p, 1e-3), p, p_list=ps, prev=rec0,
+                              e0=rec0.energy)
+        ref0 = self._oracle(st0, p, ps)
+        ref1 = self._oracle(step(st0, p, 1e-3), p, ps, prev=ref0,
+                            e0=ref0["energy"])
+        for rec, ref in ((rec0, ref0), (rec1, ref1)):
+            got = asdict(rec)
+            assert set(got) == set(ref)
+            for name, want in ref.items():
+                if name == "energy_residual":
+                    # a difference of O(E) terms over E(0): roundoff is absolute
+                    assert got[name] == pytest.approx(want, rel=0, abs=1e-12)
+                elif isinstance(want, dict):
+                    assert got[name] == pytest.approx(want, rel=1e-12), name
+                else:
+                    rel = 1e-9 if name == "bhat_w2inf" else 1e-12
+                    assert got[name] == pytest.approx(want, rel=rel), name
+
+
+class TestTransformBudget:
+    """The transform counts the benchmark reports, pinned exactly."""
+
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    def test_record_is_fourteen_syntheses(self, fft_calls):
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=8)
+        compute_record(st, Params(n=64))
+        assert fft_calls == {"irfft2": 14}
+
+    def test_step_is_forty_real_transforms(self, fft_calls):
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=8)
+        step(st, Params(n=64), 1e-3)
+        assert fft_calls == {"irfft2": 32, "rfft2": 8}
+
 
 class TestEnergyBalance:
     """Balance-law closure on trajectories."""
@@ -152,6 +277,23 @@ class TestEnergyBalance:
     def test_per_record_residual_matches_closed_form_scale(self):
         res, _ = shear_series(cadence=0.002, t_end=0.1)
         assert max(r.energy_residual for r in res.records) < 1e-8
+
+    def test_ideal_run_at_huge_exponents_has_no_nan(self):
+        # |k|^400 overflows on every occupied mode with |k| >~ 5.9, so the
+        # dissipation sums read inf; with nu = kappa = 0 they must not leak
+        # into the energy residual
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=8)
+        p = Params(nu=0, kappa=0, alpha=200, beta=200, n=64, t_end=0.01)
+        res = run(st, p, 0.005)
+        assert len(res.records) == 3 and not res.blew_up
+        for rec in res.records:
+            values = []
+            for v in asdict(rec).values():
+                values += list(v.values()) if isinstance(v, dict) else [v]
+            assert not np.any(np.isnan(values))
+            assert rec.energy_residual < 1e-6
+        assert np.isinf(res.records[0].diss_u)
 
     def test_cadence_and_length_validation(self):
         res, p = shear_series(cadence=0.25, t_end=0.5)
@@ -278,6 +420,13 @@ class TestDirectionField:
                 for k, w in ((0, x), (1, y)):
                     if i <= k:
                         exprs[("d2", jc, i, k)] = bh.diff(v).diff(w)
+        # coefficient fields: vec = bhat.grad bhat - (div bhat) bhat, curl vec
+        bh = (b1s / rho0, b2s / rho0)
+        div = bh[0].diff(x) + bh[1].diff(y)
+        vec = [bh[0] * c.diff(x) + bh[1] * c.diff(y) - div * c for c in bh]
+        for jc in (0, 1):
+            exprs[("vec", jc)] = vec[jc]
+        exprs[("curl_vec",)] = vec[1].diff(x) - vec[0].diff(y)
         fns = {key: sympy.lambdify((x, y), e, "numpy") for key, e in exprs.items()}
 
         g = get_grid(64)
@@ -297,6 +446,10 @@ class TestDirectionField:
                     ref = fns[("d2", jc, i, k)](g.x1, g.x2)
                     err = np.max(np.abs(vals - ref)[mask])
                     assert err < 1e-6
+                ref = fns[("vec", jc)](g.x1, g.x2)
+                assert np.max(np.abs(jet["vec"][jc] - ref)[mask]) < 1e-6
+            ref = fns[("curl_vec",)](g.x1, g.x2)
+            assert np.max(np.abs(jet["curl_vec"] - ref)[mask]) < 1e-6
 
     def test_rescaling_invariance(self):
         g = get_grid(64)
