@@ -22,7 +22,6 @@ from .spectral import (  # noqa: F401
     fractional_power,
     get_grid,
     inverse_laplacian,
-    l2_inner,
     laplacian,
     lp_norm,
     random_band_limited_field,

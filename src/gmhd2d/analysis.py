@@ -195,40 +195,44 @@ class GronwallReport:
     passed: bool
 
 
-def _as_series(name: str, values, length: int | None = None) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ParameterError(f"{name} must be a 1-D series of length >= 2")
-    if length is not None and arr.size != length:
-        raise ParameterError("all series must share one time grid")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be finite")
-    return arr
+# slack per interval, relative to max(1, eta), of the Gronwall hypothesis
+HYPOTHESIS_TOL = 1e-8
 
 
-def gronwall_check(times, eta, psi, phi,
-                   hypothesis_tol: float = 1e-8) -> GronwallReport:
+def _gronwall_series(times, eta, psi, phi):
+    # the four series as finite float arrays on one increasing time grid
+    out = []
+    for name, values in zip(("times", "eta", "psi", "phi"), (times, eta, psi, phi)):
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim != 1 or arr.size < 2:
+            raise ParameterError(f"{name} must be a 1-D series of length >= 2")
+        if out and arr.size != out[0].size:
+            raise ParameterError("all series must share one time grid")
+        if not np.all(np.isfinite(arr)):
+            raise ParameterError(f"{name} must be finite")
+        out.append(arr)
+    t, e, s, f = out
+    if not np.all(np.diff(t) > 0.0):
+        raise ParameterError("times must be strictly increasing")
+    if np.min(e) < 0.0 or np.min(s) < 0.0 or np.min(f) < 0.0:
+        raise ParameterError("eta, psi, and phi must be nonnegative")
+    return out
+
+
+def gronwall_check(times, eta, psi, phi) -> GronwallReport:
     """Audit the discrete Gronwall implication on sampled series.
 
     The hypothesis eta' + psi <= phi*eta is tested with forward differences,
-    allowing hypothesis_tol*max(1, eta) slack per interval.  Wherever the
+    allowing HYPOTHESIS_TOL*max(1, eta) slack per interval.  Wherever the
     hypothesis has held on every preceding interval, the integrated
     conclusion (left Riemann sums) is asserted; the slack allowance follows
     from pushing the per-interval tolerance through the induction.
     """
-    t = _as_series("times", times)
-    if not np.all(np.diff(t) > 0.0):
-        raise ParameterError("times must be strictly increasing")
-    e = _as_series("eta", eta, t.size)
-    s = _as_series("psi", psi, t.size)
-    f = _as_series("phi", phi, t.size)
-    if np.min(e) < 0.0 or np.min(s) < 0.0 or np.min(f) < 0.0:
-        raise ParameterError("eta, psi, and phi must be nonnegative")
-
+    t, e, s, f = _gronwall_series(times, eta, psi, phi)
     dt = np.diff(t)
     forward = np.diff(e) / dt
     excess = forward + s[:-1] - f[:-1] * e[:-1]
-    tol = hypothesis_tol * np.maximum(1.0, e[:-1])
+    tol = HYPOTHESIS_TOL * np.maximum(1.0, e[:-1])
     hypothesis_ok = excess <= tol
 
     zero = np.zeros(1)
@@ -247,24 +251,16 @@ def gronwall_check(times, eta, psi, phi,
                           passed=passed)
 
 
-def fit_gronwall_constant(times, eta, psi, phi,
-                          hypothesis_tol: float = 1e-8) -> float:
-    """Smallest C >= 0 making eta' + psi <= C*phi*eta hold discretely.
+def fit_gronwall_constant(times, eta, psi, phi) -> float:
+    """Smallest C >= 0 making eta' + psi <= C*phi*eta hold discretely, up to
+    the same HYPOTHESIS_TOL slack gronwall_check allows.
 
     Returns inf when some interval has phi*eta = 0 but a positive forward
     excess, in which case no finite constant works.
     """
-    t = _as_series("times", times)
-    if not np.all(np.diff(t) > 0.0):
-        raise ParameterError("times must be strictly increasing")
-    e = _as_series("eta", eta, t.size)
-    s = _as_series("psi", psi, t.size)
-    f = _as_series("phi", phi, t.size)
-    if np.min(e) < 0.0 or np.min(s) < 0.0 or np.min(f) < 0.0:
-        raise ParameterError("eta, psi, and phi must be nonnegative")
-
+    t, e, s, f = _gronwall_series(times, eta, psi, phi)
     dt = np.diff(t)
-    need = np.diff(e) / dt + s[:-1] - hypothesis_tol * np.maximum(1.0, e[:-1])
+    need = np.diff(e) / dt + s[:-1] - HYPOTHESIS_TOL * np.maximum(1.0, e[:-1])
     denom = f[:-1] * e[:-1]
     best = 0.0
     for num, den in zip(need, denom):

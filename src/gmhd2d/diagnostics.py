@@ -13,8 +13,8 @@ the W^{1,inf}/W^{2,inf} norms of the direction field take the maximum over
 individual partial derivatives instead (documented choice).  H^1 norms are
 inhomogeneous: ||f||_{H^1}^2 = ||f||_2^2 + ||Lambda f||_2^2.
 
-Cost of one record: 14 real syntheses (irfft2) from the k2 >= 0 half
-spectra of omega and a, and no other transform.  The planes are w, j, b1,
+Cost of one record: 14 real syntheses (irfft2) by spectral.physical_fields
+from the half spectra of omega and a, and no other transform: w, j, b1,
 b2, three of grad u, three of grad b and four of the second partials of b.
 The rest follows from div u = div b = 0 and j = curl b:
 
@@ -45,8 +45,8 @@ from .spectral import (
     Grid,
     ParameterError,
     lp_norm,
+    physical_fields,
     spectral_l2,
-    to_physical_half,
     to_spectral_half,
 )
 
@@ -162,29 +162,16 @@ def compute_record(
 
 def _compute_record(state, params, ps, eps_bhat, prev, e0):
     g = state.grid
-    h = g.half_cols
-    wh, ah = state.omega_hat[:, :h], state.a_hat[:, :h]
-    i1, i2 = g.half_ik1, g.half_ik2
-
-    def synth(c):
-        return to_physical_half(g, c)
-
+    halves = state.halves()
     # the record's 14 syntheses; the other partials follow from the
     # identities in the module docstring
-    psi = -g.half_inv_ksq * wh
-    u1h, u2h = -(i2 * psi), i1 * psi
-    b1h, b2h = -(i2 * ah), i1 * ah
-    b1_1h, b1_2h, b2_1h = i1 * b1h, i2 * b1h, i1 * b2h
-    w = synth(wh)
-    j = synth(-g.half_ksq * ah)
-    b1, b2 = synth(b1h), synth(b2h)
-    u1_1, u1_2, u2_1 = synth(i1 * u1h), synth(i2 * u1h), synth(i1 * u2h)
-    b1_1, b1_2, b2_1 = synth(b1_1h), synth(b1_2h), synth(b2_1h)
-    b1_11, b1_12 = synth(i1 * b1_1h), synth(i2 * b1_1h)
-    b1_22, b2_11 = synth(i2 * b1_2h), synth(i1 * b2_1h)
+    (w, j, b1, b2, u1_1, u1_2, u2_1, b1_1, b1_2, b2_1,
+     b1_11, b1_12, b1_22, b2_11) = physical_fields(
+        g, halves, "w", "j", "b1", "b2", "u1_1", "u1_2", "u2_1",
+        "b1_1", "b1_2", "b2_1", "b1_11", "b1_12", "b1_22", "b2_11")
     b2_12, b2_22 = -b1_11, -b1_12
 
-    sums = _spectral_sums(g, wh, ah, params)
+    sums = _spectral_sums(g, halves["w"], halves["a"], params)
     omega_l2 = lp_norm(g, w, 2)
     j_l2 = lp_norm(g, j, 2)
     h1 = omega_l2**2 + j_l2**2
@@ -524,7 +511,8 @@ def _coefficient_fields(bhat, dbhat, d2bhat):
     return vec, dvec(1, 0) - dvec(0, 1)
 
 
-def _unit_field_jet(grid: Grid, b1: np.ndarray, b2: np.ndarray, eps: float) -> dict:
+def _unit_field_jet(grid: Grid, b1: np.ndarray, b2: np.ndarray,
+                    eps: float | None = None) -> dict:
     """Pointwise derivatives of bhat = b/(|b|^2+eps^2)^{1/2} up to second order.
 
     All derivatives of the band-limited components b1, b2 are spectral (2
@@ -532,25 +520,22 @@ def _unit_field_jet(grid: Grid, b1: np.ndarray, b2: np.ndarray, eps: float) -> d
     rule then assembles the derivatives of bhat pointwise.  (bhat itself is a
     rational function of b with point singularities, so differentiating it
     directly in Fourier space would pollute the whole grid with Gibbs error;
-    the product-rule route stays exact.)
+    the product-rule route stays exact.)  eps = None selects 1e-6 * max|b|.
 
     Returns a dict with bhat[j], dbhat[j][i], d2bhat[j][(i,k)] (i <= k), the
     coefficient vector field vec = bhat.grad bhat - (div bhat) bhat, its
-    scalar curl curl_vec, and the unregularized magnitude mag.
+    scalar curl curl_vec, the unregularized magnitude mag and the floor eps.
     """
-    ik = (grid.half_ik1, grid.half_ik2)
-    db, d2b = [], []
-    for comp in (b1, b2):
-        c = to_spectral_half(grid, comp)
-        dc = [ik[0] * c, ik[1] * c]
-        db.append([to_physical_half(grid, x) for x in dc])
-        d2b.append({(i, k): to_physical_half(grid, ik[k] * dc[i])
-                    for i, k in _PAIRS})
+    halves = {"b1": to_spectral_half(grid, b1), "b2": to_spectral_half(grid, b2)}
+    db = [physical_fields(grid, halves, c + "_1", c + "_2") for c in halves]
+    d2b = [dict(zip(_PAIRS, physical_fields(
+        grid, halves, c + "_11", c + "_12", c + "_22"))) for c in halves]
     mag = np.hypot(b1, b2)
+    eps = _regularization(float(np.max(mag)), eps)
     bhat, dbhat, d2bhat = _unit_field_derivatives((b1, b2), mag, db, d2b, eps)
     vec, curl_vec = _coefficient_fields(bhat, dbhat, d2bhat)
     return {"bhat": bhat, "dbhat": dbhat, "d2bhat": d2bhat, "vec": vec,
-            "curl_vec": curl_vec, "mag": mag}
+            "curl_vec": curl_vec, "mag": mag, "eps": eps}
 
 
 def direction_field_norms(
@@ -569,11 +554,8 @@ def direction_field_norms(
     Returns:
         DirectionFieldNorms.
     """
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    eps = _regularization(float(np.max(np.hypot(b1, b2))), eps)
-
-    jet = _unit_field_jet(grid, b1, b2, eps)
+    jet = _unit_field_jet(grid, np.asarray(b1, dtype=float),
+                          np.asarray(b2, dtype=float), eps)
     w1inf, w2inf = _sup_norms(jet["dbhat"], jet["d2bhat"])
     min_abs_b = float(np.min(jet["mag"]))
     return DirectionFieldNorms(
@@ -582,8 +564,8 @@ def direction_field_norms(
         min_abs_b=min_abs_b,
         a_coeff_linf=float(np.max(np.abs(jet["curl_vec"]))),
         b_coeff_linf=float(np.max(np.hypot(jet["vec"][0], jet["vec"][1]))),
-        regularization_dominated=min_abs_b < eps,
-        eps=eps,
+        regularization_dominated=min_abs_b < jet["eps"],
+        eps=jet["eps"],
     )
 
 

@@ -27,14 +27,12 @@ interactions of retained modes are alias-free and the semi-discrete system
 conserves energy, cross helicity and the potential's L2 norm exactly when
 nu = kappa = 0.
 
-The fields are real, so the stepper works on k2 >= 0 half spectra with real
-transforms (spectral.to_physical_half / to_spectral_half).  One evaluation
-of the tendency costs 10 of them: 8 syntheses (u1, u2, b1, b2, grad w,
-grad j) and 2 analyses; u.grad(a) = u1 b2 - u2 b1 needs no grad(a).  The
-planes are transformed one call each, which is faster than one call on a
-stacked array once the stack outgrows the L2 cache.  All four RK4 stages stay
-on the half spectrum; the result is expanded to the full Hermitian array once
-per step.
+The fields are real, so the stepper, cfl_dt and the identity checks take
+every physical field from the state's k2 >= 0 half spectra through
+spectral.physical_fields.  A tendency costs 10 real transforms: 8 syntheses
+(u1, u2, b1, b2, grad w, grad j) and 2 analyses; u.grad(a) = u1 b2 - u2 b1
+needs no grad(a).  All four RK4 stages stay on the half spectrum; the result
+is expanded to the full Hermitian array once per step.
 """
 
 from __future__ import annotations
@@ -49,18 +47,14 @@ import numpy as np
 from .spectral import (
     Grid,
     ParameterError,
-    biot_savart,
-    derivative,
-    field_from_potential,
     full_spectrum,
     get_grid,
     hermitian_part,
-    laplacian,
     lp_norm,
+    physical_fields,
     random_band_limited_field,
     spectral_l2,
     to_physical,
-    to_physical_half,
     to_spectral,
     to_spectral_half,
 )
@@ -145,6 +139,11 @@ class GmhdState:
     omega_hat: np.ndarray
     a_hat: np.ndarray
     t: float = 0.0
+
+    def halves(self) -> dict:
+        """Views of the k2 >= 0 half spectra, for spectral.physical_fields."""
+        h = self.grid.half_cols
+        return {"w": self.omega_hat[:, :h], "a": self.a_hat[:, :h]}
 
 
 def project_state(state: GmhdState) -> GmhdState:
@@ -276,30 +275,20 @@ def _linear_multipliers(n: int, nu: float, alpha: float, kappa: float, beta: flo
     return lw, la
 
 
-def _velocity_and_field(grid: Grid, wh: np.ndarray, ah: np.ndarray):
-    # physical u = perp-grad(Delta^{-1} w) and b = perp-grad(a) from half
-    # spectra: 4 real syntheses
-    psi = -grid.half_inv_ksq * wh
-    return (to_physical_half(grid, -(grid.half_ik2 * psi)),
-            to_physical_half(grid, grid.half_ik1 * psi),
-            to_physical_half(grid, -(grid.half_ik2 * ah)),
-            to_physical_half(grid, grid.half_ik1 * ah))
+def _dealiased_half(grid: Grid, values: np.ndarray) -> np.ndarray:
+    # half spectrum of a pointwise product, projected onto the 2/3 band
+    out = to_spectral_half(grid, values)
+    out *= grid.half_dealias
+    return out
 
 
-def _tendency_half(grid: Grid, wh: np.ndarray, ah: np.ndarray):
+def _tendency_half(grid: Grid, w: np.ndarray, a: np.ndarray):
     # 10 real transforms per evaluation: 8 syntheses, 2 analyses
-    u1, u2, b1, b2 = _velocity_and_field(grid, wh, ah)
-    jh = -grid.half_ksq * ah
-    wx = to_physical_half(grid, grid.half_ik1 * wh)
-    wy = to_physical_half(grid, grid.half_ik2 * wh)
-    jx = to_physical_half(grid, grid.half_ik1 * jh)
-    jy = to_physical_half(grid, grid.half_ik2 * jh)
-    dw = to_spectral_half(grid, b1 * jx + b2 * jy - u1 * wx - u2 * wy)
-    da = to_spectral_half(grid, u2 * b1 - u1 * b2)  # -u.grad a, grad a = (b2, -b1)
-    dw *= grid.half_dealias
-    da *= grid.half_dealias
-    dw[0, 0] = 0.0
-    da[0, 0] = 0.0
+    u1, u2, b1, b2, wx, wy, jx, jy = physical_fields(
+        grid, {"w": w, "a": a}, "u1", "u2", "b1", "b2", "w_1", "w_2", "j_1", "j_2")
+    dw = _dealiased_half(grid, b1 * jx + b2 * jy - u1 * wx - u2 * wy)
+    da = _dealiased_half(grid, u2 * b1 - u1 * b2)  # -u.grad a, grad a = (b2, -b1)
+    dw[0, 0] = da[0, 0] = 0.0
     return dw, da
 
 
@@ -307,12 +296,19 @@ def nonlinear_rhs(state: GmhdState, params: Params) -> Tendency:
     """Dealiased nonlinear tendency d_omega = -u.grad w + b.grad j,
     d_a = -u.grad a, with the dissipation multipliers attached."""
     g = state.grid
-    h = g.half_cols
-    dw, da = _tendency_half(g, state.omega_hat[:, :h], state.a_hat[:, :h])
+    dw, da = _tendency_half(g, **state.halves())
     lw, la = _linear_multipliers(g.n, params.nu, params.alpha,
                                  params.kappa, params.beta)
     return Tendency(d_omega=full_spectrum(g, dw), d_a=full_spectrum(g, da),
                     lin_omega=lw, lin_a=la)
+
+
+# the partials G is built from, in the argument order of _coupling
+_COUPLING_PARTIALS = ("b1_1", "u2_1", "u1_2", "u2_2", "b2_1", "b1_2")
+
+
+def _coupling(b1_1, u2_1, u1_2, u2_2, b2_1, b1_2):
+    return 2.0 * b1_1 * (u2_1 + u1_2) + 2.0 * u2_2 * (b2_1 + b1_2)
 
 
 def gradient_coupling(grid: Grid, u1c, u2c, b1c, b2c) -> np.ndarray:
@@ -321,13 +317,11 @@ def gradient_coupling(grid: Grid, u1c, u2c, b1c, b2c) -> np.ndarray:
     Pointwise value of
         2 d1(b1) (d1(u2) + d2(u1)) + 2 d2(u2) (d1(b2) + d2(b1));
     with b := u it collapses to 2 (d1 u1 + d2 u2)(d1 u2 + d2 u1) = 0 for
-    divergence-free u.
+    divergence-free u.  The arguments are Hermitian coefficient arrays.
     """
-    def d(c, ax):
-        return to_physical(grid, derivative(grid, c, ax))
-
-    return (2.0 * d(b1c, 0) * (d(u2c, 0) + d(u1c, 1))
-            + 2.0 * d(u2c, 1) * (d(b2c, 0) + d(b1c, 1)))
+    halves = dict(zip(("u1", "u2", "b1", "b2"), (
+        c[:, :grid.half_cols] for c in (u1c, u2c, b1c, b2c))))
+    return _coupling(*physical_fields(grid, halves, *_COUPLING_PARTIALS))
 
 
 # ---------------------------------------------------------------------------
@@ -353,27 +347,18 @@ def current_identity_residual(state: GmhdState) -> ResidualReport:
     under-resolution flag.
     """
     g = state.grid
-    wc, ac = state.omega_hat, state.a_hat
-    u1c, u2c = biot_savart(g, wc)
-    b1c, b2c, jc = field_from_potential(g, ac)
-    u1 = to_physical(g, u1c)
-    u2 = to_physical(g, u2c)
-    b1 = to_physical(g, b1c)
-    b2 = to_physical(g, b2c)
-
-    def d(c, ax):
-        return to_physical(g, derivative(g, c, ax))
-
-    def proj(values):
-        return to_spectral(g, values) * g.dealias
-
-    lhs = laplacian(g, proj(u1 * d(ac, 0) + u2 * d(ac, 1)))
-    adv_j = proj(u1 * d(jc, 0) + u2 * d(jc, 1))
-    stretch = proj(b1 * d(wc, 0) + b2 * d(wc, 1))
-    coupling = proj(gradient_coupling(g, u1c, u2c, b1c, b2c))
-    num = spectral_l2(g, lhs - (adv_j - stretch - coupling))
-    den = max(1.0, spectral_l2(g, adv_j))
-    return ResidualReport(num / den, _under_resolved(g, wc, ac))
+    u1, u2, b1, b2, jx, jy, wx, wy, *grads = physical_fields(
+        g, state.halves(), "u1", "u2", "b1", "b2", "j_1", "j_2", "w_1", "w_2",
+        *_COUPLING_PARTIALS)
+    # u.grad a = u1 b2 - u2 b1, since grad a = (b2, -b1)
+    lhs = -g.half_ksq * _dealiased_half(g, u1 * b2 - u2 * b1)
+    adv_j = _dealiased_half(g, u1 * jx + u2 * jy)
+    stretch = _dealiased_half(g, b1 * wx + b2 * wy)
+    coupling = _dealiased_half(g, _coupling(*grads))
+    num = spectral_l2(g, full_spectrum(g, lhs - (adv_j - stretch - coupling)))
+    den = max(1.0, spectral_l2(g, full_spectrum(g, adv_j)))
+    return ResidualReport(num / den,
+                          _under_resolved(g, state.omega_hat, state.a_hat))
 
 
 def forcing_identity_residual(state: GmhdState) -> ResidualReport:
@@ -384,22 +369,14 @@ def forcing_identity_residual(state: GmhdState) -> ResidualReport:
     independently and compared: ||lhs - rhs||_2 / max(1, ||b.grad j||_2).
     """
     g = state.grid
-    b1c, b2c, jc = field_from_potential(g, state.a_hat)
-    b1 = to_physical(g, b1c)
-    b2 = to_physical(g, b2c)
-
-    def d(c, ax):
-        return to_physical(g, derivative(g, c, ax))
-
-    def proj(values):
-        return to_spectral(g, values) * g.dealias
-
-    f1 = proj(b1 * d(b1c, 0) + b2 * d(b1c, 1))
-    f2 = proj(b1 * d(b2c, 0) + b2 * d(b2c, 1))
-    lhs = derivative(g, f2, 0) - derivative(g, f1, 1)
-    rhs = proj(b1 * d(jc, 0) + b2 * d(jc, 1))
-    num = spectral_l2(g, lhs - rhs)
-    den = max(1.0, spectral_l2(g, rhs))
+    b1, b2, b1_1, b1_2, b2_1, b2_2, jx, jy = physical_fields(
+        g, state.halves(), "b1", "b2", "b1_1", "b1_2", "b2_1", "b2_2", "j_1", "j_2")
+    f1 = _dealiased_half(g, b1 * b1_1 + b2 * b1_2)
+    f2 = _dealiased_half(g, b1 * b2_1 + b2 * b2_2)
+    lhs = g.half_ik1 * f2 - g.half_ik2 * f1
+    rhs = _dealiased_half(g, b1 * jx + b2 * jy)
+    num = spectral_l2(g, full_spectrum(g, lhs - rhs))
+    den = max(1.0, spectral_l2(g, full_spectrum(g, rhs)))
     return ResidualReport(num / den, _under_resolved(g, state.a_hat))
 
 
@@ -429,18 +406,9 @@ def advection_cancellations(state: GmhdState) -> CancellationReport:
     (steady states), unlike a Cauchy-Schwarz scale of the product.
     """
     g = state.grid
-    wc, ac = state.omega_hat, state.a_hat
-    u1c, u2c = biot_savart(g, wc)
-    b1c, b2c, jc = field_from_potential(g, ac)
-    u1, u2 = to_physical(g, u1c), to_physical(g, u2c)
-    b1, b2 = to_physical(g, b1c), to_physical(g, b2c)
-    w, j = to_physical(g, wc), to_physical(g, jc)
-
-    def d(c, ax):
-        return to_physical(g, derivative(g, c, ax))
-
-    wx, wy = d(wc, 0), d(wc, 1)
-    jx, jy = d(jc, 0), d(jc, 1)
+    u1, u2, b1, b2, w, j, wx, wy, jx, jy = physical_fields(
+        g, state.halves(), "u1", "u2", "b1", "b2", "w", "j",
+        "w_1", "w_2", "j_1", "j_2")
     cell = (2.0 * np.pi / g.n) ** 2
     tiny = np.finfo(float).tiny
     u_inf = float(np.max(np.hypot(u1, u2)))
@@ -472,9 +440,7 @@ def cfl_dt(state: GmhdState, params: Params) -> float:
     """Advective CFL bound cfl * dx / max(|u|_inf + |b|_inf, 1e-8), capped at
     dt_max; the exactly-integrated dissipation never constrains dt."""
     g = state.grid
-    h = g.half_cols
-    u1, u2, b1, b2 = _velocity_and_field(g, state.omega_hat[:, :h],
-                                         state.a_hat[:, :h])
+    u1, u2, b1, b2 = physical_fields(g, state.halves(), "u1", "u2", "b1", "b2")
     umax = float(np.max(np.hypot(u1, u2)))
     bmax = float(np.max(np.hypot(b1, b2)))
     speed = max(umax + bmax, 1e-8)

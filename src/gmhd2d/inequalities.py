@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -25,13 +26,12 @@ import numpy as np
 from .spectral import (
     ParameterError,
     derivative,
-    fractional_power,
     get_grid,
     laplacian,
     lp_norm,
+    physical_fields,
     random_band_limited_field,
     spectral_l2,
-    to_physical,
 )
 from .diagnostics import homogeneous_sobolev_norm
 
@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 DEFAULT_RESOLUTIONS = (64, 128, 256)
+
+_PAIR_STRIDE = 10_000
 
 _INTRINSIC_ORDER = {"f": 0, "b": 1, "j": 2}
 
@@ -138,19 +140,19 @@ def evaluate_norm(grid, f_hat, term: NormTerm) -> float:
     build the pointwise Euclidean magnitude of the full derivative stack and
     integrate it by collocation quadrature.
     """
-    comps = [fractional_power(grid, c, term.lam) if term.lam > 0.0 else c
-             for c in _base_components(grid, f_hat, term.field)]
     if term.p == 2.0:
         return math.sqrt(sum(
-            homogeneous_sobolev_norm(grid, c, float(term.grad)) ** 2
-            for c in comps))
-    stack = comps
-    for _ in range(term.grad):
-        stack = [derivative(grid, c, ax) for c in stack for ax in (0, 1)]
-    mag_sq = np.zeros((grid.n, grid.n))
-    for c in stack:
-        vals = to_physical(grid, c)
-        mag_sq += vals * vals
+            homogeneous_sobolev_norm(grid, c, term.lam + term.grad) ** 2
+            for c in _base_components(grid, f_hat, term.field)))
+    h = grid.half_cols
+    # Lambda^lam commutes with every derivative; |k|^0 = 1 keeps the mean
+    potential = grid.kabs[:, :h] ** term.lam * f_hat[:, :h]
+    # the ordered partials: "a_12" and "a_21" are one synthesis, counted twice
+    axes = ["".join(p) for p in itertools.product("12", repeat=term.grad)]
+    names = {"f": ("a",), "b": ("b1", "b2"), "j": ("j",)}[term.field]
+    planes = physical_fields(grid, {"a": potential}, *(
+        f"{name}_{ax}" if ax else name for name in names for ax in axes))
+    mag_sq = sum(v * v for v in planes)
     return lp_norm(grid, np.sqrt(mag_sq), term.p)
 
 
@@ -172,13 +174,12 @@ class Corpus:
     The same (k_max, seed) pair denotes the same continuum field at every
     resolution, which is what makes refinement trends meaningful.  Paired
     draws (for checks needing two independent fields) offset the seed by
-    pair_stride.
+    _PAIR_STRIDE.
     """
 
     count: int = 200
     k_max: int = 16
     first_seed: int = 1
-    pair_stride: int = 10_000
 
     def __post_init__(self):
         if self.count < 1:
@@ -192,7 +193,7 @@ class Corpus:
 
     def paired_fields(self, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
         return [(_corpus_field(n, self.k_max, s),
-                 _corpus_field(n, self.k_max, s + self.pair_stride))
+                 _corpus_field(n, self.k_max, s + _PAIR_STRIDE))
                 for s in self.seeds()]
 
 
@@ -245,7 +246,11 @@ class PositivityReport:
                 f"-> {'PASS' if self.passed else 'FAIL'}")
 
 
-def _constant_report(name, per_resolution, corpus_size) -> ConstantReport:
+def _constant_report(name, resolutions, ratios_at) -> ConstantReport:
+    # ratios_at(grid) lists the corpus's ratios at one resolution
+    if not resolutions:
+        raise ParameterError("need at least one resolution")
+    per_resolution = [(n, ratios_at(get_grid(n))) for n in resolutions]
     trend = tuple((n, float(np.max(r))) for n, r in per_resolution)
     finest = per_resolution[-1][1]
     qs = (0.5, 0.9, 1.0)
@@ -254,7 +259,7 @@ def _constant_report(name, per_resolution, corpus_size) -> ConstantReport:
         growth = trend[-1][1] / trend[-2][1] - 1.0
     else:
         growth = 0.0
-    return ConstantReport(name=name, corpus_size=corpus_size,
+    return ConstantReport(name=name, corpus_size=len(finest),
                           max_ratio=trend[-1][1], quantiles=quantiles,
                           trend=trend, growth=growth,
                           passed=bool(growth < 0.05))
@@ -274,20 +279,16 @@ def check_inequality(spec: InequalitySpec, corpus: Corpus | None = None,
     refinement step.
     """
     corpus = corpus or Corpus()
-    if not resolutions:
-        raise ParameterError("need at least one resolution")
-    per_resolution = []
-    for n in resolutions:
-        grid = get_grid(n)
-        ratios = np.empty(corpus.count)
-        for i, f_hat in enumerate(corpus.fields(n)):
-            lhs = evaluate_norm(grid, f_hat, spec.lhs)
-            rhs = 1.0
-            for term, theta in spec.rhs:
-                rhs *= evaluate_norm(grid, f_hat, term) ** theta
-            ratios[i] = lhs / rhs
-        per_resolution.append((n, ratios))
-    return _constant_report(spec.name, per_resolution, corpus.count)
+
+    def ratio(grid, f_hat):
+        lhs = evaluate_norm(grid, f_hat, spec.lhs)
+        rhs = 1.0
+        for term, theta in spec.rhs:
+            rhs *= evaluate_norm(grid, f_hat, term) ** theta
+        return lhs / rhs
+
+    return _constant_report(spec.name, resolutions, lambda grid: [
+        ratio(grid, f_hat) for f_hat in corpus.fields(grid.n)])
 
 
 def check_positivity(alpha: float, p: int, corpus=None,
@@ -308,11 +309,13 @@ def check_positivity(alpha: float, p: int, corpus=None,
     corpus = Corpus() if corpus is None else corpus
     fields = corpus.fields(n) if isinstance(corpus, Corpus) else list(corpus)
     grid = get_grid(n)
+    h = grid.half_cols
+    lam = grid.kabs[:, :h] ** alpha
     cell = (2.0 * np.pi / n) ** 2
     worst = np.inf
     for f_hat in fields:
-        w = to_physical(grid, f_hat)
-        lam_w = to_physical(grid, fractional_power(grid, f_hat, alpha))
+        f = f_hat[:, :h]
+        w, lam_w = physical_fields(grid, {"w": f, "lw": lam * f}, "w", "lw")
         integral = cell * float(np.sum(lam_w * w ** (p - 1)))
         scale = lp_norm(grid, w, p) ** p
         worst = min(worst, integral / scale)
@@ -331,36 +334,25 @@ def log_inequality_check(corpus: Corpus | None = None,
     norm weakens the right side, so the checked form is implied by the
     sharp one.  H2 norms are inhomogeneous.
     """
-    from .spectral import biot_savart, field_from_potential
-
     corpus = corpus or Corpus()
-    if not resolutions:
-        raise ParameterError("need at least one resolution")
-    per_resolution = []
-    for n in resolutions:
-        grid = get_grid(n)
-        ratios = np.empty(corpus.count)
-        for i, (w_hat, a_hat) in enumerate(corpus.paired_fields(n)):
-            u1c, u2c = biot_savart(grid, w_hat)
-            mag_sq = np.zeros((n, n))
-            for c in (u1c, u2c):
-                for ax in (0, 1):
-                    vals = to_physical(grid, derivative(grid, c, ax))
-                    mag_sq += vals * vals
-            lhs = float(np.max(np.sqrt(mag_sq)))
-            u_l2 = math.sqrt(spectral_l2(grid, u1c) ** 2
-                             + spectral_l2(grid, u2c) ** 2)
-            w_inf = lp_norm(grid, to_physical(grid, w_hat), np.inf)
-            jc = field_from_potential(grid, a_hat)[2]
-            h2_sq = (spectral_l2(grid, w_hat) ** 2
-                     + homogeneous_sobolev_norm(grid, w_hat, 2.0) ** 2
-                     + spectral_l2(grid, jc) ** 2
-                     + homogeneous_sobolev_norm(grid, jc, 2.0) ** 2)
-            rhs = 1.0 + u_l2 + 2.0 * w_inf * (1.0 + math.log1p(h2_sq))
-            ratios[i] = lhs / rhs
-        per_resolution.append((n, ratios))
-    return _constant_report("velocity_gradient_log_bound", per_resolution,
-                            corpus.count)
+
+    def ratio(grid, w_hat, a_hat):
+        *grad_u, w = physical_fields(
+            grid, {"w": w_hat[:, :grid.half_cols]},
+            "u1_1", "u1_2", "u2_1", "u2_2", "w")
+        lhs = float(np.max(np.sqrt(sum(v * v for v in grad_u))))
+        u_l2 = homogeneous_sobolev_norm(grid, w_hat, -1.0)  # |u| = |k|^-1 |w|
+        w_inf = lp_norm(grid, w, np.inf)
+        jc = laplacian(grid, a_hat)
+        h2_sq = (spectral_l2(grid, w_hat) ** 2
+                 + homogeneous_sobolev_norm(grid, w_hat, 2.0) ** 2
+                 + spectral_l2(grid, jc) ** 2
+                 + homogeneous_sobolev_norm(grid, jc, 2.0) ** 2)
+        return lhs / (1.0 + u_l2 + 2.0 * w_inf * (1.0 + math.log1p(h2_sq)))
+
+    return _constant_report("velocity_gradient_log_bound", resolutions,
+                            lambda grid: [ratio(grid, *pair) for pair in
+                                          corpus.paired_fields(grid.n)])
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,22 @@ modes can fold back into the retained band.
 
 A real field is fixed by its k2 >= 0 half spectrum, the n-by-(n/2+1) array
 coeffs[:, :n//2+1] that numpy's real transforms (rfft2 / irfft2) work on at
-about half the cost of the complex ones.  The hot paths synthesize and
-analyze on that half (to_physical_half, to_spectral_half) with the Grid's
-half_* multipliers, and full_spectrum turns a half back into the full
-Hermitian array the public representation keeps.
+about half the cost of the complex ones.  full_spectrum turns a half back
+into the full Hermitian array the public representation keeps.
+
+physical_fields is the one place that turns half spectra into point values
+of fields and partials, for the solver, the record and every check.  Each
+plane is its own irfft2 call (with a 2 MiB L2, eight n = 256 calls run 1.5x
+faster than one over the stacked planes); for the same reason a field's
+spectrum is formed once per call and released after its partials.  The full
+complex transforms serve initial conditions, state projection, snapshot I/O
+and the full-spectrum oracles.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 import warnings
 
 import numpy as np
@@ -48,6 +55,7 @@ __all__ = [
     "to_physical_half",
     "to_spectral_half",
     "full_spectrum",
+    "physical_fields",
     "derivative",
     "laplacian",
     "inverse_laplacian",
@@ -56,7 +64,6 @@ __all__ = [
     "field_from_potential",
     "dealiased_product",
     "spectral_l2",
-    "l2_inner",
     "lp_norm",
     "random_band_limited_field",
 ]
@@ -174,10 +181,8 @@ def hermitian_defect(coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(coeffs - hermitian_part(coeffs)))
 
 
-# The hot paths transform one plane per call: with a 2 MiB L2 cache, eight
-# separate n = 256 irfft2 calls run about 1.5x faster than one call over the
-# stacked planes.  The transforms are looked up as np.fft.<name> at call
-# time, so a wrapper installed on numpy.fft (e.g. a call counter) sees them.
+# The transforms are looked up as np.fft.<name> at call time, so a wrapper
+# installed on numpy.fft (e.g. a call counter) sees them.
 
 def to_physical_half(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Point values of the real field with k2 >= 0 half spectrum `half`.
@@ -292,6 +297,70 @@ def field_from_potential(
     return b1, b2, laplacian(grid, a_coeffs)
 
 
+# name -> (source, multiplier) of each field physical_fields forms itself
+_DERIVED = {
+    "psi": ("w", lambda g, w: -g.half_inv_ksq * w),
+    "u1": ("psi", lambda g, psi: -(g.half_ik2 * psi)),
+    "u2": ("psi", lambda g, psi: g.half_ik1 * psi),
+    "b1": ("a", lambda g, a: -(g.half_ik2 * a)),
+    "b2": ("a", lambda g, a: g.half_ik1 * a),
+    "j": ("a", lambda g, a: -g.half_ksq * a),
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _field_plan(requests: tuple) -> tuple:
+    # the (field, sorted derivative axes) key of every request, and the
+    # distinct keys grouped by field, fields of one source next to each other
+    keys = []
+    for req in requests:
+        m = re.fullmatch(r"([A-Za-z0-9]+)(?:_([12]+))?", req)
+        if m is None:
+            raise ParameterError(
+                f"field request must look like 'b1' or 'b1_12', got {req!r}")
+        keys.append((m[1], tuple(sorted(int(d) - 1 for d in m[2] or ""))))
+    fields = sorted(dict.fromkeys(f for f, _ in keys),
+                    key=lambda f: _DERIVED.get(f, (f,))[0])
+    return tuple(keys), tuple(
+        (f, tuple(sorted({i for k, i in keys if k == f}))) for f in fields)
+
+
+def _spectrum(grid, halves, held, name):
+    # not a closure: a recursive closure is a reference cycle, which keeps a
+    # call's spectra alive until the cyclic garbage collector runs
+    if name in halves:
+        return halves[name]
+    if name not in _DERIVED:
+        raise ParameterError(f"no half spectrum for field {name!r}")
+    source, make = _DERIVED[name]
+    if source not in held:
+        held[source] = _spectrum(grid, halves, held, source)
+    return make(grid, held[source])
+
+
+def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
+    """Point values of fields and partials, one per request, in order.
+
+    halves maps names to k2 >= 0 half spectra, taken as given; from "w" and
+    "a" this forms psi = -Delta^{-1} w, u1, u2 (u = perp-grad psi), b1, b2
+    (b = perp-grad a) and j = Delta a.  "b1_12" (= "b1_21") requests d1 d2 b1;
+    each distinct plane is one irfft2 call.
+    """
+    keys, groups = _field_plan(requests)
+    mult = (grid.half_ik1, grid.half_ik2)
+    planes, held = {}, {}  # held: the source spectrum (psi) of adjacent fields
+    for name, axes in groups:
+        if _DERIVED.get(name, (None,))[0] not in held:
+            held.clear()
+        base = _spectrum(grid, halves, held, name)
+        for idx in axes:
+            c = base
+            for axis in idx:
+                c = mult[axis] * c
+            planes[name, idx] = to_physical_half(grid, c)
+    return [planes[key] for key in keys]
+
+
 # ---------------------------------------------------------------------------
 # products and norms
 # ---------------------------------------------------------------------------
@@ -310,11 +379,6 @@ def dealiased_product(grid: Grid, f_coeffs: np.ndarray, g_coeffs: np.ndarray) ->
 def spectral_l2(grid: Grid, coeffs: np.ndarray) -> float:
     """L2 norm over [0, 2pi)^2 from coefficients (Parseval)."""
     return 2.0 * np.pi * float(np.linalg.norm(coeffs))
-
-
-def l2_inner(grid: Grid, f_coeffs: np.ndarray, g_coeffs: np.ndarray) -> float:
-    """L2 inner product int f g dx of two real fields, from coefficients."""
-    return (2.0 * np.pi) ** 2 * float(np.real(np.vdot(f_coeffs, g_coeffs)))
 
 
 def lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:

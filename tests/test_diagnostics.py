@@ -29,10 +29,22 @@ from gmhd2d.diagnostics import (
 from gmhd2d.dynamics import (
     GmhdState,
     Params,
+    advection_cancellations,
+    cfl_dt,
+    current_identity_residual,
+    forcing_identity_residual,
     initial_condition,
     project_state,
     run,
     step,
+)
+from gmhd2d.inequalities import (
+    DEFAULT_INEQUALITY_SPECS,
+    Corpus,
+    NormTerm,
+    check_positivity,
+    evaluate_norm,
+    log_inequality_check,
 )
 from gmhd2d.spectral import (
     ParameterError,
@@ -259,6 +271,39 @@ class TestTransformBudget:
         st = initial_condition("random_band_limited", g, seed=1, k_max=8)
         step(st, Params(n=64), 1e-3)
         assert fft_calls == {"irfft2": 32, "rfft2": 8}
+
+    @pytest.mark.parametrize("check, counts", [
+        (lambda st: cfl_dt(st, Params(n=64)), {"irfft2": 4}),
+        (current_identity_residual, {"irfft2": 14, "rfft2": 4}),
+        (forcing_identity_residual, {"irfft2": 8, "rfft2": 3}),
+        (advection_cancellations, {"irfft2": 10}),
+    ], ids=["cfl_dt", "current_identity", "forcing_identity", "advection"])
+    def test_state_checks(self, fft_calls, check, counts):
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=8)
+        fft_calls.clear()
+        check(st)
+        assert fft_calls == counts
+
+    def test_norm_terms_make_no_complex_transform(self, fft_calls):
+        g = get_grid(64)
+        f_hat = random_band_limited_field(g, 8, seed=2)
+        terms = {t for spec in DEFAULT_INEQUALITY_SPECS
+                 for t in [spec.lhs] + [term for term, _ in spec.rhs]}
+        for term in terms:
+            evaluate_norm(g, f_hat, term)
+        assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
+        fft_calls.clear()
+        # the distinct partials only: d1 d2 b_i is synthesized once
+        evaluate_norm(g, f_hat, NormTerm("b", grad=2, p=4.0))
+        assert fft_calls == {"irfft2": 6}
+
+    def test_corpus_checks_make_no_complex_transform(self, fft_calls):
+        corpus = Corpus(count=2)
+        check_positivity(1.0, 4, corpus, n=64)
+        log_inequality_check(corpus, resolutions=(64,))
+        assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
+        assert fft_calls["irfft2"] > 0
 
 
 class TestEnergyBalance:
