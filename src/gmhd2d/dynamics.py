@@ -29,10 +29,20 @@ nu = kappa = 0.
 
 The fields are real, so the stepper, cfl_dt and the identity checks take
 every physical field from the state's k2 >= 0 half spectra through
-spectral.physical_fields.  A tendency costs 10 real transforms: 8 syntheses
-(u1, u2, b1, b2, grad w, grad j) and 2 analyses; u.grad(a) = u1 b2 - u2 b1
-needs no grad(a).  All four RK4 stages stay on the half spectrum; the result
-is expanded to the full Hermitian array once per step.
+spectral.physical_fields.  The tendency is evaluated in stress form: for
+divergence-free u and b, curl(u.grad u) = u.grad w and curl(b.grad b) =
+b.grad j, so with the symmetric stress T = b (x) b - u (x) u
+
+    b.grad(j) - u.grad(w) = curl div T = (d1^2 - d2^2) T12 + d1 d2 (T22 - T11),
+    u.grad(a) = u1 b2 - u2 b1          (grad a = (b2, -b1)).
+
+A tendency therefore costs 7 real transforms: 4 syntheses (u1, u2, b1, b2)
+and 3 analyses (T12, T22 - T11, u2 b1 - u1 b2); an IF-RK4 step costs 28.
+Every product of two fields in the 2/3 band is alias-free inside the band,
+so this equals the advective form up to roundoff.  All four RK4 stages stay
+on the half spectrum; the result is expanded to the full Hermitian array
+once per step.  cfl_dt needs exactly the stage-1 planes, so run's adaptive
+loop takes dt from them and an advanced step also costs 28 transforms.
 """
 
 from __future__ import annotations
@@ -282,14 +292,39 @@ def _dealiased_half(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tendency_half(grid: Grid, w: np.ndarray, a: np.ndarray):
-    # 10 real transforms per evaluation: 8 syntheses, 2 analyses
-    u1, u2, b1, b2, wx, wy, jx, jy = physical_fields(
-        grid, {"w": w, "a": a}, "u1", "u2", "b1", "b2", "w_1", "w_2", "j_1", "j_2")
-    dw = _dealiased_half(grid, b1 * jx + b2 * jy - u1 * wx - u2 * wy)
-    da = _dealiased_half(grid, u2 * b1 - u1 * b2)  # -u.grad a, grad a = (b2, -b1)
-    dw[0, 0] = da[0, 0] = 0.0
+@functools.lru_cache(maxsize=8)
+def _stress_multipliers(n: int):
+    # real half-grid symbols of d1^2 - d2^2 and d1 d2, the 2/3 mask folded in
+    g = get_grid(n)
+    k1, k2 = g.k1.astype(float), g.k2[:, :g.half_cols].astype(float)
+    m_shear = (k2 * k2 - k1 * k1) * g.half_dealias
+    m_normal = -(k1 * k2) * g.half_dealias
+    m_shear.setflags(write=False)
+    m_normal.setflags(write=False)
+    return m_shear, m_normal
+
+
+def _stage_planes(grid: Grid, halves: dict) -> list:
+    # the four planes a tendency is built from, and the CFL speed too
+    return physical_fields(grid, halves, "u1", "u2", "b1", "b2")
+
+
+def _stress_tendency(grid: Grid, u1, u2, b1, b2):
+    # 3 real analyses; see the module docstring for the stress identity
+    m_shear, m_normal = _stress_multipliers(grid.n)
+    dw = to_spectral_half(grid, b1 * b2 - u1 * u2)
+    dw *= m_shear
+    normal = to_spectral_half(grid, (b2 - b1) * (b2 + b1) - (u2 - u1) * (u2 + u1))
+    normal *= m_normal
+    dw += normal
+    da = _dealiased_half(grid, u2 * b1 - u1 * b2)  # -u.grad a
+    da[0, 0] = 0.0
     return dw, da
+
+
+def _tendency_half(grid: Grid, w: np.ndarray, a: np.ndarray):
+    # 7 real transforms per evaluation: 4 syntheses, 3 analyses
+    return _stress_tendency(grid, *_stage_planes(grid, {"w": w, "a": a}))
 
 
 def nonlinear_rhs(state: GmhdState, params: Params) -> Tendency:
@@ -436,15 +471,18 @@ def advection_cancellations(state: GmhdState) -> CancellationReport:
 # time stepping
 # ---------------------------------------------------------------------------
 
+def _cfl(grid: Grid, params: Params, u1, u2, b1, b2) -> float:
+    umax = float(np.max(np.hypot(u1, u2)))
+    bmax = float(np.max(np.hypot(b1, b2)))
+    speed = max(umax + bmax, 1e-8)
+    return min(params.cfl * (2.0 * np.pi / grid.n) / speed, params.dt_max)
+
+
 def cfl_dt(state: GmhdState, params: Params) -> float:
     """Advective CFL bound cfl * dx / max(|u|_inf + |b|_inf, 1e-8), capped at
     dt_max; the exactly-integrated dissipation never constrains dt."""
     g = state.grid
-    u1, u2, b1, b2 = physical_fields(g, state.halves(), "u1", "u2", "b1", "b2")
-    umax = float(np.max(np.hypot(u1, u2)))
-    bmax = float(np.max(np.hypot(b1, b2)))
-    speed = max(umax + bmax, 1e-8)
-    return min(params.cfl * (2.0 * np.pi / g.n) / speed, params.dt_max)
+    return _cfl(g, params, *_stage_planes(g, state.halves()))
 
 
 def step(state: GmhdState, params: Params, dt: float) -> GmhdState:
@@ -455,8 +493,32 @@ def step(state: GmhdState, params: Params, dt: float) -> GmhdState:
     written back in w, gives the staged updates below.  Pure linear decay is
     reproduced exactly.  Raises BlowUpSignal when non-finite values appear.
     """
+    _check_dt(dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = _tendency_half(state.grid, **state.halves())
+    return _step(state, params, dt, k1)
+
+
+def _check_dt(dt: float) -> None:
     if not (np.isfinite(dt) and dt > 0.0):
         raise ParameterError(f"dt must be positive and finite, got {dt!r}")
+
+
+def _cfl_step(state: GmhdState, params: Params, remaining: float) -> GmhdState:
+    # step by min(cfl_dt(state), remaining), taking the CFL speed from the
+    # stage-1 planes the step needs anyway: 28 transforms, not 32
+    g = state.grid
+    planes = _stage_planes(g, state.halves())
+    dt = min(_cfl(g, params, *planes), remaining)
+    _check_dt(dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = _stress_tendency(g, *planes)
+    del planes  # not held through stages 2-4
+    return _step(state, params, dt, k1)
+
+
+def _step(state: GmhdState, params: Params, dt: float, k1) -> GmhdState:
+    # the IF-RK4 step of `step`, given the stage-1 tendency k1 of the state
     g = state.grid
     h = g.half_cols
     lw, la = _linear_multipliers(g.n, params.nu, params.alpha,
@@ -466,9 +528,9 @@ def step(state: GmhdState, params: Params, dt: float) -> GmhdState:
     ew1 = ew2 * ew2
     ea1 = ea2 * ea2
     w0, a0 = state.omega_hat[:, :h], state.a_hat[:, :h]
+    k1w, k1a = k1
 
     with np.errstate(over="ignore", invalid="ignore"):
-        k1w, k1a = _tendency_half(g, w0, a0)
         k2w, k2a = _tendency_half(g, ew2 * (w0 + 0.5 * dt * k1w),
                                   ea2 * (a0 + 0.5 * dt * k1a))
         k3w, k3a = _tendency_half(g, ew2 * w0 + 0.5 * dt * k2w,
@@ -517,8 +579,9 @@ def run(
     """Integrate from initial.t to params.t_end, sampling diagnostics.
 
     Diagnostics records are emitted at t = initial.t + i * sample_every (the
-    final one lands exactly on t_end); dt comes from cfl_dt unless fixed_dt
-    is given, shortened to hit each sampling boundary exactly.  States are
+    final one lands exactly on t_end); dt is cfl_dt of the current state,
+    taken from the step's own stage-1 planes, unless fixed_dt is given, and
+    is shortened to hit each sampling boundary exactly.  States are
     snapshotted at the start and end (plus every snapshot_every time units if
     given).  On blow-up the partial trajectory is returned with
     blew_up = True; the result is deterministic given (initial, params).
@@ -552,8 +615,10 @@ def run(
     try:
         for t_target in targets:
             while state.t < t_target - 1e-12:
-                dt = fixed_dt if fixed_dt is not None else cfl_dt(state, params)
-                state = step(state, params, min(dt, t_target - state.t))
+                if fixed_dt is None:
+                    state = _cfl_step(state, params, t_target - state.t)
+                else:
+                    state = step(state, params, min(fixed_dt, t_target - state.t))
             state = dataclasses.replace(state, t=t_target)  # shed roundoff drift
             records.append(compute_record(state, params, p_list=p_list,
                                           eps_bhat=eps_bhat, prev=records[-1],

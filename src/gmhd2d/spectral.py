@@ -393,7 +393,14 @@ def lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:
     if np.isinf(p):
         return float(np.max(np.abs(values)))
     cell = (2.0 * np.pi / grid.n) ** 2
-    return float((cell * np.sum(np.abs(values) ** p)) ** (1.0 / p))
+    if p in (4.0, 6.0):  # np.square products: about 3x faster than float **
+        sq = np.square(np.abs(values) if np.iscomplexobj(values) else values)
+        power = np.square(sq)
+        if p == 6.0:
+            power *= sq
+    else:
+        power = np.abs(values) ** p
+    return float((cell * np.sum(power)) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

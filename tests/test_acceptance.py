@@ -7,13 +7,16 @@ n = 128..256 and dominate the runtime (about a minute combined).
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmhd2d
 from gmhd2d.analysis import classify_regime, weak_dissipation_exponents
 from gmhd2d.cli import SCAN_CSV_HEADER, classifier_grid_violations
 from gmhd2d.diagnostics import (
@@ -243,6 +246,11 @@ def test_criterion_08_regime_classifier_points_and_grid():
 
 
 def test_criterion_09_scan_cli_deterministic_smoke(tmp_path):
+    # the subprocess imports the same gmhd2d as this test, whether it comes
+    # from an install or from pytest's pythonpath setting
+    package_root = str(Path(gmhd2d.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     csv_bytes = {}
     for workers in ("1", "4"):
         out = tmp_path / f"w{workers}"
@@ -255,7 +263,7 @@ def test_criterion_09_scan_cli_deterministic_smoke(tmp_path):
             [sys.executable, "-m", "gmhd2d", "scan", "--config", str(cfg),
              "--alpha", "0.5:1.5:0.5", "--beta", "0.5:1.5:0.5",
              "--workers", workers],
-            capture_output=True, text=True, timeout=600)
+            capture_output=True, text=True, timeout=600, env=env)
         assert proc.returncode == 0, proc.stderr
         csv_bytes[workers] = (out / "scan.csv").read_bytes()
     assert csv_bytes["1"] == csv_bytes["4"]

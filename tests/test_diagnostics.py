@@ -7,7 +7,7 @@ against sympy symbolic differentiation away from the zero set of |b|.
 """
 
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -34,6 +34,7 @@ from gmhd2d.dynamics import (
     current_identity_residual,
     forcing_identity_residual,
     initial_condition,
+    nonlinear_rhs,
     project_state,
     run,
     step,
@@ -266,11 +267,34 @@ class TestTransformBudget:
         compute_record(st, Params(n=64))
         assert fft_calls == {"irfft2": 14}
 
-    def test_step_is_forty_real_transforms(self, fft_calls):
+    def test_step_is_twenty_eight_real_transforms(self, fft_calls):
         g = get_grid(64)
         st = initial_condition("random_band_limited", g, seed=1, k_max=8)
         step(st, Params(n=64), 1e-3)
-        assert fft_calls == {"irfft2": 32, "rfft2": 8}
+        assert fft_calls == {"irfft2": 16, "rfft2": 12}
+
+    def test_tendency_is_seven_real_transforms(self, fft_calls):
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=8)
+        nonlinear_rhs(st, Params(n=64))
+        assert fft_calls == {"irfft2": 4, "rfft2": 3}
+
+    def test_adaptive_run_takes_dt_from_stage_one(self, fft_calls):
+        # k CFL-limited steps cost 28 k transforms and each record 14: the
+        # CFL speed adds no synthesis of its own
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=8)
+        p = Params(nu=0.0, kappa=0.0, n=64, t_end=0.1, dt_max=1.0)
+        res = run(st, p, sample_every=0.05)
+        counts = dict(fft_calls)
+        s, steps = st, 0
+        for t_target in (0.05, 0.1):
+            while s.t < t_target - 1e-12:
+                s = step(s, p, min(cfl_dt(s, p), t_target - s.t))
+                steps += 1
+            s = replace(s, t=t_target)
+        assert steps > 4 and len(res.records) == 3
+        assert counts == {"irfft2": 16 * steps + 14 * 3, "rfft2": 12 * steps}
 
     @pytest.mark.parametrize("check, counts", [
         (lambda st: cfl_dt(st, Params(n=64)), {"irfft2": 4}),

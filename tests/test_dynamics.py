@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gmhd2d import dynamics
 from gmhd2d.dynamics import (
     BlowUpSignal,
     GmhdState,
@@ -35,11 +36,14 @@ from gmhd2d.spectral import (
     dealiased_product,
     derivative,
     field_from_potential,
+    full_spectrum,
     get_grid,
     hermitian_defect,
+    physical_fields,
     spectral_l2,
     to_physical,
     to_spectral,
+    to_spectral_half,
 )
 
 
@@ -223,6 +227,31 @@ class TestNonlinearRhs:
             for got, want in ((ten.d_omega, dw), (ten.d_a, da)):
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
                 assert hermitian_defect(got) == 0.0
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_stress_form_matches_advective_form(self, n):
+        # b.grad j - u.grad w and -u.grad a term by term from the same planes,
+        # against the stress-form tendency the solver evaluates
+        g = get_grid(n)
+        states = [self.broadband_state(n, seed) for seed in (1, 2)]
+        states.append(initial_condition("orszag_tang", g))
+
+        def band(values):
+            out = to_spectral_half(g, values) * g.half_dealias
+            out[0, 0] = 0.0
+            return full_spectrum(g, out)
+
+        for st in states:
+            u1, u2, b1, b2, wx, wy, jx, jy, ax, ay = physical_fields(
+                g, st.halves(), "u1", "u2", "b1", "b2", "w_1", "w_2", "j_1",
+                "j_2", "a_1", "a_2")
+            lorentz = band(b1 * jx + b2 * jy)
+            transport = band(u1 * wx + u2 * wy)
+            advect_a = band(u1 * ax + u2 * ay)
+            ten = nonlinear_rhs(st, Params(n=n))
+            scale = max(np.linalg.norm(lorentz), np.linalg.norm(transport))
+            assert np.linalg.norm(ten.d_omega - (lorentz - transport)) <= 1e-13 * scale
+            assert np.linalg.norm(ten.d_a + advect_a) <= 1e-13 * np.linalg.norm(advect_a)
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_broadband_step_keeps_state_invariant(self, n):
@@ -505,6 +534,35 @@ class TestRun:
         late = dataclasses.replace(st, t=2.0)
         with pytest.raises(ParameterError, match="t_end"):
             run(late, Params(n=32, t_end=1.0), sample_every=0.1)
+
+    def test_cfl_limited_run_matches_hand_loop(self):
+        # dt_max does not bind, so every dt is the CFL bound or the time left
+        # to a sample; run takes it from the step's own stage-1 planes
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=12)
+        p = Params(nu=0.05, kappa=0.05, alpha=1.5, beta=0.5, n=64,
+                   t_end=0.05, dt_max=1.0)
+        res = run(st, p, sample_every=0.02)
+        s, steps = st, 0
+        for t_target in (0.02, 0.04, 0.05):
+            while s.t < t_target - 1e-12:
+                dt = cfl_dt(s, p)
+                assert dt < p.dt_max
+                s = step(s, p, min(dt, t_target - s.t))
+                steps += 1
+            s = dataclasses.replace(s, t=t_target)
+        assert steps > 3
+        np.testing.assert_array_equal(res.final_state.omega_hat, s.omega_hat)
+        np.testing.assert_array_equal(res.final_state.a_hat, s.a_hat)
+        assert res.final_state.t == s.t
+
+    def test_zero_cfl_step_raises_instead_of_stalling(self, monkeypatch):
+        # an infinite CFL speed gives dt = cfl dx / inf = 0: run must reject
+        # it as step does, not loop without advancing t
+        monkeypatch.setattr(dynamics, "_cfl", lambda grid, params, *planes: 0.0)
+        st = initial_condition("orszag_tang", get_grid(32))
+        with pytest.raises(ParameterError, match="dt"):
+            run(st, Params(n=32, t_end=0.1), sample_every=0.05)
 
     def test_ideal_invariants_short_run(self):
         # nu = kappa = 0: energy, cross helicity, and ||a||^2 conserved by the
