@@ -1,7 +1,8 @@
 """Pseudo-spectral lab for 2D generalized MHD with fractional dissipation.
 
 Submodules:
-    spectral      grids, FFT conventions, Fourier-multiplier calculus
+    spectral      grids, FFT conventions, half-spectrum fields and the one
+                  Parseval sum (full spectra only for the state)
     dynamics      the (omega, a) solver: tendencies, IF-RK4 stepping, runs
     diagnostics   per-state records, conservation audits, CSV round trip
     analysis      regime classifier, exponent algebra, Gronwall audit
@@ -15,14 +16,9 @@ __version__ = "0.1.0"
 from .spectral import (  # noqa: F401
     Grid,
     ParameterError,
-    biot_savart,
-    dealiased_product,
-    derivative,
-    field_from_potential,
     fractional_power,
     get_grid,
-    inverse_laplacian,
-    laplacian,
+    half_power_sum,
     lp_norm,
     random_band_limited_field,
     spectral_l2,
@@ -52,14 +48,10 @@ from .diagnostics import (  # noqa: F401
     CSV_BASE_COLUMNS,
     DiagnosticsRecord,
     DirectionFieldNorms,
-    H1LedgerReport,
     LpBoundReport,
-    bkm_accumulator,
     compute_record,
     direction_field_norms,
     energy_balance_residual,
-    h1_ledger,
-    homogeneous_sobolev_norm,
     lp_vorticity_bound_check,
     read_csv,
     write_csv,

@@ -162,8 +162,9 @@ def cmd_scan(config: RunConfig, alpha_values, beta_values,
     if workers < 1:
         raise ParameterError("workers must be a positive integer")
     tasks = [(config, a, b) for a in alpha_values for b in beta_values]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(tasks))  # the pool forks them all at once
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             rows = list(pool.map(_scan_point, tasks))
     else:
         rows = [_scan_point(t) for t in tasks]

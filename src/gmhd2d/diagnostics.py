@@ -1,11 +1,11 @@
 """Norms, balance laws, and criterion monitors over trajectory samples.
 
 Everything here is a pure function of immutable DiagnosticsRecord samples or
-of a single state: norm evaluation (collocation L^p, spectral Sobolev),
-the energy balance audit, the dissipation ledger for the (omega, j) level,
-the L^p vorticity growth bound, the accumulated L-infinity integral behind
-the blow-up criterion proxy, and the W^{1,inf}/W^{2,inf} norms of the unit
-magnetic direction field with its induced coefficient fields.
+of a single state: the per-state record (collocation L^p norms, spectral
+Sobolev sums, and the running L-infinity integral bkm_accum behind the
+blow-up criterion proxy), the energy balance audit, the L^p vorticity growth
+bound, and the W^{1,inf}/W^{2,inf} norms of the unit magnetic direction
+field with its induced coefficient fields.
 
 Conventions: the L-infinity norm of a vector or gradient field is the grid
 maximum of the pointwise Euclidean magnitude over all (ordered) components;
@@ -26,10 +26,11 @@ With the Nyquist-zeroed i*k multipliers these hold exactly only for spectra
 without content on the Nyquist lines, which every state from
 initial_condition, step and load_snapshot satisfies (the 2/3 band excludes
 them).  The quadratic quantities (energy, the dissipation sums, h2, cross
-helicity) are weighted sums over the power spectra |w_hat|^2 and |a_hat|^2;
-a weight is applied only where the power is nonzero, so an overflowing
-|k|^{2s} gives inf on a sum that is truly beyond float range and never
-inf * 0 = nan on an empty mode.  Magnitudes of b come from np.hypot:
+helicity) are spectral.half_power_sum Parseval sums over the half power
+spectra |w_hat|^2 and |a_hat|^2; no full n-by-n spectrum is formed.  That
+sum weights only modes with nonzero power, so an overflowing |k|^{2s} gives
+inf on a sum that is truly beyond float range and never inf * 0 = nan on an
+empty mode.  Magnitudes of b come from np.hypot:
 squaring first overflows at |b| ~ 1e154, and then the default
 eps = 1e-6 * max|b| would read inf on a state that is large but finite.
 """
@@ -44,47 +45,26 @@ from .dynamics import GmhdState, Params
 from .spectral import (
     Grid,
     ParameterError,
+    half_power_sum,
     lp_norm,
     physical_fields,
-    spectral_l2,
     to_spectral_half,
 )
 
 __all__ = [
     "DiagnosticsRecord",
     "DirectionFieldNorms",
-    "H1LedgerReport",
     "LpBoundReport",
     "lp_norm",
-    "homogeneous_sobolev_norm",
     "compute_record",
     "energy_balance_residual",
-    "h1_ledger",
     "lp_vorticity_bound_check",
-    "bkm_accumulator",
     "direction_field_norms",
     "CSV_BASE_COLUMNS",
     "csv_header",
     "write_csv",
     "read_csv",
 ]
-
-
-def homogeneous_sobolev_norm(grid: Grid, coeffs: np.ndarray, s: float) -> float:
-    """||Lambda^s f||_{L2} computed spectrally: (sum |k|^{2s}|fhat|^2 (2pi)^2)^{1/2}.
-
-    s = 0 reproduces the L2 norm including the mean; for s < 0 the zero mode
-    is excluded (callers pass zero-mean fields).  Only modes with nonzero
-    coefficients are weighted, so a norm beyond float range reads inf, never
-    nan from an overflowed |k|^s on an empty mode.
-    """
-    if not np.isfinite(s):
-        raise ParameterError(f"Sobolev order must be finite, got {s!r}")
-    if s == 0.0:
-        return spectral_l2(grid, coeffs)
-    mag = np.abs(coeffs)
-    nz = (grid.ksq > 0) & (mag != 0)
-    return 2.0 * np.pi * float(np.linalg.norm(grid.kabs[nz] ** s * mag[nz]))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +78,7 @@ class DiagnosticsRecord:
     The first fifteen fields are the fixed CSV columns; omega_lp and
     grad_j_lp hold one entry per configured p (omega_lp is also written to
     CSV as omega_lp_<p> columns).  The remaining fields are in-memory only:
-    they feed the ledger, ideal-invariant, and regularization audits.
+    they feed the Gronwall, ideal-invariant, and regularization audits.
     """
 
     t: float
@@ -240,25 +220,7 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
 
 
 def _spectral_sums(grid: Grid, wh: np.ndarray, ah: np.ndarray, params: Params) -> dict:
-    # The quadratic record quantities as weighted sums over the half power
-    # spectra; Parseval's (2 pi)^2 and the conjugate mirror of columns
-    # 1..n/2-1 (absent from the half) are folded into the column weights.
-    cell = (2.0 * np.pi) ** 2
-    col = np.full(grid.half_cols, 2.0 * cell)
-    col[[0, -1]] = cell
-
-    def total(x):
-        return float(np.sum(x, axis=0) @ col)
-
-    weights = {}
-
-    def sobolev(x, s):
-        # sum of |k|^{2s} x over the modes where x != 0 (ksq**0 keeps the mean)
-        if s not in weights:
-            weights[s] = grid.half_ksq ** s
-        return total(np.multiply(weights[s], x, out=np.zeros_like(x),
-                                 where=x != 0))
-
+    # the quadratic record quantities as Parseval sums over half power spectra
     ksq, inv = grid.half_ksq, grid.half_inv_ksq
     kd2 = grid.half_ik1.imag**2 + grid.half_ik2.imag**2  # |perp-grad|^2
     pw = wh.real**2 + wh.imag**2
@@ -267,17 +229,17 @@ def _spectral_sums(grid: Grid, wh: np.ndarray, ah: np.ndarray, params: Params) -
     pb = kd2 * pa               # |b1_hat|^2 + |b2_hat|^2
     pj = ksq * ksq * pa         # |j_hat|^2
     return {
-        "energy": 0.5 * total(pu + pb),
-        "diss_u": sobolev(pu, params.alpha),
-        "diss_b": sobolev(pb, params.beta),
-        "diss_omega": sobolev(pw, params.alpha),
-        "diss_j": sobolev(pj, params.beta),
-        "grad_w_sq": sobolev(pw, 1.0),
-        "grad_j_sq": sobolev(pj, 1.0),
-        "a_sq": total(pa),
+        "energy": 0.5 * half_power_sum(grid, pu + pb),
+        "diss_u": half_power_sum(grid, pu, params.alpha),
+        "diss_b": half_power_sum(grid, pb, params.beta),
+        "diss_omega": half_power_sum(grid, pw, params.alpha),
+        "diss_j": half_power_sum(grid, pj, params.beta),
+        "grad_w_sq": half_power_sum(grid, pw, 1.0),
+        "grad_j_sq": half_power_sum(grid, pj, 1.0),
+        "a_sq": half_power_sum(grid, pa),
         # int u.b = sum |perp-grad|^2 Re(conj(psi_hat) a_hat), psi = -w/|k|^2
-        "cross_helicity": -total(kd2 * inv * (wh.real * ah.real
-                                              + wh.imag * ah.imag)),
+        "cross_helicity": -half_power_sum(grid, kd2 * inv * (
+            wh.real * ah.real + wh.imag * ah.imag)),
     }
 
 
@@ -325,40 +287,6 @@ def energy_balance_residual(series, params: Params) -> float:
 
 
 @dataclass(frozen=True)
-class H1LedgerReport:
-    """Running dissipation ledger at the (omega, j) level.
-
-    values[k] = h1(t_k) + trapezoid integral up to t_k of
-    2*nu*||Lambda^alpha omega||^2 + 2*kappa*||Lambda^beta j||^2.  The exact
-    dynamics make this non-increasing only under extra hypotheses; the audit
-    records the running value without asserting monotonicity.
-    """
-
-    times: list
-    values: list
-    max_value: float
-    beta_hypothesis: bool  # beta >= 1, the regime where the bound is proven
-
-
-def h1_ledger(series, params: Params) -> H1LedgerReport:
-    """Running value of the dissipation ledger over a record series."""
-    _require_series(series, 1)
-    acc = 0.0
-    values = [series[0].h1]
-    for r1, r2 in zip(series[:-1], series[1:]):
-        g1 = 2.0 * _dissipation(params, r1.diss_omega, r1.diss_j)
-        g2 = 2.0 * _dissipation(params, r2.diss_omega, r2.diss_j)
-        acc += 0.5 * (g1 + g2) * (r2.t - r1.t)
-        values.append(r2.h1 + acc)
-    return H1LedgerReport(
-        times=[r.t for r in series],
-        values=values,
-        max_value=max(values),
-        beta_hypothesis=params.beta >= 1.0,
-    )
-
-
-@dataclass(frozen=True)
 class LpBoundReport:
     """Interval-wise audit of the L^p vorticity growth bound."""
 
@@ -401,21 +329,6 @@ def lp_vorticity_bound_check(series, p: float) -> LpBoundReport:
         max_excess=float(max_excess),
         passed=not violations,
     )
-
-
-def bkm_accumulator(series) -> float:
-    """Trapezoid integral of |omega|_inf + |j|_inf over the series.
-
-    An upper proxy for the blow-up criterion integrand (the mean-oscillation
-    norm is bounded by twice the maximum norm), so a finite value certifies
-    the criterion's integral is finite.
-    """
-    _require_series(series, 1)
-    acc = 0.0
-    for r1, r2 in zip(series[:-1], series[1:]):
-        acc += 0.5 * ((r1.omega_linf + r1.j_linf)
-                      + (r2.omega_linf + r2.j_linf)) * (r2.t - r1.t)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -59,11 +59,11 @@ from .spectral import (
     ParameterError,
     full_spectrum,
     get_grid,
+    half_power_sum,
     hermitian_part,
     lp_norm,
     physical_fields,
     random_band_limited_field,
-    spectral_l2,
     to_physical,
     to_spectral,
     to_spectral_half,
@@ -373,6 +373,11 @@ def _under_resolved(grid: Grid, *coeff_arrays) -> bool:
     return False
 
 
+def _half_l2(grid: Grid, half: np.ndarray) -> float:
+    # L2 norm of the real field with half spectrum `half` (Parseval)
+    return float(np.sqrt(half_power_sum(grid, half.real**2 + half.imag**2)))
+
+
 def current_identity_residual(state: GmhdState) -> ResidualReport:
     """Residual of Delta(u.grad a) = u.grad j - b.grad w - G(grad u, grad b).
 
@@ -390,8 +395,8 @@ def current_identity_residual(state: GmhdState) -> ResidualReport:
     adv_j = _dealiased_half(g, u1 * jx + u2 * jy)
     stretch = _dealiased_half(g, b1 * wx + b2 * wy)
     coupling = _dealiased_half(g, _coupling(*grads))
-    num = spectral_l2(g, full_spectrum(g, lhs - (adv_j - stretch - coupling)))
-    den = max(1.0, spectral_l2(g, full_spectrum(g, adv_j)))
+    num = _half_l2(g, lhs - (adv_j - stretch - coupling))
+    den = max(1.0, _half_l2(g, adv_j))
     return ResidualReport(num / den,
                           _under_resolved(g, state.omega_hat, state.a_hat))
 
@@ -410,8 +415,8 @@ def forcing_identity_residual(state: GmhdState) -> ResidualReport:
     f2 = _dealiased_half(g, b1 * b2_1 + b2 * b2_2)
     lhs = g.half_ik1 * f2 - g.half_ik2 * f1
     rhs = _dealiased_half(g, b1 * jx + b2 * jy)
-    num = spectral_l2(g, full_spectrum(g, lhs - rhs))
-    den = max(1.0, spectral_l2(g, full_spectrum(g, rhs)))
+    num = _half_l2(g, lhs - rhs)
+    den = max(1.0, _half_l2(g, rhs))
     return ResidualReport(num / den, _under_resolved(g, state.a_hat))
 
 
@@ -593,8 +598,9 @@ def run(
             f"t_end = {params.t_end} precedes the initial time {initial.t}")
     if not (np.isfinite(sample_every) and sample_every > 0.0):
         raise ParameterError(f"sample_every must be positive, got {sample_every!r}")
-    if fixed_dt is not None and not (np.isfinite(fixed_dt) and fixed_dt > 0.0):
-        raise ParameterError(f"fixed_dt must be positive, got {fixed_dt!r}")
+    for name, value in (("fixed_dt", fixed_dt), ("snapshot_every", snapshot_every)):
+        if value is not None and not (np.isfinite(value) and value > 0.0):
+            raise ParameterError(f"{name} must be positive, got {value!r}")
     if initial.grid.n != params.n:
         raise ParameterError(
             f"state grid n={initial.grid.n} does not match params.n={params.n}")

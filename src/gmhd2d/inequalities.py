@@ -25,15 +25,12 @@ import numpy as np
 
 from .spectral import (
     ParameterError,
-    derivative,
     get_grid,
-    laplacian,
+    half_power_sum,
     lp_norm,
     physical_fields,
     random_band_limited_field,
-    spectral_l2,
 )
-from .diagnostics import homogeneous_sobolev_norm
 
 __all__ = [
     "NormTerm",
@@ -124,29 +121,27 @@ class InequalitySpec:
                 f"rhs dimension {dim:.6g}")
 
 
-def _base_components(grid, f_hat, field: str):
-    if field == "f":
-        return (f_hat,)
-    if field == "b":
-        return (-derivative(grid, f_hat, 1), derivative(grid, f_hat, 0))
-    return (laplacian(grid, f_hat),)
-
-
 def evaluate_norm(grid, f_hat, term: NormTerm) -> float:
     """Evaluate a NormTerm on the scalar potential with coefficients f_hat.
 
     For p = 2 the ordered-partials convention collapses to the exact
-    multiplier norm sqrt(sum_c ||Lambda^(lam+grad) c||^2); other exponents
-    build the pointwise Euclidean magnitude of the full derivative stack and
-    integrate it by collocation quadrature.
+    multiplier norm: a Parseval sum of |k|^(2 (lam + grad)) times the power
+    of X(f), which is |fhat|^2 for f, the Nyquist-zeroed |k|^2 |fhat|^2 for
+    b and |k|^4 |fhat|^2 for j.  Other exponents build the pointwise
+    Euclidean magnitude of the full derivative stack and integrate it by
+    collocation quadrature.
     """
-    if term.p == 2.0:
-        return math.sqrt(sum(
-            homogeneous_sobolev_norm(grid, c, term.lam + term.grad) ** 2
-            for c in _base_components(grid, f_hat, term.field)))
     h = grid.half_cols
+    f = f_hat[:, :h]
+    if term.p == 2.0:
+        power = f.real**2 + f.imag**2
+        if term.field == "b":
+            power *= grid.half_ik1.imag**2 + grid.half_ik2.imag**2
+        elif term.field == "j":
+            power *= grid.half_ksq * grid.half_ksq
+        return math.sqrt(half_power_sum(grid, power, term.lam + term.grad))
     # Lambda^lam commutes with every derivative; |k|^0 = 1 keeps the mean
-    potential = grid.kabs[:, :h] ** term.lam * f_hat[:, :h]
+    potential = grid.kabs[:, :h] ** term.lam * f
     # the ordered partials: "a_12" and "a_21" are one synthesis, counted twice
     axes = ["".join(p) for p in itertools.product("12", repeat=term.grad)]
     names = {"f": ("a",), "b": ("b1", "b2"), "j": ("j",)}[term.field]
@@ -341,13 +336,13 @@ def log_inequality_check(corpus: Corpus | None = None,
             grid, {"w": w_hat[:, :grid.half_cols]},
             "u1_1", "u1_2", "u2_1", "u2_2", "w")
         lhs = float(np.max(np.sqrt(sum(v * v for v in grad_u))))
-        u_l2 = homogeneous_sobolev_norm(grid, w_hat, -1.0)  # |u| = |k|^-1 |w|
         w_inf = lp_norm(grid, w, np.inf)
-        jc = laplacian(grid, a_hat)
-        h2_sq = (spectral_l2(grid, w_hat) ** 2
-                 + homogeneous_sobolev_norm(grid, w_hat, 2.0) ** 2
-                 + spectral_l2(grid, jc) ** 2
-                 + homogeneous_sobolev_norm(grid, jc, 2.0) ** 2)
+        wh, ah = w_hat[:, :grid.half_cols], a_hat[:, :grid.half_cols]
+        pw = wh.real**2 + wh.imag**2
+        pj = grid.half_ksq**2 * (ah.real**2 + ah.imag**2)  # |j_hat|^2
+        u_l2 = math.sqrt(half_power_sum(grid, grid.half_inv_ksq * pw))
+        h2_sq = (half_power_sum(grid, pw) + half_power_sum(grid, pw, 2.0)
+                 + half_power_sum(grid, pj) + half_power_sum(grid, pj, 2.0))
         return lhs / (1.0 + u_l2 + 2.0 * w_inf * (1.0 + math.log1p(h2_sq)))
 
     return _constant_report("velocity_gradient_log_bound", resolutions,

@@ -24,23 +24,26 @@ modes can fold back into the retained band.
 
 A real field is fixed by its k2 >= 0 half spectrum, the n-by-(n/2+1) array
 coeffs[:, :n//2+1] that numpy's real transforms (rfft2 / irfft2) work on at
-about half the cost of the complex ones.  full_spectrum turns a half back
-into the full Hermitian array the public representation keeps.
+about half the cost of the complex ones.  Full n-by-n spectra remain only
+where the state is: GmhdState keeps omega_hat and a_hat as full Hermitian
+arrays, so full_spectrum expands the half spectra that step and
+nonlinear_rhs return, and the complex transforms serve initial conditions,
+state projection and snapshot I/O.
 
 physical_fields is the one place that turns half spectra into point values
 of fields and partials, for the solver, the record and every check.  Each
 plane is its own irfft2 call (with a 2 MiB L2, eight n = 256 calls run 1.5x
 faster than one over the stacked planes); for the same reason a field's
-spectrum is formed once per call and released after its partials.  The full
-complex transforms serve initial conditions, state projection, snapshot I/O
-and the full-spectrum oracles.
+spectrum is formed once per call and released after its partials.
+half_power_sum is the one Parseval sum: every spectral norm of the record,
+the identity residuals and the inequality checks is a weighted sum over a
+half power spectrum.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-import warnings
 
 import numpy as np
 
@@ -51,18 +54,12 @@ __all__ = [
     "to_spectral",
     "to_physical",
     "hermitian_part",
-    "hermitian_defect",
     "to_physical_half",
     "to_spectral_half",
     "full_spectrum",
     "physical_fields",
-    "derivative",
-    "laplacian",
-    "inverse_laplacian",
     "fractional_power",
-    "biot_savart",
-    "field_from_potential",
-    "dealiased_product",
+    "half_power_sum",
     "spectral_l2",
     "lp_norm",
     "random_band_limited_field",
@@ -87,6 +84,9 @@ class Grid:
         half_cols: n//2 + 1, the k2 >= 0 columns of a half spectrum.
         half_ik1, half_ik2, half_ksq, half_inv_ksq, half_dealias: the
             multipliers above restricted to those columns.
+        half_weight: Parseval weight of each half-spectrum column, (2pi)^2
+            for columns 0 and n/2 (they hold both members of their conjugate
+            pairs) and 2 (2pi)^2 for the others, whose mirror is absent.
         x1, x2: physical coordinates, shape (n, n).
     """
 
@@ -123,6 +123,8 @@ class Grid:
         self.half_ksq = self.ksq[:, :h].copy()
         self.half_inv_ksq = self.inv_ksq[:, :h].copy()
         self.half_dealias = self.dealias[:, :h].copy()
+        self.half_weight = np.full(h, 2.0 * (2.0 * np.pi) ** 2)
+        self.half_weight[[0, -1]] = (2.0 * np.pi) ** 2
         # row of -k1 for every k1, used to mirror the half spectrum
         self._neg_rows = -np.arange(n) % n
         x = np.arange(n) * (2.0 * np.pi / n)
@@ -176,11 +178,6 @@ def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + _conj_flip(coeffs))
 
 
-def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Frobenius distance from the Hermitian (real-field) subspace."""
-    return float(np.linalg.norm(coeffs - hermitian_part(coeffs)))
-
-
 # The transforms are looked up as np.fft.<name> at call time, so a wrapper
 # installed on numpy.fft (e.g. a call counter) sees them.
 
@@ -204,7 +201,7 @@ def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
 
     Columns 1..n/2-1 are mirrored through c(-k) = conj(c(k)); column 0 and
     the Nyquist column are replaced by their Hermitian part, so the result is
-    exactly Hermitian (hermitian_defect == 0).
+    exactly Hermitian: c(-k) == conj(c(k)) bit for bit.
     """
     n, m = grid.n, grid.n // 2
     rows = grid._neg_rows
@@ -221,24 +218,6 @@ def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
 # Fourier multipliers
 # ---------------------------------------------------------------------------
 
-def derivative(grid: Grid, coeffs: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral partial derivative along axis 0 (x1) or 1 (x2)."""
-    if axis == 0:
-        return grid.ik1 * coeffs
-    if axis == 1:
-        return grid.ik2 * coeffs
-    raise ParameterError(f"axis must be 0 or 1, got {axis!r}")
-
-
-def laplacian(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    return -grid.ksq * coeffs
-
-
-def inverse_laplacian(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Solve (Laplacian g) = f with zero-mean g; the input mean is discarded."""
-    return -grid.inv_ksq * coeffs
-
-
 def fractional_power(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
     """Apply Lambda^s = (-Laplacian)^{s/2}, the |k|^s multiplier.
 
@@ -254,47 +233,6 @@ def fractional_power(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
     if not np.isfinite(s) or s < 0:
         raise ParameterError(f"fractional exponent must be finite and >= 0, got {s}")
     return grid.kabs**s * coeffs  # 0**0 == 1, so s = 0 keeps the mean
-
-
-# ---------------------------------------------------------------------------
-# div-free vector fields from scalars
-# ---------------------------------------------------------------------------
-
-def biot_savart(grid: Grid, omega_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divergence-free velocity with the given scalar curl, zero mean.
-
-    psi = inverse_laplacian(omega), u = perp-grad psi = (-d2 psi, d1 psi), so
-    that d1 u2 - d2 u1 = omega.  A nonzero mean has no periodic stream
-    function; it is projected out with a RuntimeWarning.
-
-    Returns:
-        (u1_coeffs, u2_coeffs).
-    """
-    c = omega_coeffs
-    if abs(c[0, 0]) > 1e-13 * max(1.0, float(np.linalg.norm(c))):
-        warnings.warn(
-            "nonzero mean curl has no periodic potential; projecting it out",
-            RuntimeWarning, stacklevel=2)
-        c = c.copy()
-        c[0, 0] = 0.0
-    psi = inverse_laplacian(grid, c)
-    return -derivative(grid, psi, 1), derivative(grid, psi, 0)
-
-
-def field_from_potential(
-    grid: Grid, a_coeffs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Perp-gradient field of a scalar potential and its scalar curl.
-
-    b = (-d2 a, d1 a) is automatically divergence free and its curl is the
-    Laplacian of the potential, j = d1 b2 - d2 b1 = Laplacian(a).
-
-    Returns:
-        (b1_coeffs, b2_coeffs, j_coeffs).
-    """
-    b1 = -derivative(grid, a_coeffs, 1)
-    b2 = derivative(grid, a_coeffs, 0)
-    return b1, b2, laplacian(grid, a_coeffs)
 
 
 # name -> (source, multiplier) of each field physical_fields forms itself
@@ -365,20 +303,26 @@ def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
 # products and norms
 # ---------------------------------------------------------------------------
 
-def dealiased_product(grid: Grid, f_coeffs: np.ndarray, g_coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of the pointwise product f*g, restricted to the 2/3 band.
-
-    For inputs supported inside the retained band this equals the exact
-    continuum product projected onto the band: with 3K < n no alias of a
-    quadratic interaction of retained modes lands back inside the mask.
-    """
-    prod = to_physical(grid, f_coeffs) * to_physical(grid, g_coeffs)
-    return to_spectral(grid, prod) * grid.dealias
-
-
 def spectral_l2(grid: Grid, coeffs: np.ndarray) -> float:
     """L2 norm over [0, 2pi)^2 from coefficients (Parseval)."""
     return 2.0 * np.pi * float(np.linalg.norm(coeffs))
+
+
+def half_power_sum(grid: Grid, power: np.ndarray, s: float = 0.0) -> float:
+    """Parseval sum (2pi)^2 sum_k |k|^{2s} P(k) over the whole spectrum.
+
+    power holds P on the k2 >= 0 half spectrum (P = |fhat|^2 gives
+    ||Lambda^s f||_2^2, mean kept at s = 0).  |k|^{2s} weights only modes
+    with P != 0, so a sum beyond float range reads inf, never nan.
+    """
+    if not 0.0 <= s < np.inf:
+        raise ParameterError(f"Sobolev order must be finite and >= 0, got {s!r}")
+    if s != 0.0:
+        with np.errstate(over="ignore"):  # overflow on empty modes is unused
+            weight = grid.half_ksq ** s
+        power = np.multiply(weight, power, out=np.zeros_like(power),
+                            where=power != 0)
+    return float(np.sum(power, axis=0) @ grid.half_weight)
 
 
 def lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:

@@ -246,6 +246,36 @@ class TestScanCommand:
             outs.append((out / "scan.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_pool_is_capped_at_point_count(self, tmp_path, monkeypatch):
+        # a process pool forks all its workers at once, so a 4-point scan
+        # asked for 500 workers must start a pool of 4; this fake pool maps
+        # serially and starts no process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("gmhd2d.cli.ProcessPoolExecutor", SerialPool)
+        outs = []
+        for workers in ("1", "500"):
+            out = tmp_path / f"w{workers}"
+            cfg = self.scan_cfg(tmp_path, out)
+            assert main(["scan", "--config", str(cfg), "--alpha", "0.5:1.0:0.5",
+                         "--beta", "0.5:1.0:0.5", "--workers", workers]) == 0
+            outs.append((out / "scan.csv").read_bytes())
+        assert sizes == [4]
+        assert outs[0] == outs[1]
+
     def test_workers_env_fallback(self, tmp_path, monkeypatch):
         out = tmp_path / "env_out"
         cfg = self.scan_cfg(tmp_path, out)

@@ -32,18 +32,20 @@ from gmhd2d.dynamics import (
 )
 from gmhd2d.spectral import (
     ParameterError,
-    biot_savart,
-    dealiased_product,
-    derivative,
-    field_from_potential,
     full_spectrum,
     get_grid,
-    hermitian_defect,
     physical_fields,
     spectral_l2,
     to_physical,
     to_spectral,
     to_spectral_half,
+)
+from oracles import (
+    biot_savart,
+    dealiased_product,
+    derivative,
+    field_from_potential,
+    hermitian_defect,
 )
 
 
@@ -534,6 +536,15 @@ class TestRun:
         late = dataclasses.replace(st, t=2.0)
         with pytest.raises(ParameterError, match="t_end"):
             run(late, Params(n=32, t_end=1.0), sample_every=0.1)
+
+    def test_snapshot_every_validation(self):
+        # None or a positive finite cadence
+        g = get_grid(32)
+        st = initial_condition("shear", g)
+        for bad in (-0.01, 0.0, np.nan, np.inf):
+            with pytest.raises(ParameterError, match="snapshot_every"):
+                run(st, Params(n=32, t_end=0.1), sample_every=0.05,
+                    snapshot_every=bad)
 
     def test_cfl_limited_run_matches_hand_loop(self):
         # dt_max does not bind, so every dt is the CFL bound or the time left

@@ -14,17 +14,11 @@ import pytest
 from gmhd2d.spectral import (
     Grid,
     ParameterError,
-    biot_savart,
-    dealiased_product,
-    derivative,
-    field_from_potential,
     fractional_power,
     full_spectrum,
     get_grid,
-    hermitian_defect,
+    half_power_sum,
     hermitian_part,
-    inverse_laplacian,
-    laplacian,
     lp_norm,
     physical_fields,
     random_band_limited_field,
@@ -33,6 +27,16 @@ from gmhd2d.spectral import (
     to_physical_half,
     to_spectral,
     to_spectral_half,
+)
+from oracles import (
+    biot_savart,
+    dealiased_product,
+    derivative,
+    field_from_potential,
+    hermitian_defect,
+    homogeneous_sobolev_norm,
+    inverse_laplacian,
+    laplacian,
 )
 
 
@@ -465,6 +469,42 @@ class TestProductsAndNorms:
             lp_norm(g, np.zeros((16, 16)), 0.5)
         with pytest.raises(ParameterError, match="p must"):
             lp_norm(g, np.zeros((16, 16)), np.nan)
+
+
+class TestHalfPowerSum:
+    """The one Parseval sum against the full-spectrum Sobolev norm oracle."""
+
+    def test_matches_full_spectrum_norm(self):
+        g = get_grid(32)
+        c = to_spectral(g, random_values(32, seed=17))  # Nyquist lines too
+        assert np.any(c[:, 16] != 0) and np.any(c[16, :] != 0)
+        half = c[:, :g.half_cols]
+        power = half.real**2 + half.imag**2
+        for s in (0.0, 0.5, 1.0, 2.0):
+            assert half_power_sum(g, power, s) == pytest.approx(
+                homogeneous_sobolev_norm(g, c, s) ** 2, rel=1e-13)
+
+    def test_overflowing_weight_on_empty_modes(self):
+        # |k|^500 overflows on the empty high modes but not on the occupied
+        # |k| = 2 one (built exactly: no roundoff content); that overflow is
+        # expected and must not warn
+        g = get_grid(32)
+        exact = np.zeros((32, 32), complex)
+        exact[2, 0], exact[-2, 0] = -0.5j, 0.5j
+        half = exact[:, :g.half_cols]
+        with np.errstate(over="raise"):
+            got = half_power_sum(g, half.real**2 + half.imag**2, 250.0)
+        assert np.isfinite(got)
+        assert got == pytest.approx(
+            homogeneous_sobolev_norm(g, exact, 250.0) ** 2, rel=1e-12)
+        assert got == pytest.approx(2.0**500 * 2 * np.pi**2, rel=1e-12)
+
+    def test_rejects_bad_order(self):
+        g = get_grid(16)
+        power = np.ones((16, g.half_cols))
+        for s in (-1.0, np.nan, np.inf):
+            with pytest.raises(ParameterError, match="order"):
+                half_power_sum(g, power, s)
 
 
 class TestRandomFields:
