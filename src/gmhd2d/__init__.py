@@ -63,6 +63,7 @@ from .analysis import (  # noqa: F401
     classify_regime,
     fit_gronwall_constant,
     gronwall_check,
+    verdict_ranks,
     weak_dissipation_exponents,
 )
 from .inequalities import (  # noqa: F401
@@ -73,6 +74,7 @@ from .inequalities import (  # noqa: F401
     InequalitySpec,
     NormTerm,
     PositivityReport,
+    check_inequalities,
     check_inequality,
     check_positivity,
     evaluate_norm,

@@ -1,10 +1,14 @@
 """Regularity-regime classification and discrete a-priori-estimate auditing.
 
 The dissipation strengths (alpha, beta) determine whether global regularity
-of the two-dimensional system is settled.  `classify_regime` evaluates the
-known sufficient conditions and reports which ones an exponent pair
-satisfies.  `weak_dissipation_exponents` reproduces the interpolation
-bookkeeping used in the weak-dissipation range alpha < 1/2, and
+of the two-dimensional system is settled.  The known sufficient conditions
+live in one table, WITNESS_CONDITIONS, of (tag, condition) pairs whose
+conditions use only comparisons and `&`, so the same expressions serve a
+single point and a whole grid.  `classify_regime` reports which conditions
+an exponent pair satisfies and takes its verdict from `verdict_ranks`, the
+one verdict rule, which applies elementwise: a 401 x 401 grid is classified
+by a few array operations.  `weak_dissipation_exponents` reproduces the
+interpolation bookkeeping used in the weak-dissipation range alpha < 1/2, and
 `gronwall_check` verifies the discrete Gronwall implication
 eta(t) + int psi <= eta(0) exp(int phi) on sampled trajectories.
 """
@@ -24,6 +28,9 @@ __all__ = [
     "VERDICT_OPEN",
     "PROVEN_TAGS",
     "RegimeVerdict",
+    "WITNESS_CONDITIONS",
+    "VERDICTS",
+    "verdict_ranks",
     "classify_regime",
     "WeakDissipationExponents",
     "weak_dissipation_exponents",
@@ -83,6 +90,46 @@ class RegimeVerdict:
         return f"{self.verdict} [{'; '.join(parts)}]"
 
 
+# The witness conditions, in report order; comparisons and `&` only, so each
+# evaluates on floats and elementwise on arrays alike.
+WITNESS_CONDITIONS = (
+    (TAG_ALPHA_GE_HALF_BETA_GE_ONE, lambda a, b: (a >= 0.5) & (b >= 1.0)),
+    (TAG_TWO_ALPHA_PLUS_BETA_GT_TWO,
+     lambda a, b: (a < 0.5) & (2.0 * a + b > 2.0)),
+    (TAG_ALPHA_GE_TWO_BETA_ZERO, lambda a, b: (a >= 2.0) & (b == 0.0)),
+    (TAG_ALPHA_GE_ONE_SUM_GE_TWO,
+     lambda a, b: (a >= 1.0) & (b > 0.0) & (a + b >= 2.0)),
+    (TAG_ZERO_ALPHA_BETA_GT_ONE, lambda a, b: (a == 0.0) & (b > 1.0)),
+)
+
+# verdict of each rank verdict_ranks returns
+VERDICTS = (VERDICT_OPEN, VERDICT_CONDITIONAL, VERDICT_PROVEN)
+
+
+def verdict_ranks(alpha, beta) -> np.ndarray:
+    """Elementwise verdict rank of exponent pairs: 0 Open,
+    1 ConditionallyRegular, 2 ProvenRegular (int8, broadcast shape).
+
+    A pair is proven when any unconditional witness of WITNESS_CONDITIONS
+    holds, conditional when only the zero-alpha criterion does.
+    """
+    a = np.asarray(alpha, dtype=float)
+    b = np.asarray(beta, dtype=float)
+    if a.ndim == b.ndim == 0:  # one point: float comparisons, 10x cheaper
+        a, b = float(a), float(b)
+    if not (np.isfinite(a) & np.isfinite(b)).all():
+        raise ParameterError("alpha and beta must be finite")
+    if (np.minimum(a, b) < 0.0).any():
+        raise ParameterError("alpha and beta must be nonnegative")
+    proven = conditional = False
+    for tag, holds in WITNESS_CONDITIONS:
+        if tag in PROVEN_TAGS:
+            proven = proven | holds(a, b)
+        else:
+            conditional = conditional | holds(a, b)
+    return np.where(proven, 2, conditional).astype(np.int8)
+
+
 def classify_regime(alpha: float, beta: float) -> RegimeVerdict:
     """Classify a dissipation-exponent pair against the proven regions.
 
@@ -95,22 +142,9 @@ def classify_regime(alpha: float, beta: float) -> RegimeVerdict:
     """
     alpha = float(alpha)
     beta = float(beta)
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ParameterError("alpha and beta must be finite")
-    if alpha < 0.0 or beta < 0.0:
-        raise ParameterError("alpha and beta must be nonnegative")
-
-    witnesses = []
-    if alpha >= 0.5 and beta >= 1.0:
-        witnesses.append(TAG_ALPHA_GE_HALF_BETA_GE_ONE)
-    if alpha < 0.5 and 2.0 * alpha + beta > 2.0:
-        witnesses.append(TAG_TWO_ALPHA_PLUS_BETA_GT_TWO)
-    if alpha >= 2.0 and beta == 0.0:
-        witnesses.append(TAG_ALPHA_GE_TWO_BETA_ZERO)
-    if alpha >= 1.0 and beta > 0.0 and alpha + beta >= 2.0:
-        witnesses.append(TAG_ALPHA_GE_ONE_SUM_GE_TWO)
-    if alpha == 0.0 and beta > 1.0:
-        witnesses.append(TAG_ZERO_ALPHA_BETA_GT_ONE)
+    verdict = VERDICTS[int(verdict_ranks(alpha, beta))]
+    witnesses = [tag for tag, holds in WITNESS_CONDITIONS
+                 if holds(alpha, beta)]
 
     note = None
     at_exception = alpha == 0.0 and beta == 2.0
@@ -118,13 +152,6 @@ def classify_regime(alpha: float, beta: float) -> RegimeVerdict:
         witnesses.append(TAG_SUM_GE_TWO_COMBINED)
     if at_exception:
         note = COMBINED_EXCEPTION_NOTE
-
-    if any(w in PROVEN_TAGS for w in witnesses):
-        verdict = VERDICT_PROVEN
-    elif TAG_ZERO_ALPHA_BETA_GT_ONE in witnesses:
-        verdict = VERDICT_CONDITIONAL
-    else:
-        verdict = VERDICT_OPEN
     return RegimeVerdict(alpha, beta, verdict, tuple(witnesses), note)
 
 

@@ -18,7 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import classify_regime, fit_gronwall_constant, gronwall_check
+from .analysis import (
+    classify_regime,
+    fit_gronwall_constant,
+    gronwall_check,
+    verdict_ranks,
+)
 from .config import RunConfig, load_run_config, make_initial_state
 from .diagnostics import write_csv
 from .dynamics import (
@@ -32,7 +37,7 @@ from .dynamics import (
 from .inequalities import (
     Corpus,
     DEFAULT_INEQUALITY_SPECS,
-    check_inequality,
+    check_inequalities,
     check_positivity,
     log_inequality_check,
 )
@@ -186,6 +191,7 @@ def cmd_scan(config: RunConfig, alpha_values, beta_values,
         f"beta_values = {', '.join(_fmt(b) for b in beta_values)}",
         f"points = {len(rows)}",
         f"workers = {workers}",
+        f"pool_size = {pool_size}",
         f"blow_ups = {sum(r[5] for r in rows)}",
     ]
     summary += [f"verdict[{k}] = {v}" for k, v in sorted(verdict_counts.items())]
@@ -227,8 +233,7 @@ def _suite_identities(count):
 
 def _suite_inequalities(count):
     corpus = Corpus(count=count or 200)
-    reports = [check_inequality(spec, corpus)
-               for spec in DEFAULT_INEQUALITY_SPECS]
+    reports = check_inequalities(DEFAULT_INEQUALITY_SPECS, corpus)
     reports.append(log_inequality_check(corpus))
     rows = [(f"max_ratio_growth[{r.name}]", r.growth, 0.05, "max")
             for r in reports]
@@ -294,17 +299,11 @@ def classifier_grid_violations(max_exponent: float = 4.0, step: float = 0.01):
     with alpha > 0 must always be proven.
     """
     count = int(round(max_exponent / step)) + 1
-    vals = [i * max_exponent / (count - 1) for i in range(count)]
-    rank = np.empty((count, count), dtype=np.int8)
-    lookup = {"Open": 0, "ConditionallyRegular": 1, "ProvenRegular": 2}
-    coverage_violations = 0
-    for i, a in enumerate(vals):
-        for k, b in enumerate(vals):
-            r = lookup[classify_regime(a, b).verdict]
-            rank[i, k] = r
-            if a > 0.0 and a + b >= 2.0 and r != 2:
-                coverage_violations += 1
+    vals = np.arange(count) * max_exponent / (count - 1)
+    a, b = vals[:, None], vals[None, :]
+    rank = verdict_ranks(a, b)
     proven = rank == 2
+    coverage_violations = int(np.sum((a > 0.0) & (a + b >= 2.0) & ~proven))
     mono = (int(np.sum(proven[:-1, :] & (rank[1:, :] == 0)))
             + int(np.sum(proven[:, :-1] & (rank[:, 1:] == 0))))
     return mono, coverage_violations

@@ -4,10 +4,20 @@ Every inequality is stated between norms of fields derived from a single
 scalar potential: the potential itself ("f"), its perpendicular gradient
 ("b", a divergence-free vector field), or its Laplacian ("j").  A NormTerm
 names one such norm, an InequalitySpec combines them with interpolation
-weights, and check_inequality measures the largest left/right ratio over a
-seeded corpus of band-limited fields at several resolutions.  A genuine
-inequality has a resolution-independent constant, so the observed maxima
-must stabilize under refinement; that is the PASS condition.
+weights, and check_inequalities measures the largest left/right ratio of
+each spec over a seeded corpus of band-limited fields at several
+resolutions.  A genuine inequality has a resolution-independent constant, so
+the observed maxima must stabilize under refinement; that is the PASS
+condition.
+
+The norms come from one table per (resolution, corpus field) over the
+distinct NormTerms of all specs, so a term several inequalities share is
+evaluated once.  L2 terms are Parseval sums over a half power spectrum
+formed once per field.  Terms of one (field, grad, lam) family that differ
+only in p share one pointwise magnitude: the default battery's 22
+distinct terms need four such families, eight real syntheses per field per
+resolution.  evaluate_norm and check_inequality are the one-term and
+one-spec cases of the same code.
 
 Positivity of the fractional-dissipation integral against odd powers and the
 logarithmic bound on the velocity gradient are checked by the same corpus
@@ -39,6 +49,7 @@ __all__ = [
     "PositivityReport",
     "Corpus",
     "evaluate_norm",
+    "check_inequalities",
     "check_inequality",
     "check_positivity",
     "log_inequality_check",
@@ -121,6 +132,60 @@ class InequalitySpec:
                 f"rhs dimension {dim:.6g}")
 
 
+def _field_power(grid, f, field):
+    # |X(f)|^2 on the half spectrum: the power of the potential, with the
+    # Nyquist-zeroed |k|^2 of the perpendicular gradient or the |k|^4 of the
+    # Laplacian
+    power = f.real**2 + f.imag**2
+    if field == "b":
+        power *= grid.half_ik1.imag**2 + grid.half_ik2.imag**2
+    elif field == "j":
+        power *= grid.half_ksq * grid.half_ksq
+    return power
+
+
+def _magnitude(grid, f, field, grad, lam):
+    # pointwise Euclidean magnitude of the derivative stack of order grad
+    # of Lambda^lam X(f); Lambda^lam commutes with every derivative, and
+    # |k|^0 = 1 keeps the mean
+    potential = grid.kabs[:, :grid.half_cols] ** lam * f
+    # the ordered partials: "a_12" and "a_21" are one synthesis, counted twice
+    axes = ["".join(p) for p in itertools.product("12", repeat=grad)]
+    names = {"f": ("a",), "b": ("b1", "b2"), "j": ("j",)}[field]
+    planes = physical_fields(grid, {"a": potential}, *(
+        f"{name}_{ax}" if ax else name for name in names for ax in axes))
+    mag_sq = sum(v * v for v in planes)
+    return np.sqrt(mag_sq)
+
+
+def _norm_table(grid, f_hat, terms) -> dict:
+    """Every NormTerm of `terms` (see evaluate_norm) on the potential with
+    coefficients f_hat, as a dict.
+
+    The p = 2 terms of one field share its power spectrum.  The other terms
+    of one (field, grad, lam) family differ only in p and share one
+    magnitude plane from one physical_fields call; families are taken one
+    at a time, so one family's planes at most are alive at once.
+    """
+    f = f_hat[:, :grid.half_cols]
+    table, powers, families = {}, {}, {}
+    for term in terms:
+        if term.p == 2.0:
+            if term.field not in powers:
+                powers[term.field] = _field_power(grid, f, term.field)
+            table[term] = math.sqrt(half_power_sum(
+                grid, powers[term.field], term.lam + term.grad))
+        else:
+            families.setdefault((term.field, term.grad, term.lam),
+                                []).append(term)
+    for family, members in families.items():
+        magnitude = _magnitude(grid, f, *family)
+        for term in members:
+            table[term] = lp_norm(grid, magnitude, term.p)
+        del magnitude
+    return table
+
+
 def evaluate_norm(grid, f_hat, term: NormTerm) -> float:
     """Evaluate a NormTerm on the scalar potential with coefficients f_hat.
 
@@ -129,26 +194,10 @@ def evaluate_norm(grid, f_hat, term: NormTerm) -> float:
     of X(f), which is |fhat|^2 for f, the Nyquist-zeroed |k|^2 |fhat|^2 for
     b and |k|^4 |fhat|^2 for j.  Other exponents build the pointwise
     Euclidean magnitude of the full derivative stack and integrate it by
-    collocation quadrature.
+    collocation quadrature.  This is the one-term case of the norm table
+    check_inequalities builds.
     """
-    h = grid.half_cols
-    f = f_hat[:, :h]
-    if term.p == 2.0:
-        power = f.real**2 + f.imag**2
-        if term.field == "b":
-            power *= grid.half_ik1.imag**2 + grid.half_ik2.imag**2
-        elif term.field == "j":
-            power *= grid.half_ksq * grid.half_ksq
-        return math.sqrt(half_power_sum(grid, power, term.lam + term.grad))
-    # Lambda^lam commutes with every derivative; |k|^0 = 1 keeps the mean
-    potential = grid.kabs[:, :h] ** term.lam * f
-    # the ordered partials: "a_12" and "a_21" are one synthesis, counted twice
-    axes = ["".join(p) for p in itertools.product("12", repeat=term.grad)]
-    names = {"f": ("a",), "b": ("b1", "b2"), "j": ("j",)}[term.field]
-    planes = physical_fields(grid, {"a": potential}, *(
-        f"{name}_{ax}" if ax else name for name in names for ax in axes))
-    mag_sq = sum(v * v for v in planes)
-    return lp_norm(grid, np.sqrt(mag_sq), term.p)
+    return _norm_table(grid, f_hat, (term,))[term]
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +290,10 @@ class PositivityReport:
                 f"-> {'PASS' if self.passed else 'FAIL'}")
 
 
-def _constant_report(name, resolutions, ratios_at) -> ConstantReport:
-    # ratios_at(grid) lists the corpus's ratios at one resolution
-    if not resolutions:
+def _constant_report(name, per_resolution) -> ConstantReport:
+    # per_resolution lists (n, the corpus's ratios at n), coarsest first
+    if not per_resolution:
         raise ParameterError("need at least one resolution")
-    per_resolution = [(n, ratios_at(get_grid(n))) for n in resolutions]
     trend = tuple((n, float(np.max(r))) for n, r in per_resolution)
     finest = per_resolution[-1][1]
     qs = (0.5, 0.9, 1.0)
@@ -264,26 +312,45 @@ def _constant_report(name, resolutions, ratios_at) -> ConstantReport:
 # checks
 # ---------------------------------------------------------------------------
 
-def check_inequality(spec: InequalitySpec, corpus: Corpus | None = None,
-                     resolutions=DEFAULT_RESOLUTIONS) -> ConstantReport:
-    """Measure the inequality's best constant over the corpus.
+def check_inequalities(specs, corpus: Corpus | None = None,
+                       resolutions=DEFAULT_RESOLUTIONS) -> list[ConstantReport]:
+    """Measure each inequality's best constant over the corpus, in order.
 
     Computes lhs/rhs per field per resolution (the constant C is omitted
     from the right side, so the ratio is the constant the field exhibits)
-    and PASSes when the max ratio grows less than 5% over the final
-    refinement step.
+    and PASSes an inequality when its max ratio grows less than 5% over the
+    final refinement step.  Each corpus field at each resolution gets one
+    norm table over the distinct NormTerms of all specs, so a term shared
+    by several inequalities is evaluated once.
     """
     corpus = corpus or Corpus()
+    specs = tuple(specs)
+    terms = tuple(dict.fromkeys(
+        t for spec in specs for t in (spec.lhs, *(r for r, _ in spec.rhs))))
 
-    def ratio(grid, f_hat):
-        lhs = evaluate_norm(grid, f_hat, spec.lhs)
-        rhs = 1.0
-        for term, theta in spec.rhs:
-            rhs *= evaluate_norm(grid, f_hat, term) ** theta
-        return lhs / rhs
+    def ratios_at(n):
+        grid = get_grid(n)
+        per_spec = [[] for _ in specs]
+        for f_hat in corpus.fields(n):
+            norms = _norm_table(grid, f_hat, terms)
+            for spec, ratios in zip(specs, per_spec):
+                rhs = 1.0
+                for term, theta in spec.rhs:
+                    rhs *= norms[term] ** theta
+                ratios.append(norms[spec.lhs] / rhs)
+        return per_spec
 
-    return _constant_report(spec.name, resolutions, lambda grid: [
-        ratio(grid, f_hat) for f_hat in corpus.fields(grid.n)])
+    per_resolution = [(n, ratios_at(n)) for n in resolutions]
+    return [_constant_report(spec.name, [(n, ratios[i])
+                                         for n, ratios in per_resolution])
+            for i, spec in enumerate(specs)]
+
+
+def check_inequality(spec: InequalitySpec, corpus: Corpus | None = None,
+                     resolutions=DEFAULT_RESOLUTIONS) -> ConstantReport:
+    """Measure one inequality's best constant over the corpus; see
+    check_inequalities."""
+    return check_inequalities((spec,), corpus, resolutions)[0]
 
 
 def check_positivity(alpha: float, p: int, corpus=None,
@@ -345,9 +412,9 @@ def log_inequality_check(corpus: Corpus | None = None,
                  + half_power_sum(grid, pj) + half_power_sum(grid, pj, 2.0))
         return lhs / (1.0 + u_l2 + 2.0 * w_inf * (1.0 + math.log1p(h2_sq)))
 
-    return _constant_report("velocity_gradient_log_bound", resolutions,
-                            lambda grid: [ratio(grid, *pair) for pair in
-                                          corpus.paired_fields(grid.n)])
+    return _constant_report("velocity_gradient_log_bound", [
+        (n, [ratio(get_grid(n), *pair) for pair in corpus.paired_fields(n)])
+        for n in resolutions])
 
 
 # ---------------------------------------------------------------------------

@@ -351,15 +351,13 @@ def lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:
 # reproducible random fields
 # ---------------------------------------------------------------------------
 
-def _ball_modes(k_max: int) -> list[tuple[int, int]]:
-    # fixed ordering of one representative per conjugate pair in |k| <= k_max
-    modes = []
-    for p in range(k_max + 1):
-        qs = range(-k_max, k_max + 1) if p > 0 else range(1, k_max + 1)
-        for q in qs:
-            if p * p + q * q <= k_max * k_max:
-                modes.append((p, q))
-    return modes
+def _ball_modes(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    # one representative (p, q) per conjugate pair in |k| <= k_max, in the
+    # fixed order p = 0, 1, ..., k_max, q ascending, with p = 0 taking q > 0
+    p, q = np.meshgrid(np.arange(k_max + 1), np.arange(-k_max, k_max + 1),
+                       indexing="ij")
+    keep = (p * p + q * q <= k_max * k_max) & ((p > 0) | (q > 0))
+    return p[keep], q[keep]
 
 
 def random_band_limited_field(
@@ -388,11 +386,12 @@ def random_band_limited_field(
             f"k_max must lie in [1, {grid.dealias_k}] on an n={grid.n} grid, got {k_max}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
-    modes = _ball_modes(k_max)
-    draws = rng.standard_normal((len(modes), 2))
+    p, q = _ball_modes(k_max)
+    re, im = rng.standard_normal((p.size, 2)).T
     n = grid.n
     c = np.zeros((n, n), dtype=complex)
-    for (p, q), (re, im) in zip(modes, draws):
-        c[p % n, q % n] = 0.5 * (re + 1j * im)
-        c[-p % n, -q % n] = 0.5 * (re - 1j * im)
+    # the modes and their mirrors are distinct entries, so the assignment
+    # order is immaterial
+    c[p % n, q % n] = 0.5 * (re + 1j * im)
+    c[-p % n, -q % n] = 0.5 * (re - 1j * im)
     return c * (amplitude / spectral_l2(grid, c))

@@ -6,6 +6,8 @@ coefficient-array forms of the same operators: Fourier-multiplier
 derivatives, the Biot-Savart and potential maps, the dealiased product, the
 Hermitian defect and the homogeneous Sobolev norm.  They are independent of
 the half-spectrum code paths, which is what makes them useful as oracles.
+random_band_limited_field_loop is the per-mode loop the package's
+vectorized corpus draw replaced.
 """
 
 from __future__ import annotations
@@ -110,3 +112,52 @@ def homogeneous_sobolev_norm(grid: Grid, coeffs: np.ndarray, s: float) -> float:
     mag = np.abs(coeffs)
     nz = (grid.ksq > 0) & (mag != 0)
     return 2.0 * np.pi * float(np.linalg.norm(grid.kabs[nz] ** s * mag[nz]))
+
+
+def _ball_modes(k_max: int) -> list[tuple[int, int]]:
+    # fixed ordering of one representative per conjugate pair in |k| <= k_max
+    modes = []
+    for p in range(k_max + 1):
+        qs = range(-k_max, k_max + 1) if p > 0 else range(1, k_max + 1)
+        for q in qs:
+            if p * p + q * q <= k_max * k_max:
+                modes.append((p, q))
+    return modes
+
+
+def random_band_limited_field_loop(
+    grid: Grid,
+    k_max: int,
+    seed,
+    amplitude: float = 1.0,
+) -> np.ndarray:
+    """Random real field with Fourier support in the ball |k| <= k_max, one
+    mode at a time: the loop gmhd2d.spectral.random_band_limited_field must
+    reproduce bit for bit.
+
+    The Gaussian coefficient draw is a fixed-order function of the seed alone,
+    so a given seed samples the *same* continuum field on every grid that can
+    hold it -- refining n changes nothing but the sampling points.
+
+    Args:
+        grid: target grid.
+        k_max: largest wavenumber magnitude, 1 <= k_max <= grid.dealias_k.
+        seed: integer seed or numpy SeedSequence.
+        amplitude: L2 norm of the returned field.
+
+    Returns:
+        Coefficient array with ||f||_{L2} = amplitude.
+    """
+    if not 1 <= k_max <= grid.dealias_k:
+        raise ParameterError(
+            f"k_max must lie in [1, {grid.dealias_k}] on an n={grid.n} grid, got {k_max}")
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = np.random.default_rng(ss)
+    modes = _ball_modes(k_max)
+    draws = rng.standard_normal((len(modes), 2))
+    n = grid.n
+    c = np.zeros((n, n), dtype=complex)
+    for (p, q), (re, im) in zip(modes, draws):
+        c[p % n, q % n] = 0.5 * (re + 1j * im)
+        c[-p % n, -q % n] = 0.5 * (re - 1j * im)
+    return c * (amplitude / spectral_l2(grid, c))

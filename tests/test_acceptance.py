@@ -34,7 +34,7 @@ from gmhd2d.dynamics import (
 from gmhd2d.inequalities import (
     Corpus,
     DEFAULT_INEQUALITY_SPECS,
-    check_inequality,
+    check_inequalities,
     check_positivity,
     log_inequality_check,
 )
@@ -177,8 +177,7 @@ def test_criterion_05_fractional_positivity_over_corpus():
 
 def test_criterion_06_interpolation_constants_stable_under_refinement():
     corpus = Corpus()
-    reports = [check_inequality(spec, corpus)
-               for spec in DEFAULT_INEQUALITY_SPECS]
+    reports = check_inequalities(DEFAULT_INEQUALITY_SPECS, corpus)
     reports.append(log_inequality_check(corpus))
     assert len(reports) == 14
     for rep in reports:

@@ -15,9 +15,11 @@ from gmhd2d.analysis import (
     VERDICT_CONDITIONAL,
     VERDICT_OPEN,
     VERDICT_PROVEN,
+    VERDICTS,
     classify_regime,
     fit_gronwall_constant,
     gronwall_check,
+    verdict_ranks,
     weak_dissipation_exponents,
 )
 from gmhd2d.dynamics import Params, initial_condition, run
@@ -100,6 +102,55 @@ class TestClassifier:
             for b in vals:
                 if a > 0 and a + b >= 2:
                     assert classify_regime(a, b).verdict == VERDICT_PROVEN
+
+
+class TestVerdictRanks:
+    """The elementwise verdict rule against per-point classification."""
+
+    @staticmethod
+    def expected_ranks(alphas, betas):
+        # the rank of each point's verdict, which must also follow from the
+        # point's own witnesses
+        ranks = []
+        for a, b in zip(alphas, betas):
+            v = classify_regime(a, b)
+            rank = VERDICTS.index(v.verdict)
+            if any(w in PROVEN_TAGS for w in v.witnesses):
+                assert rank == 2
+            else:
+                assert rank == ("ZeroAlphaBetaGtOne" in v.witnesses)
+            ranks.append(rank)
+        return np.array(ranks, dtype=np.int8)
+
+    def test_full_grid(self):
+        # the verify suite's 401 x 401 grid on [0, 4]^2
+        vals = np.arange(401) * 4.0 / 400
+        assert vals.tolist() == [i * 4.0 / 400 for i in range(401)]
+        a, b = np.meshgrid(vals, vals, indexing="ij")
+        ranks = verdict_ranks(vals[:, None], vals[None, :])
+        assert ranks.dtype == np.int8 and ranks.shape == (401, 401)
+        np.testing.assert_array_equal(
+            ranks.ravel(), self.expected_ranks(a.ravel(), b.ravel()))
+
+    def test_boundary_lines(self):
+        t = np.linspace(0.0, 4.0, 801)
+        lines = [(np.full_like(t, a), t) for a in (0.0, 0.5, 1.0, 2.0)]
+        lines += [(t, np.full_like(t, b)) for b in (0.0, 1.0, 2.0)]
+        s = np.linspace(0.0, 1.0, 401)
+        lines.append((s, 2.0 - 2.0 * s))  # 2 alpha + beta = 2
+        for alphas, betas in lines:
+            np.testing.assert_array_equal(
+                verdict_ranks(alphas, betas),
+                self.expected_ranks(alphas, betas))
+
+    def test_scalar_and_validation(self):
+        assert verdict_ranks(0.0, 2.0) == 1
+        assert verdict_ranks(0.1, 1.0) == 0
+        assert verdict_ranks(2.0, 0.0) == 2
+        with pytest.raises(ParameterError, match="finite"):
+            verdict_ranks([0.5, np.inf], 1.0)
+        with pytest.raises(ParameterError, match="nonnegative"):
+            verdict_ranks(1.0, [0.5, -1e-300])
 
 
 class TestWeakDissipationExponents:

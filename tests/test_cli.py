@@ -266,15 +266,19 @@ class TestScanCommand:
                 return map(fn, tasks)
 
         monkeypatch.setattr("gmhd2d.cli.ProcessPoolExecutor", SerialPool)
-        outs = []
+        outs, summaries = [], []
         for workers in ("1", "500"):
             out = tmp_path / f"w{workers}"
             cfg = self.scan_cfg(tmp_path, out)
             assert main(["scan", "--config", str(cfg), "--alpha", "0.5:1.0:0.5",
                          "--beta", "0.5:1.0:0.5", "--workers", workers]) == 0
             outs.append((out / "scan.csv").read_bytes())
+            summaries.append((out / "summary.txt").read_text().splitlines())
         assert sizes == [4]
         assert outs[0] == outs[1]
+        # the summary keeps the request and adds the pool actually used
+        assert {"workers = 1", "pool_size = 1"} <= set(summaries[0])
+        assert {"workers = 500", "pool_size = 4"} <= set(summaries[1])
 
     def test_workers_env_fallback(self, tmp_path, monkeypatch):
         out = tmp_path / "env_out"

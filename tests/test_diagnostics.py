@@ -38,6 +38,7 @@ from gmhd2d.inequalities import (
     DEFAULT_INEQUALITY_SPECS,
     Corpus,
     NormTerm,
+    check_inequalities,
     check_positivity,
     evaluate_norm,
     log_inequality_check,
@@ -319,6 +320,13 @@ class TestTransformBudget:
         # the distinct partials only: d1 d2 b_i is synthesized once
         evaluate_norm(g, f_hat, NormTerm("b", grad=2, p=4.0))
         assert fft_calls == {"irfft2": 6}
+
+    def test_battery_is_eight_syntheses_per_field(self, fft_calls):
+        # 22 distinct terms: the L2 ones are Parseval sums, the rest fall in
+        # four (field, grad, lam) families of 1 + 2 + 4 + 1 planes
+        check_inequalities(DEFAULT_INEQUALITY_SPECS, Corpus(count=1),
+                           resolutions=(64,))
+        assert fft_calls == {"irfft2": 8}
 
     def test_norms_expand_no_full_spectrum(self, monkeypatch):
         # every spectral norm is a half-spectrum Parseval sum; only the

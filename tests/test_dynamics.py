@@ -388,6 +388,21 @@ class TestCflandStep:
         assert cfl_dt(fine, Params(cfl=0.1, n=256)) == pytest.approx(
             0.1 * 2 * np.pi / 256, rel=1e-12)
 
+    def test_cfl_of_huge_finite_state(self):
+        # |u|^2 overflows at amplitude 1e200: the speed then comes from
+        # np.hypot, so dt stays positive and the run ends in a blow-up, not
+        # in a rejected dt of 0
+        g = get_grid(32)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=8,
+                               amplitude=1e200)
+        p = Params(nu=0.0, kappa=0.0, n=32, t_end=0.1)
+        u1, u2, b1, b2 = physical_fields(g, st.halves(), "u1", "u2", "b1", "b2")
+        speed = float(np.max(np.hypot(u1, u2))) + float(np.max(np.hypot(b1, b2)))
+        assert np.isfinite(speed) and speed > 1e200
+        assert cfl_dt(st, p) == p.cfl * (2.0 * np.pi / 32) / speed > 0.0
+        res = run(st, p, sample_every=0.05)
+        assert res.blew_up and res.final_state.t == 0.0
+
     def test_step_exact_linear_decay(self):
         # shear: nonlinear terms vanish identically, |k| = 1, so one step
         # reproduces e^{-nu dt} exactly for any alpha

@@ -14,6 +14,7 @@ from gmhd2d.inequalities import (
     DEFAULT_RESOLUTIONS,
     InequalitySpec,
     NormTerm,
+    check_inequalities,
     check_inequality,
     check_positivity,
     evaluate_norm,
@@ -156,6 +157,30 @@ class TestCheckInequality:
         a = check_inequality(spec, Corpus(count=8), resolutions=(64, 128))
         b = check_inequality(spec, Corpus(count=8), resolutions=(64, 128))
         assert a == b
+
+    def test_battery_matches_per_spec_checks(self):
+        # one norm table per field, shared by every spec, changes no report;
+        # the extra spec adds grad-2 and lam > 0 terms of b and j
+        extra = InequalitySpec(
+            "b_hessian_quartic", NormTerm("b", 2, 0.25, 4.0),
+            ((NormTerm("j", 1, 0.5, 2.0), 0.75),
+             (NormTerm("j", 2, 0.5, 2.0), 0.25)))
+        specs = DEFAULT_INEQUALITY_SPECS + (extra,)
+        corpus = Corpus(count=4)
+        reports = check_inequalities(specs, corpus, resolutions=(64, 128))
+        assert [r.name for r in reports] == [s.name for s in specs]
+        for spec, rep in zip(specs, reports):
+            assert rep == check_inequality(spec, corpus, resolutions=(64, 128))
+        # and the per-field ratios are those of one evaluate_norm per term
+        for n, worst in reports[-1].trend:
+            g = get_grid(n)
+            ratios = []
+            for f_hat in corpus.fields(n):
+                rhs = 1.0
+                for term, theta in extra.rhs:
+                    rhs *= evaluate_norm(g, f_hat, term) ** theta
+                ratios.append(evaluate_norm(g, f_hat, extra.lhs) / rhs)
+            assert worst == max(ratios)
 
     def test_needs_resolutions(self):
         with pytest.raises(ParameterError, match="resolution"):

@@ -37,6 +37,7 @@ from oracles import (
     homogeneous_sobolev_norm,
     inverse_laplacian,
     laplacian,
+    random_band_limited_field_loop,
 )
 
 
@@ -539,6 +540,20 @@ class TestRandomFields:
         g = get_grid(32)
         c = random_band_limited_field(g, 8, seed=9)
         assert hermitian_defect(c) < 1e-14
+
+    @pytest.mark.parametrize("n, k_max, seed", [
+        (32, 1, 0), (32, 9, 5), (64, 16, 1), (128, 16, 7), (256, 16, 3),
+        (256, 84, 11)])
+    def test_matches_per_mode_loop(self, n, k_max, seed):
+        # the two fancy-index assignments reproduce the loop bit for bit
+        g = get_grid(n)
+        np.testing.assert_array_equal(
+            random_band_limited_field(g, k_max, seed),
+            random_band_limited_field_loop(g, k_max, seed))
+        ss = np.random.SeedSequence(seed)
+        np.testing.assert_array_equal(
+            random_band_limited_field(g, k_max, ss, amplitude=3.0),
+            random_band_limited_field_loop(g, k_max, ss, amplitude=3.0))
 
     def test_k_max_validation(self):
         g = get_grid(32)
