@@ -97,9 +97,9 @@ def cmd_run(config: RunConfig) -> int:
     snapshot_every is set).  Returns 2 when the run ends in a blow-up
     signal; partial artifacts are still written.
     """
+    state = make_initial_state(config)  # rejects bad input before any write
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    state = make_initial_state(config)
     save_snapshot(out / "snapshot_initial.bin", state, config.params)
     result = run(state, config.params, config.sample_every,
                  fixed_dt=config.fixed_dt,

@@ -27,7 +27,7 @@ without content on the Nyquist lines, which every state from
 initial_condition, step and load_snapshot satisfies (the 2/3 band excludes
 them).  The quadratic quantities (energy, the dissipation sums, h2, cross
 helicity) are spectral.half_power_sum Parseval sums over the half power
-spectra |w_hat|^2 and |a_hat|^2; no full n-by-n spectrum is formed.  That
+spectra |w_hat|^2 and |a_hat|^2 of the state.  That
 sum weights only modes with nonzero power, so an overflowing |k|^{2s} gives
 inf on a sum that is truly beyond float range and never inf * 0 = nan on an
 empty mode.  Magnitudes of b come from np.hypot:
@@ -48,7 +48,7 @@ from .spectral import (
     half_power_sum,
     lp_norm,
     physical_fields,
-    to_spectral_half,
+    to_spectral,
 )
 
 __all__ = [
@@ -439,7 +439,7 @@ def _unit_field_jet(grid: Grid, b1: np.ndarray, b2: np.ndarray,
     coefficient vector field vec = bhat.grad bhat - (div bhat) bhat, its
     scalar curl curl_vec, the unregularized magnitude mag and the floor eps.
     """
-    halves = {"b1": to_spectral_half(grid, b1), "b2": to_spectral_half(grid, b2)}
+    halves = {"b1": to_spectral(grid, b1), "b2": to_spectral(grid, b2)}
     db = [physical_fields(grid, halves, c + "_1", c + "_2") for c in halves]
     d2b = [dict(zip(_PAIRS, physical_fields(
         grid, halves, c + "_11", c + "_12", c + "_22"))) for c in halves]

@@ -39,10 +39,11 @@ b.grad j, so with the symmetric stress T = b (x) b - u (x) u
 A tendency therefore costs 7 real transforms: 4 syntheses (u1, u2, b1, b2)
 and 3 analyses (T12, T22 - T11, u2 b1 - u1 b2); an IF-RK4 step costs 28.
 Every product of two fields in the 2/3 band is alias-free inside the band,
-so this equals the advective form up to roundoff.  All four RK4 stages stay
-on the half spectrum; the result is expanded to the full Hermitian array
-once per step.  cfl_dt needs exactly the stage-1 planes, so run's adaptive
-loop takes dt from them and an advanced step also costs 28 transforms.
+so this equals the advective form up to roundoff.  The state, all four RK4
+stages and the tendency are half spectra; a step ends with the state
+projection, which needs only column 0 (see project_state).  cfl_dt needs
+exactly the stage-1 planes, so run's adaptive loop takes dt from them and an
+advanced step also costs 28 transforms.
 """
 
 from __future__ import annotations
@@ -58,16 +59,13 @@ import numpy as np
 from .spectral import (
     Grid,
     ParameterError,
-    full_spectrum,
     get_grid,
-    half_power_sum,
-    hermitian_part,
     lp_norm,
     physical_fields,
     random_band_limited_field,
+    spectral_l2,
     to_physical,
     to_spectral,
-    to_spectral_half,
 )
 
 __all__ = [
@@ -79,7 +77,6 @@ __all__ = [
     "ResidualReport",
     "initial_condition",
     "nonlinear_rhs",
-    "gradient_coupling",
     "current_identity_residual",
     "forcing_identity_residual",
     "CancellationReport",
@@ -141,9 +138,11 @@ class Params:
 class GmhdState:
     """Spectral state (omega_hat, a_hat) at time t.
 
-    Invariant: both coefficient arrays are Hermitian, zero-mean, and
-    supported inside the grid's 2/3 dealias band.  initial_condition and
-    step enforce this; hand-built states should call project_state.
+    omega_hat and a_hat are the k2 >= 0 half spectra (shape n x (n/2+1), see
+    spectral) of the real fields omega and a.  Invariant: both are zero-mean
+    and supported inside the grid's 2/3 dealias band, and column 0 is
+    Hermitian, c(-k1, 0) = conj(c(k1, 0)).  initial_condition, step and
+    load_snapshot enforce this; hand-built states should call project_state.
     """
 
     grid: Grid
@@ -152,19 +151,34 @@ class GmhdState:
     t: float = 0.0
 
     def halves(self) -> dict:
-        """Views of the k2 >= 0 half spectra, for spectral.physical_fields."""
-        h = self.grid.half_cols
-        return {"w": self.omega_hat[:, :h], "a": self.a_hat[:, :h]}
+        """The half spectra under the names spectral.physical_fields uses."""
+        return {"w": self.omega_hat, "a": self.a_hat}
+
+
+def _project(grid: Grid, c: np.ndarray) -> np.ndarray:
+    # the state invariant on one half spectrum: column 0 is the one column
+    # inside the 2/3 band holding both members of its conjugate pairs, so it
+    # alone needs the Hermitian part
+    out = c * grid.half_dealias
+    col = out[:, 0]
+    out[:, 0] = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))  # c(-k1, 0)
+    out[0, 0] = 0.0
+    return out
 
 
 def project_state(state: GmhdState) -> GmhdState:
-    """Re-impose the state invariant (Hermitian, zero-mean, dealiased)."""
+    """Re-impose the state invariant (zero-mean, dealiased, column 0
+    Hermitian) on half spectra of shape n x (n/2+1)."""
     g = state.grid
+    shape = (g.n, g.half_cols)
 
     def proj(c):
-        out = hermitian_part(np.asarray(c, dtype=complex)) * g.dealias
-        out[0, 0] = 0.0
-        return out
+        c = np.asarray(c, dtype=complex)
+        if c.shape != shape:
+            raise ParameterError(
+                f"state spectrum shape {c.shape} is not the half spectrum "
+                f"shape {shape} of grid n={g.n}")
+        return _project(g, c)
 
     return dataclasses.replace(state, omega_hat=proj(state.omega_hat),
                                a_hat=proj(state.a_hat))
@@ -173,7 +187,8 @@ def project_state(state: GmhdState) -> GmhdState:
 @dataclass(frozen=True)
 class Tendency:
     """Tendency split into a dealiased nonlinear part and the exactly
-    diagonal dissipation multipliers -nu |k|^{2 alpha}, -kappa |k|^{2 beta}."""
+    diagonal dissipation multipliers -nu |k|^{2 alpha}, -kappa |k|^{2 beta},
+    all on the k2 >= 0 half grid."""
 
     d_omega: np.ndarray
     d_a: np.ndarray
@@ -237,7 +252,7 @@ def initial_condition(
     Returns:
         GmhdState at t = 0.
     """
-    z = np.zeros((grid.n, grid.n), dtype=complex)
+    z = np.zeros((grid.n, grid.half_cols), dtype=complex)
     if kind == "orszag_tang":
         w = to_spectral(grid, np.cos(grid.x1) + np.cos(grid.x2))
         a = to_spectral(grid, -np.cos(grid.x2) - 0.5 * np.cos(2.0 * grid.x1))
@@ -279,16 +294,16 @@ def _decay_rates(kabs: np.ndarray, coeff: float, order: float) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _linear_multipliers(n: int, nu: float, alpha: float, kappa: float, beta: float):
     g = get_grid(n)
-    lw = _decay_rates(g.kabs, nu, 2.0 * alpha)
-    la = _decay_rates(g.kabs, kappa, 2.0 * beta)
+    lw = _decay_rates(g.half_kabs, nu, 2.0 * alpha)
+    la = _decay_rates(g.half_kabs, kappa, 2.0 * beta)
     lw.setflags(write=False)
     la.setflags(write=False)
     return lw, la
 
 
-def _dealiased_half(grid: Grid, values: np.ndarray) -> np.ndarray:
+def _dealiased(grid: Grid, values: np.ndarray) -> np.ndarray:
     # half spectrum of a pointwise product, projected onto the 2/3 band
-    out = to_spectral_half(grid, values)
+    out = to_spectral(grid, values)
     out *= grid.half_dealias
     return out
 
@@ -297,7 +312,7 @@ def _dealiased_half(grid: Grid, values: np.ndarray) -> np.ndarray:
 def _stress_multipliers(n: int):
     # real half-grid symbols of d1^2 - d2^2 and d1 d2, the 2/3 mask folded in
     g = get_grid(n)
-    k1, k2 = g.k1.astype(float), g.k2[:, :g.half_cols].astype(float)
+    k1, k2 = g.k1.astype(float), g.k2.astype(float)
     m_shear = (k2 * k2 - k1 * k1) * g.half_dealias
     m_normal = -(k1 * k2) * g.half_dealias
     m_shear.setflags(write=False)
@@ -313,17 +328,17 @@ def _stage_planes(grid: Grid, halves: dict) -> list:
 def _stress_tendency(grid: Grid, u1, u2, b1, b2):
     # 3 real analyses; see the module docstring for the stress identity
     m_shear, m_normal = _stress_multipliers(grid.n)
-    dw = to_spectral_half(grid, b1 * b2 - u1 * u2)
+    dw = to_spectral(grid, b1 * b2 - u1 * u2)
     dw *= m_shear
-    normal = to_spectral_half(grid, (b2 - b1) * (b2 + b1) - (u2 - u1) * (u2 + u1))
+    normal = to_spectral(grid, (b2 - b1) * (b2 + b1) - (u2 - u1) * (u2 + u1))
     normal *= m_normal
     dw += normal
-    da = _dealiased_half(grid, u2 * b1 - u1 * b2)  # -u.grad a
+    da = _dealiased(grid, u2 * b1 - u1 * b2)  # -u.grad a
     da[0, 0] = 0.0
     return dw, da
 
 
-def _tendency_half(grid: Grid, w: np.ndarray, a: np.ndarray):
+def _tendency(grid: Grid, w: np.ndarray, a: np.ndarray):
     # 7 real transforms per evaluation: 4 syntheses, 3 analyses
     return _stress_tendency(grid, *_stage_planes(grid, {"w": w, "a": a}))
 
@@ -332,11 +347,10 @@ def nonlinear_rhs(state: GmhdState, params: Params) -> Tendency:
     """Dealiased nonlinear tendency d_omega = -u.grad w + b.grad j,
     d_a = -u.grad a, with the dissipation multipliers attached."""
     g = state.grid
-    dw, da = _tendency_half(g, **state.halves())
+    dw, da = _tendency(g, **state.halves())
     lw, la = _linear_multipliers(g.n, params.nu, params.alpha,
                                  params.kappa, params.beta)
-    return Tendency(d_omega=full_spectrum(g, dw), d_a=full_spectrum(g, da),
-                    lin_omega=lw, lin_a=la)
+    return Tendency(d_omega=dw, d_a=da, lin_omega=lw, lin_a=la)
 
 
 # the partials G is built from, in the argument order of _coupling
@@ -347,36 +361,18 @@ def _coupling(b1_1, u2_1, u1_2, u2_2, b2_1, b1_2):
     return 2.0 * b1_1 * (u2_1 + u1_2) + 2.0 * u2_2 * (b2_1 + b1_2)
 
 
-def gradient_coupling(grid: Grid, u1c, u2c, b1c, b2c) -> np.ndarray:
-    """Bilinear coupling of grad(u) and grad(b) in the current equation.
-
-    Pointwise value of
-        2 d1(b1) (d1(u2) + d2(u1)) + 2 d2(u2) (d1(b2) + d2(b1));
-    with b := u it collapses to 2 (d1 u1 + d2 u2)(d1 u2 + d2 u1) = 0 for
-    divergence-free u.  The arguments are Hermitian coefficient arrays.
-    """
-    halves = dict(zip(("u1", "u2", "b1", "b2"), (
-        c[:, :grid.half_cols] for c in (u1c, u2c, b1c, b2c))))
-    return _coupling(*physical_fields(grid, halves, *_COUPLING_PARTIALS))
-
-
 # ---------------------------------------------------------------------------
 # exact-identity residuals
 # ---------------------------------------------------------------------------
 
 def _under_resolved(grid: Grid, *coeff_arrays) -> bool:
-    edge = grid.dealias & (
-        np.maximum(np.abs(grid.k1), np.abs(grid.k2)) > 0.85 * grid.dealias_k)
+    edge = grid.half_dealias & (
+        np.maximum(np.abs(grid.k1), grid.k2) > 0.85 * grid.dealias_k)
     for c in coeff_arrays:
         peak = float(np.max(np.abs(c)))
         if peak > 0.0 and float(np.max(np.abs(c[edge]))) > 1e-8 * peak:
             return True
     return False
-
-
-def _half_l2(grid: Grid, half: np.ndarray) -> float:
-    # L2 norm of the real field with half spectrum `half` (Parseval)
-    return float(np.sqrt(half_power_sum(grid, half.real**2 + half.imag**2)))
 
 
 def current_identity_residual(state: GmhdState) -> ResidualReport:
@@ -392,12 +388,12 @@ def current_identity_residual(state: GmhdState) -> ResidualReport:
         g, state.halves(), "u1", "u2", "b1", "b2", "j_1", "j_2", "w_1", "w_2",
         *_COUPLING_PARTIALS)
     # u.grad a = u1 b2 - u2 b1, since grad a = (b2, -b1)
-    lhs = -g.half_ksq * _dealiased_half(g, u1 * b2 - u2 * b1)
-    adv_j = _dealiased_half(g, u1 * jx + u2 * jy)
-    stretch = _dealiased_half(g, b1 * wx + b2 * wy)
-    coupling = _dealiased_half(g, _coupling(*grads))
-    num = _half_l2(g, lhs - (adv_j - stretch - coupling))
-    den = max(1.0, _half_l2(g, adv_j))
+    lhs = -g.half_ksq * _dealiased(g, u1 * b2 - u2 * b1)
+    adv_j = _dealiased(g, u1 * jx + u2 * jy)
+    stretch = _dealiased(g, b1 * wx + b2 * wy)
+    coupling = _dealiased(g, _coupling(*grads))
+    num = spectral_l2(g, lhs - (adv_j - stretch - coupling))
+    den = max(1.0, spectral_l2(g, adv_j))
     return ResidualReport(num / den,
                           _under_resolved(g, state.omega_hat, state.a_hat))
 
@@ -412,12 +408,12 @@ def forcing_identity_residual(state: GmhdState) -> ResidualReport:
     g = state.grid
     b1, b2, b1_1, b1_2, b2_1, b2_2, jx, jy = physical_fields(
         g, state.halves(), "b1", "b2", "b1_1", "b1_2", "b2_1", "b2_2", "j_1", "j_2")
-    f1 = _dealiased_half(g, b1 * b1_1 + b2 * b1_2)
-    f2 = _dealiased_half(g, b1 * b2_1 + b2 * b2_2)
+    f1 = _dealiased(g, b1 * b1_1 + b2 * b1_2)
+    f2 = _dealiased(g, b1 * b2_1 + b2 * b2_2)
     lhs = g.half_ik1 * f2 - g.half_ik2 * f1
-    rhs = _dealiased_half(g, b1 * jx + b2 * jy)
-    num = _half_l2(g, lhs - rhs)
-    den = max(1.0, _half_l2(g, rhs))
+    rhs = _dealiased(g, b1 * jx + b2 * jy)
+    num = spectral_l2(g, lhs - rhs)
+    den = max(1.0, spectral_l2(g, rhs))
     return ResidualReport(num / den, _under_resolved(g, state.a_hat))
 
 
@@ -512,7 +508,7 @@ def step(state: GmhdState, params: Params, dt: float) -> GmhdState:
     """
     _check_dt(dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _tendency_half(state.grid, **state.halves())
+        k1 = _tendency(state.grid, **state.halves())
     return _step(state, params, dt, k1)
 
 
@@ -537,31 +533,26 @@ def _cfl_step(state: GmhdState, params: Params, remaining: float) -> GmhdState:
 def _step(state: GmhdState, params: Params, dt: float, k1) -> GmhdState:
     # the IF-RK4 step of `step`, given the stage-1 tendency k1 of the state
     g = state.grid
-    h = g.half_cols
     lw, la = _linear_multipliers(g.n, params.nu, params.alpha,
                                  params.kappa, params.beta)
-    ew2 = np.exp(0.5 * dt * lw[:, :h])
-    ea2 = np.exp(0.5 * dt * la[:, :h])
+    ew2 = np.exp(0.5 * dt * lw)
+    ea2 = np.exp(0.5 * dt * la)
     ew1 = ew2 * ew2
     ea1 = ea2 * ea2
-    w0, a0 = state.omega_hat[:, :h], state.a_hat[:, :h]
+    w0, a0 = state.omega_hat, state.a_hat
     k1w, k1a = k1
 
     with np.errstate(over="ignore", invalid="ignore"):
-        k2w, k2a = _tendency_half(g, ew2 * (w0 + 0.5 * dt * k1w),
-                                  ea2 * (a0 + 0.5 * dt * k1a))
-        k3w, k3a = _tendency_half(g, ew2 * w0 + 0.5 * dt * k2w,
-                                  ea2 * a0 + 0.5 * dt * k2a)
-        k4w, k4a = _tendency_half(g, ew1 * w0 + dt * ew2 * k3w,
-                                  ea1 * a0 + dt * ea2 * k3a)
+        k2w, k2a = _tendency(g, ew2 * (w0 + 0.5 * dt * k1w),
+                             ea2 * (a0 + 0.5 * dt * k1a))
+        k3w, k3a = _tendency(g, ew2 * w0 + 0.5 * dt * k2w,
+                             ea2 * a0 + 0.5 * dt * k2a)
+        k4w, k4a = _tendency(g, ew1 * w0 + dt * ew2 * k3w,
+                             ea1 * a0 + dt * ea2 * k3a)
         wn = ew1 * w0 + (dt / 6.0) * (ew1 * k1w + 2.0 * ew2 * (k2w + k3w) + k4w)
         an = ea1 * a0 + (dt / 6.0) * (ea1 * k1a + 2.0 * ea2 * (k2a + k3a) + k4a)
-        wn *= g.half_dealias
-        an *= g.half_dealias
-        wn[0, 0] = 0.0
-        an[0, 0] = 0.0
-        wn = full_spectrum(g, wn)
-        an = full_spectrum(g, an)
+        wn = _project(g, wn)
+        an = _project(g, an)
 
     if not (np.all(np.isfinite(wn)) and np.all(np.isfinite(an))):
         raise BlowUpSignal(state.t + dt, state)
@@ -695,12 +686,12 @@ def load_snapshot(path):
     if version != SNAPSHOT_VERSION:
         raise ParameterError(f"{path}: unknown snapshot version {version}")
     t, nu, kappa, alpha, beta = struct.unpack_from("<5d", blob, 16)
-    g = get_grid(int(n))
     count = n * n
     expected = 56 + 2 * 8 * count
-    if len(blob) != expected:
+    if len(blob) != expected:  # before get_grid(n), which allocates n x n
         raise ParameterError(
             f"{path}: truncated snapshot ({len(blob)} bytes, expected {expected})")
+    g = get_grid(int(n))
     w = np.frombuffer(blob, dtype="<f8", count=count, offset=56).reshape(n, n)
     a = np.frombuffer(blob, dtype="<f8", count=count,
                       offset=56 + 8 * count).reshape(n, n)

@@ -35,6 +35,7 @@ import numpy as np
 
 from .spectral import (
     ParameterError,
+    fractional_power,
     get_grid,
     half_power_sum,
     lp_norm,
@@ -148,7 +149,7 @@ def _magnitude(grid, f, field, grad, lam):
     # pointwise Euclidean magnitude of the derivative stack of order grad
     # of Lambda^lam X(f); Lambda^lam commutes with every derivative, and
     # |k|^0 = 1 keeps the mean
-    potential = grid.kabs[:, :grid.half_cols] ** lam * f
+    potential = fractional_power(grid, f, lam)
     # the ordered partials: "a_12" and "a_21" are one synthesis, counted twice
     axes = ["".join(p) for p in itertools.product("12", repeat=grad)]
     names = {"f": ("a",), "b": ("b1", "b2"), "j": ("j",)}[field]
@@ -160,26 +161,25 @@ def _magnitude(grid, f, field, grad, lam):
 
 def _norm_table(grid, f_hat, terms) -> dict:
     """Every NormTerm of `terms` (see evaluate_norm) on the potential with
-    coefficients f_hat, as a dict.
+    half spectrum f_hat, as a dict.
 
     The p = 2 terms of one field share its power spectrum.  The other terms
     of one (field, grad, lam) family differ only in p and share one
     magnitude plane from one physical_fields call; families are taken one
     at a time, so one family's planes at most are alive at once.
     """
-    f = f_hat[:, :grid.half_cols]
     table, powers, families = {}, {}, {}
     for term in terms:
         if term.p == 2.0:
             if term.field not in powers:
-                powers[term.field] = _field_power(grid, f, term.field)
+                powers[term.field] = _field_power(grid, f_hat, term.field)
             table[term] = math.sqrt(half_power_sum(
                 grid, powers[term.field], term.lam + term.grad))
         else:
             families.setdefault((term.field, term.grad, term.lam),
                                 []).append(term)
     for family, members in families.items():
-        magnitude = _magnitude(grid, f, *family)
+        magnitude = _magnitude(grid, f_hat, *family)
         for term in members:
             table[term] = lp_norm(grid, magnitude, term.p)
         del magnitude
@@ -187,7 +187,7 @@ def _norm_table(grid, f_hat, terms) -> dict:
 
 
 def evaluate_norm(grid, f_hat, term: NormTerm) -> float:
-    """Evaluate a NormTerm on the scalar potential with coefficients f_hat.
+    """Evaluate a NormTerm on the scalar potential with half spectrum f_hat.
 
     For p = 2 the ordered-partials convention collapses to the exact
     multiplier norm: a Parseval sum of |k|^(2 (lam + grad)) times the power
@@ -213,7 +213,8 @@ def _corpus_field(n: int, k_max: int, seed: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class Corpus:
-    """A reproducible family of unit-L2 band-limited scalar fields.
+    """A reproducible family of unit-L2 band-limited scalar fields, held as
+    k2 >= 0 half spectra.
 
     The same (k_max, seed) pair denotes the same continuum field at every
     resolution, which is what makes refinement trends meaningful.  Paired
@@ -360,8 +361,8 @@ def check_positivity(alpha: float, p: int, corpus=None,
     The integrand is evaluated pointwise and integrated by collocation
     quadrature, which is exact when p*k_max < n; the result is normalized by
     ||w||_p^p.  PASS requires the corpus minimum to clear -1e-10.  corpus
-    may be a Corpus or an explicit sequence of coefficient arrays on the
-    n-point grid.
+    may be a Corpus or an explicit sequence of half spectra on the n-point
+    grid.
     """
     alpha = float(alpha)
     if not (math.isfinite(alpha) and 0.0 < alpha <= 2.0):
@@ -371,12 +372,10 @@ def check_positivity(alpha: float, p: int, corpus=None,
     corpus = Corpus() if corpus is None else corpus
     fields = corpus.fields(n) if isinstance(corpus, Corpus) else list(corpus)
     grid = get_grid(n)
-    h = grid.half_cols
-    lam = grid.kabs[:, :h] ** alpha
+    lam = grid.half_kabs ** alpha
     cell = (2.0 * np.pi / n) ** 2
     worst = np.inf
-    for f_hat in fields:
-        f = f_hat[:, :h]
+    for f in fields:
         w, lam_w = physical_fields(grid, {"w": f, "lw": lam * f}, "w", "lw")
         integral = cell * float(np.sum(lam_w * w ** (p - 1)))
         scale = lp_norm(grid, w, p) ** p
@@ -400,13 +399,11 @@ def log_inequality_check(corpus: Corpus | None = None,
 
     def ratio(grid, w_hat, a_hat):
         *grad_u, w = physical_fields(
-            grid, {"w": w_hat[:, :grid.half_cols]},
-            "u1_1", "u1_2", "u2_1", "u2_2", "w")
+            grid, {"w": w_hat}, "u1_1", "u1_2", "u2_1", "u2_2", "w")
         lhs = float(np.max(np.sqrt(sum(v * v for v in grad_u))))
         w_inf = lp_norm(grid, w, np.inf)
-        wh, ah = w_hat[:, :grid.half_cols], a_hat[:, :grid.half_cols]
-        pw = wh.real**2 + wh.imag**2
-        pj = grid.half_ksq**2 * (ah.real**2 + ah.imag**2)  # |j_hat|^2
+        pw = w_hat.real**2 + w_hat.imag**2
+        pj = grid.half_ksq**2 * (a_hat.real**2 + a_hat.imag**2)  # |j_hat|^2
         u_l2 = math.sqrt(half_power_sum(grid, grid.half_inv_ksq * pw))
         h2_sq = (half_power_sum(grid, pw) + half_power_sum(grid, pw, 2.0)
                  + half_power_sum(grid, pj) + half_power_sum(grid, pj, 2.0))

@@ -24,11 +24,12 @@ modes can fold back into the retained band.
 
 A real field is fixed by its k2 >= 0 half spectrum, the n-by-(n/2+1) array
 coeffs[:, :n//2+1] that numpy's real transforms (rfft2 / irfft2) work on at
-about half the cost of the complex ones.  Full n-by-n spectra remain only
-where the state is: GmhdState keeps omega_hat and a_hat as full Hermitian
-arrays, so full_spectrum expands the half spectra that step and
-nonlinear_rhs return, and the complex transforms serve initial conditions,
-state projection and snapshot I/O.
+about half the cost of the complex ones, and that is the one representation
+here: to_spectral and to_physical are the real transform pair, the Grid's
+multipliers live on the half grid, and the state, every tendency and the
+inequality corpus are half spectra.  Column 0 is the one column inside the
+2/3 band that holds both members of its conjugate pairs, c(-k1, 0) =
+conj(c(k1, 0)); irfft2 sees only its Hermitian part.
 
 physical_fields is the one place that turns half spectra into point values
 of fields and partials, for the solver, the record and every check.  Each
@@ -53,10 +54,6 @@ __all__ = [
     "get_grid",
     "to_spectral",
     "to_physical",
-    "hermitian_part",
-    "to_physical_half",
-    "to_spectral_half",
-    "full_spectrum",
     "physical_fields",
     "fractional_power",
     "half_power_sum",
@@ -73,17 +70,19 @@ class ParameterError(ValueError):
 class Grid:
     """Precomputed wavenumber machinery for an n-by-n periodic grid.
 
+    Every multiplier lives on the k2 >= 0 half grid of the real transforms.
+
     Attributes:
         n: points per side (even, >= 8).
-        k1, k2: integer wavenumbers broadcast to shapes (n, 1) and (1, n).
-        ksq, kabs: |k|^2 and |k| as floats.
-        ik1, ik2: derivative multipliers i*k with the Nyquist line zeroed.
-        inv_ksq: 1/|k|^2 with the zero mode set to 0.
-        dealias_k: retained cutoff K of the 2/3 rule.
-        dealias: boolean mask selecting max(|k1|, |k2|) <= K.
         half_cols: n//2 + 1, the k2 >= 0 columns of a half spectrum.
-        half_ik1, half_ik2, half_ksq, half_inv_ksq, half_dealias: the
-            multipliers above restricted to those columns.
+        k1, k2: integer wavenumbers broadcast to shapes (n, 1) and
+            (1, n//2 + 1): k1 in fft order, k2 = 0, 1, ..., n/2.
+        half_ksq, half_kabs: |k|^2 and |k| as floats.
+        half_ik1, half_ik2: derivative multipliers i*k with the Nyquist lines
+            zeroed.
+        half_inv_ksq: 1/|k|^2 with the zero mode set to 0.
+        dealias_k: retained cutoff K of the 2/3 rule.
+        half_dealias: boolean mask selecting max(|k1|, |k2|) <= K.
         half_weight: Parseval weight of each half-spectrum column, (2pi)^2
             for columns 0 and n/2 (they hold both members of their conjugate
             pairs) and 2 (2pi)^2 for the others, whose mirror is absent.
@@ -96,37 +95,27 @@ class Grid:
         if n < 8 or n % 2:
             raise ParameterError(f"grid size must be even and >= 8, got {n}")
         self.n = int(n)
-        k = np.fft.fftfreq(n, 1.0 / n).astype(int)
-        self.k1 = k[:, None]
-        self.k2 = k[None, :]
-        self.ksq = (self.k1**2 + self.k2**2).astype(float)
-        self.kabs = np.sqrt(self.ksq)
+        h = n // 2 + 1
+        self.half_cols = h
+        self.k1 = np.fft.fftfreq(n, 1.0 / n).astype(int)[:, None]
+        self.k2 = np.arange(h)[None, :]
+        self.half_ksq = (self.k1**2 + self.k2**2).astype(float)
+        self.half_kabs = np.sqrt(self.half_ksq)
         # i*k as a derivative multiplier must send real fields to real fields;
-        # the lone Nyquist column has no conjugate partner, so it is dropped.
-        kd = k.astype(float)
-        kd[n // 2] = 0.0
-        self.ik1 = (1j * kd)[:, None]
-        self.ik2 = (1j * kd)[None, :]
-        inv = np.zeros_like(self.ksq)
-        nz = self.ksq > 0
-        inv[nz] = 1.0 / self.ksq[nz]
-        self.inv_ksq = inv
+        # the lone Nyquist lines have no conjugate partner, so they are dropped.
+        self.half_ik1 = 1j * np.where(self.k1 == -(n // 2), 0, self.k1).astype(float)
+        self.half_ik2 = 1j * np.where(self.k2 == n // 2, 0, self.k2).astype(float)
+        inv = np.zeros_like(self.half_ksq)
+        nz = self.half_ksq > 0
+        inv[nz] = 1.0 / self.half_ksq[nz]
+        self.half_inv_ksq = inv
         kcut = n // 3
         if 3 * kcut >= n:
             kcut -= 1
         self.dealias_k = kcut
-        self.dealias = (np.abs(self.k1) <= kcut) & (np.abs(self.k2) <= kcut)
-        h = n // 2 + 1
-        self.half_cols = h
-        self.half_ik1 = self.ik1
-        self.half_ik2 = self.ik2[:, :h].copy()
-        self.half_ksq = self.ksq[:, :h].copy()
-        self.half_inv_ksq = self.inv_ksq[:, :h].copy()
-        self.half_dealias = self.dealias[:, :h].copy()
+        self.half_dealias = (np.abs(self.k1) <= kcut) & (self.k2 <= kcut)
         self.half_weight = np.full(h, 2.0 * (2.0 * np.pi) ** 2)
         self.half_weight[[0, -1]] = (2.0 * np.pi) ** 2
-        # row of -k1 for every k1, used to mirror the half spectrum
-        self._neg_rows = -np.arange(n) % n
         x = np.arange(n) * (2.0 * np.pi / n)
         self.x1, self.x2 = np.meshgrid(x, x, indexing="ij")
 
@@ -147,71 +136,31 @@ def get_grid(n: int) -> Grid:
 
 
 # ---------------------------------------------------------------------------
-# transforms and reality
+# transforms
 # ---------------------------------------------------------------------------
-
-def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of a real field of point values."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n, grid.n):
-        raise ParameterError(
-            f"field shape {values.shape} does not match grid n={grid.n}")
-    return np.fft.fft2(values) / grid.n**2
-
-
-def to_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Point values of a coefficient array (real part; callers keep coeffs
-    Hermitian so the imaginary part is roundoff)."""
-    if coeffs.shape != (grid.n, grid.n):
-        raise ParameterError(
-            f"coefficient shape {coeffs.shape} does not match grid n={grid.n}")
-    return np.real(np.fft.ifft2(coeffs) * grid.n**2)
-
-
-def _conj_flip(coeffs: np.ndarray) -> np.ndarray:
-    # coefficient array of the complex conjugate field: c(k) -> conj(c(-k))
-    return np.conj(np.roll(coeffs[::-1, ::-1], 1, axis=(0, 1)))
-
-
-def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
-    """Projection onto coefficient arrays of real fields, c(-k) = conj(c(k))."""
-    return 0.5 * (coeffs + _conj_flip(coeffs))
-
 
 # The transforms are looked up as np.fft.<name> at call time, so a wrapper
 # installed on numpy.fft (e.g. a call counter) sees them.
 
-def to_physical_half(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Point values of the real field with k2 >= 0 half spectrum `half`.
-
-    Column 0 and the Nyquist column hold both members of each conjugate pair;
-    as in to_physical, only their Hermitian part contributes.
-    """
-    return np.fft.irfft2(half, s=(grid.n, grid.n), norm="forward")
-
-
-def to_spectral_half(grid: Grid, values: np.ndarray) -> np.ndarray:
+def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
     """k2 >= 0 half spectrum of a real field of point values."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n, grid.n):
+        raise ParameterError(
+            f"field shape {values.shape} does not match grid n={grid.n}")
     return np.fft.rfft2(values, norm="forward")
 
 
-def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Full n-by-n coefficient array of the real field with half spectrum
-    `half`.
+def to_physical(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Point values of the real field with k2 >= 0 half spectrum `half`.
 
-    Columns 1..n/2-1 are mirrored through c(-k) = conj(c(k)); column 0 and
-    the Nyquist column are replaced by their Hermitian part, so the result is
-    exactly Hermitian: c(-k) == conj(c(k)) bit for bit.
+    Column 0 and the Nyquist column hold both members of each conjugate
+    pair; only their Hermitian part contributes.
     """
-    n, m = grid.n, grid.n // 2
-    rows = grid._neg_rows
-    full = np.empty((n, n), dtype=complex)
-    full[:, 1:m] = half[:, 1:m]
-    full[:, m + 1:] = np.conj(half[rows, m - 1:0:-1])
-    for col in (0, m):
-        c = half[:, col]
-        full[:, col] = 0.5 * (c + np.conj(c[rows]))
-    return full
+    if half.shape != (grid.n, grid.half_cols):
+        raise ParameterError(
+            f"half-spectrum shape {half.shape} does not match grid n={grid.n}")
+    return np.fft.irfft2(half, s=(grid.n, grid.n), norm="forward")
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +172,16 @@ def fractional_power(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
 
     Args:
         grid: the Grid the coefficients live on.
-        coeffs: coefficient array.
+        coeffs: k2 >= 0 half spectrum.
         s: exponent, finite and >= 0.  s = 0 is the identity (mean kept);
             any s > 0 annihilates the mean mode.
 
     Returns:
-        Coefficient array of Lambda^s applied to the field.
+        Half spectrum of Lambda^s applied to the field.
     """
     if not np.isfinite(s) or s < 0:
         raise ParameterError(f"fractional exponent must be finite and >= 0, got {s}")
-    return grid.kabs**s * coeffs  # 0**0 == 1, so s = 0 keeps the mean
+    return grid.half_kabs**s * coeffs  # 0**0 == 1, so s = 0 keeps the mean
 
 
 # name -> (source, multiplier) of each field physical_fields forms itself
@@ -295,7 +244,7 @@ def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
             c = base
             for axis in idx:
                 c = mult[axis] * c
-            planes[name, idx] = to_physical_half(grid, c)
+            planes[name, idx] = to_physical(grid, c)
     return [planes[key] for key in keys]
 
 
@@ -303,9 +252,10 @@ def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
 # products and norms
 # ---------------------------------------------------------------------------
 
-def spectral_l2(grid: Grid, coeffs: np.ndarray) -> float:
-    """L2 norm over [0, 2pi)^2 from coefficients (Parseval)."""
-    return 2.0 * np.pi * float(np.linalg.norm(coeffs))
+def spectral_l2(grid: Grid, half: np.ndarray) -> float:
+    """L2 norm over [0, 2pi)^2 of the real field with k2 >= 0 half spectrum
+    `half` (Parseval)."""
+    return float(np.sqrt(half_power_sum(grid, half.real**2 + half.imag**2)))
 
 
 def half_power_sum(grid: Grid, power: np.ndarray, s: float = 0.0) -> float:
@@ -376,22 +326,27 @@ def random_band_limited_field(
         grid: target grid.
         k_max: largest wavenumber magnitude, 1 <= k_max <= grid.dealias_k.
         seed: integer seed or numpy SeedSequence.
-        amplitude: L2 norm of the returned field.
+        amplitude: L2 norm of the returned field, finite and >= 0.
 
     Returns:
-        Coefficient array with ||f||_{L2} = amplitude.
+        Half spectrum with ||f||_{L2} = amplitude.
     """
     if not 1 <= k_max <= grid.dealias_k:
         raise ParameterError(
             f"k_max must lie in [1, {grid.dealias_k}] on an n={grid.n} grid, got {k_max}")
+    if not 0.0 <= amplitude < np.inf:  # also rejects nan
+        raise ParameterError(
+            f"amplitude must be finite and >= 0, got {amplitude!r}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
     p, q = _ball_modes(k_max)
     re, im = rng.standard_normal((p.size, 2)).T
     n = grid.n
-    c = np.zeros((n, n), dtype=complex)
-    # the modes and their mirrors are distinct entries, so the assignment
-    # order is immaterial
-    c[p % n, q % n] = 0.5 * (re + 1j * im)
-    c[-p % n, -q % n] = 0.5 * (re - 1j * im)
+    c = np.zeros((n, grid.half_cols), dtype=complex)
+    # a mode (p, q) lands in the half spectrum when q >= 0 and its mirror
+    # (-p, -q) when q <= 0: both for q = 0, so column 0 holds whole pairs;
+    # all entries are distinct, so the assignment order is immaterial
+    up, down = q >= 0, q <= 0
+    c[p[up] % n, q[up]] = 0.5 * (re[up] + 1j * im[up])
+    c[-p[down] % n, -q[down]] = 0.5 * (re[down] - 1j * im[down])
     return c * (amplitude / spectral_l2(grid, c))

@@ -1,29 +1,70 @@
 """Full-spectrum reference operators the tests check the package against.
 
-The package works on k2 >= 0 half spectra (gmhd2d.spectral.physical_fields,
-gmhd2d.spectral.half_power_sum).  These are the plain full n-by-n
-coefficient-array forms of the same operators: Fourier-multiplier
+The package stores and transforms only k2 >= 0 half spectra (rfft2 /
+irfft2: gmhd2d.spectral.to_spectral, to_physical, physical_fields,
+half_power_sum).  These are the plain full n-by-n coefficient-array forms of
+the same operators, built on the complex transforms and on full-grid
+multipliers of their own: the transform pair, Fourier-multiplier
 derivatives, the Biot-Savart and potential maps, the dealiased product, the
-Hermitian defect and the homogeneous Sobolev norm.  They are independent of
-the half-spectrum code paths, which is what makes them useful as oracles.
-random_band_limited_field_loop is the per-mode loop the package's
-vectorized corpus draw replaced.
+gradient coupling of the current equation, the Hermitian projection and
+defect, the half -> full expansion and the homogeneous Sobolev norm.  They
+are independent of the half-spectrum code paths, which is what makes them
+useful as oracles.  random_band_limited_field_loop is the per-mode loop the
+package's vectorized corpus draw replaced.
 """
 
 from __future__ import annotations
 
+import functools
+import types
 import warnings
 
 import numpy as np
 
-from gmhd2d.spectral import (
-    Grid,
-    ParameterError,
-    hermitian_part,
-    spectral_l2,
-    to_physical,
-    to_spectral,
-)
+from gmhd2d.spectral import Grid, ParameterError
+
+
+@functools.lru_cache(maxsize=None)
+def full_grid(grid: Grid) -> types.SimpleNamespace:
+    """Full n-by-n multipliers of grid.
+
+    k1, k2: integer wavenumbers in fft order, shapes (n, 1) and (1, n);
+    ksq, kabs: |k|^2 and |k|; ik1, ik2: i*k with the Nyquist lines zeroed;
+    inv_ksq: 1/|k|^2 with the zero mode 0; dealias: the 2/3 mask.
+    """
+    n = grid.n
+    k = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    k1, k2 = k[:, None], k[None, :]
+    ksq = (k1**2 + k2**2).astype(float)
+    kd = k.astype(float)
+    kd[n // 2] = 0.0
+    inv = np.zeros_like(ksq)
+    inv[ksq > 0] = 1.0 / ksq[ksq > 0]
+    kcut = grid.dealias_k
+    return types.SimpleNamespace(
+        k1=k1, k2=k2, ksq=ksq, kabs=np.sqrt(ksq), ik1=(1j * kd)[:, None],
+        ik2=(1j * kd)[None, :], inv_ksq=inv,
+        dealias=(np.abs(k1) <= kcut) & (np.abs(k2) <= kcut))
+
+
+def full_to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Full n-by-n Fourier coefficients fft2(values) / n^2."""
+    return np.fft.fft2(np.asarray(values, dtype=float)) / grid.n**2
+
+
+def full_to_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Point values of a full coefficient array (real part)."""
+    return np.real(np.fft.ifft2(coeffs) * grid.n**2)
+
+
+def _conj_flip(coeffs: np.ndarray) -> np.ndarray:
+    # coefficient array of the complex conjugate field: c(k) -> conj(c(-k))
+    return np.conj(np.roll(coeffs[::-1, ::-1], 1, axis=(0, 1)))
+
+
+def hermitian_part(coeffs: np.ndarray) -> np.ndarray:
+    """Projection onto coefficient arrays of real fields, c(-k) = conj(c(k))."""
+    return 0.5 * (coeffs + _conj_flip(coeffs))
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:
@@ -31,22 +72,51 @@ def hermitian_defect(coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(coeffs - hermitian_part(coeffs)))
 
 
+def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full n-by-n coefficient array of the real field with half spectrum
+    `half`.
+
+    Columns 1..n/2-1 are mirrored through c(-k) = conj(c(k)); column 0 and
+    the Nyquist column are replaced by their Hermitian part, so the result is
+    exactly Hermitian: c(-k) == conj(c(k)) bit for bit.
+    """
+    n, m = grid.n, grid.n // 2
+    rows = -np.arange(n) % n
+    full = np.empty((n, n), dtype=complex)
+    full[:, 1:m] = half[:, 1:m]
+    full[:, m + 1:] = np.conj(half[rows, m - 1:0:-1])
+    for col in (0, m):
+        c = half[:, col]
+        full[:, col] = 0.5 * (c + np.conj(c[rows]))
+    return full
+
+
+def full_l2(grid: Grid, coeffs: np.ndarray) -> float:
+    """L2 norm over [0, 2pi)^2 from a full coefficient array (Parseval)."""
+    return 2.0 * np.pi * float(np.linalg.norm(coeffs))
+
+
 def derivative(grid: Grid, coeffs: np.ndarray, axis: int) -> np.ndarray:
     """Spectral partial derivative along axis 0 (x1) or 1 (x2)."""
     if axis == 0:
-        return grid.ik1 * coeffs
+        return full_grid(grid).ik1 * coeffs
     if axis == 1:
-        return grid.ik2 * coeffs
+        return full_grid(grid).ik2 * coeffs
     raise ParameterError(f"axis must be 0 or 1, got {axis!r}")
 
 
 def laplacian(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    return -grid.ksq * coeffs
+    return -full_grid(grid).ksq * coeffs
 
 
 def inverse_laplacian(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Solve (Laplacian g) = f with zero-mean g; the input mean is discarded."""
-    return -grid.inv_ksq * coeffs
+    return -full_grid(grid).inv_ksq * coeffs
+
+
+def fractional_power(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
+    """Lambda^s = (-Laplacian)^{s/2}, the |k|^s multiplier (0**0 == 1)."""
+    return full_grid(grid).kabs**s * coeffs
 
 
 def biot_savart(grid: Grid, omega_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,8 +163,23 @@ def dealiased_product(grid: Grid, f_coeffs: np.ndarray, g_coeffs: np.ndarray) ->
     continuum product projected onto the band: with 3K < n no alias of a
     quadratic interaction of retained modes lands back inside the mask.
     """
-    prod = to_physical(grid, f_coeffs) * to_physical(grid, g_coeffs)
-    return to_spectral(grid, prod) * grid.dealias
+    prod = full_to_physical(grid, f_coeffs) * full_to_physical(grid, g_coeffs)
+    return full_to_spectral(grid, prod) * full_grid(grid).dealias
+
+
+def gradient_coupling(grid: Grid, u1c, u2c, b1c, b2c) -> np.ndarray:
+    """Bilinear coupling of grad(u) and grad(b) in the current equation.
+
+    Pointwise value of
+        2 d1(b1) (d1(u2) + d2(u1)) + 2 d2(u2) (d1(b2) + d2(b1));
+    with b := u it collapses to 2 (d1 u1 + d2 u2)(d1 u2 + d2 u1) = 0 for
+    divergence-free u.  The arguments are full coefficient arrays.
+    """
+    def d(c, axis):
+        return full_to_physical(grid, derivative(grid, c, axis))
+
+    return (2.0 * d(b1c, 0) * (d(u2c, 0) + d(u1c, 1))
+            + 2.0 * d(u2c, 1) * (d(b2c, 0) + d(b1c, 1)))
 
 
 def homogeneous_sobolev_norm(grid: Grid, coeffs: np.ndarray, s: float) -> float:
@@ -108,10 +193,11 @@ def homogeneous_sobolev_norm(grid: Grid, coeffs: np.ndarray, s: float) -> float:
     if not np.isfinite(s):
         raise ParameterError(f"Sobolev order must be finite, got {s!r}")
     if s == 0.0:
-        return spectral_l2(grid, coeffs)
+        return full_l2(grid, coeffs)
+    full = full_grid(grid)
     mag = np.abs(coeffs)
-    nz = (grid.ksq > 0) & (mag != 0)
-    return 2.0 * np.pi * float(np.linalg.norm(grid.kabs[nz] ** s * mag[nz]))
+    nz = (full.ksq > 0) & (mag != 0)
+    return 2.0 * np.pi * float(np.linalg.norm(full.kabs[nz] ** s * mag[nz]))
 
 
 def _ball_modes(k_max: int) -> list[tuple[int, int]]:
@@ -125,6 +211,24 @@ def _ball_modes(k_max: int) -> list[tuple[int, int]]:
     return modes
 
 
+def random_band_limited_draw_loop(grid: Grid, k_max: int, seed) -> np.ndarray:
+    """The full coefficient array of random_band_limited_field_loop before
+    its normalization."""
+    if not 1 <= k_max <= grid.dealias_k:
+        raise ParameterError(
+            f"k_max must lie in [1, {grid.dealias_k}] on an n={grid.n} grid, got {k_max}")
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = np.random.default_rng(ss)
+    modes = _ball_modes(k_max)
+    draws = rng.standard_normal((len(modes), 2))
+    n = grid.n
+    c = np.zeros((n, n), dtype=complex)
+    for (p, q), (re, im) in zip(modes, draws):
+        c[p % n, q % n] = 0.5 * (re + 1j * im)
+        c[-p % n, -q % n] = 0.5 * (re - 1j * im)
+    return c
+
+
 def random_band_limited_field_loop(
     grid: Grid,
     k_max: int,
@@ -132,8 +236,8 @@ def random_band_limited_field_loop(
     amplitude: float = 1.0,
 ) -> np.ndarray:
     """Random real field with Fourier support in the ball |k| <= k_max, one
-    mode at a time: the loop gmhd2d.spectral.random_band_limited_field must
-    reproduce bit for bit.
+    mode at a time, as a full coefficient array: its k2 >= 0 columns are
+    what gmhd2d.spectral.random_band_limited_field must reproduce.
 
     The Gaussian coefficient draw is a fixed-order function of the seed alone,
     so a given seed samples the *same* continuum field on every grid that can
@@ -148,16 +252,5 @@ def random_band_limited_field_loop(
     Returns:
         Coefficient array with ||f||_{L2} = amplitude.
     """
-    if not 1 <= k_max <= grid.dealias_k:
-        raise ParameterError(
-            f"k_max must lie in [1, {grid.dealias_k}] on an n={grid.n} grid, got {k_max}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(ss)
-    modes = _ball_modes(k_max)
-    draws = rng.standard_normal((len(modes), 2))
-    n = grid.n
-    c = np.zeros((n, n), dtype=complex)
-    for (p, q), (re, im) in zip(modes, draws):
-        c[p % n, q % n] = 0.5 * (re + 1j * im)
-        c[-p % n, -q % n] = 0.5 * (re - 1j * im)
-    return c * (amplitude / spectral_l2(grid, c))
+    c = random_band_limited_draw_loop(grid, k_max, seed)
+    return c * (amplitude / full_l2(grid, c))

@@ -60,10 +60,13 @@ def test_criterion_01_fractional_multiplier_exact_on_pure_modes():
     worst = 0.0
     for s in (0.5, 1.0, 1.3, 2.0, 4.0):
         for k1, k2 in modes:
-            # pure cosine mode written directly in coefficient space
-            c = np.zeros((n, n), dtype=complex)
-            c[k1 % n, k2 % n] += 0.5
-            c[-k1 % n, -k2 % n] += 0.5
+            # pure cosine mode written directly as a half spectrum: the
+            # entries of (k1, k2) and (-k1, -k2) that land in columns
+            # 0..n/2 (both when k2 = 0)
+            c = np.zeros((n, g.half_cols), dtype=complex)
+            for p, q in ((k1, k2), (-k1, -k2)):
+                if q >= 0:
+                    c[p % n, q] += 0.5
             out = fractional_power(g, c, s)
             factor = float(k1 * k1 + k2 * k2) ** (s / 2.0)
             rel = (np.max(np.abs(out - factor * c))

@@ -190,6 +190,18 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()  # nothing written on a rejected config
 
+    def test_bad_amplitude_exits_one_without_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        cfg = write_cfg(tmp_path, (
+            f"params.n = 32\nparams.t_end = 0.1\n"
+            f"initial.kind = random_band_limited\ninitial.k_max = 8\n"
+            f"initial.amplitude = inf\nsample_every = 0.05\n"
+            f"output_dir = {out}\n"))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "amplitude" in capsys.readouterr().err
+        assert not (out / "snapshot_initial.bin").exists()
+        assert not out.exists()
+
     def test_blow_up_exits_two_with_partial_artifacts(self, tmp_path):
         out = tmp_path / "out"
         text = (

@@ -43,18 +43,23 @@ from gmhd2d.inequalities import (
     evaluate_norm,
     log_inequality_check,
 )
+from gmhd2d.cli import cmd_run
+from gmhd2d.config import parse_run_config
+from gmhd2d.dynamics import load_snapshot
 from gmhd2d.spectral import (
     ParameterError,
     get_grid,
     lp_norm,
     random_band_limited_field,
     to_physical,
-    to_spectral,
 )
 from oracles import (
     biot_savart,
     derivative,
     field_from_potential,
+    full_spectrum,
+    full_to_physical,
+    full_to_spectral,
     homogeneous_sobolev_norm,
 )
 
@@ -71,7 +76,7 @@ class TestSobolevNorm:
 
     def test_eigenmode(self):
         g = get_grid(32)
-        c = to_spectral(g, np.sin(2 * g.x1))
+        c = full_to_spectral(g, np.sin(2 * g.x1))
         base = np.pi * np.sqrt(2)  # ||sin 2x||_2
         assert homogeneous_sobolev_norm(g, c, 1.0) == pytest.approx(2 * base, rel=1e-13)
         assert homogeneous_sobolev_norm(g, c, -1.0) == pytest.approx(base / 2, rel=1e-13)
@@ -87,15 +92,15 @@ class TestSobolevNorm:
     def test_s_zero_is_l2(self):
         g = get_grid(64)
         vals = np.random.default_rng(0).standard_normal((64, 64))
-        c = to_spectral(g, vals)
+        c = full_to_spectral(g, vals)
         assert homogeneous_sobolev_norm(g, c, 0.0) == pytest.approx(
             lp_norm(g, vals, 2), rel=1e-12)
 
     def test_s_one_is_gradient_norm(self):
         g = get_grid(64)
-        c = random_band_limited_field(g, 15, seed=3)
-        gx = to_physical(g, derivative(g, c, 0))
-        gy = to_physical(g, derivative(g, c, 1))
+        c = full_spectrum(g, random_band_limited_field(g, 15, seed=3))
+        gx = full_to_physical(g, derivative(g, c, 0))
+        gy = full_to_physical(g, derivative(g, c, 1))
         grad_l2 = lp_norm(g, np.hypot(gx, gy), 2)
         assert homogeneous_sobolev_norm(g, c, 1.0) == pytest.approx(grad_l2, rel=1e-10)
 
@@ -167,19 +172,19 @@ class TestComputeRecord:
 
     @staticmethod
     def _oracle(st, params, ps, prev=None, e0=None):
-        # the record rebuilt from the full-complex public primitives and
+        # the record rebuilt from the full-spectrum oracle operators and
         # collocation quadrature (exact: every squared field has degree < n)
         g = st.grid
-        wc, ac = st.omega_hat, st.a_hat
+        wc, ac = full_spectrum(g, st.omega_hat), full_spectrum(g, st.a_hat)
         u1c, u2c = biot_savart(g, wc)
         b1c, b2c, jc = field_from_potential(g, ac)
-        w, j = to_physical(g, wc), to_physical(g, jc)
-        u1, u2, b1, b2 = (to_physical(g, c) for c in (u1c, u2c, b1c, b2c))
+        w, j = full_to_physical(g, wc), full_to_physical(g, jc)
+        u1, u2, b1, b2 = (full_to_physical(g, c) for c in (u1c, u2c, b1c, b2c))
         cell = (2 * np.pi / g.n) ** 2
-        du = [to_physical(g, derivative(g, c, ax))
+        du = [full_to_physical(g, derivative(g, c, ax))
               for c in (u1c, u2c) for ax in (0, 1)]
-        grad_j = np.hypot(to_physical(g, derivative(g, jc, 0)),
-                          to_physical(g, derivative(g, jc, 1)))
+        grad_j = np.hypot(full_to_physical(g, derivative(g, jc, 0)),
+                          full_to_physical(g, derivative(g, jc, 1)))
         dfn = direction_field_norms(g, b1, b2)
         hs = homogeneous_sobolev_norm
         rec = dict(
@@ -199,7 +204,7 @@ class TestComputeRecord:
             bhat_w2inf=dfn.w2inf,
             omega_lp={p: lp_norm(g, w, p) for p in ps},
             grad_j_lp={p: lp_norm(g, grad_j, p) for p in ps},
-            a_l2=lp_norm(g, to_physical(g, ac), 2),
+            a_l2=lp_norm(g, full_to_physical(g, ac), 2),
             b_linf=np.max(np.hypot(b1, b2)),
             cross_helicity=cell * np.sum(u1 * b1 + u2 * b2),
             diss_omega=hs(g, wc, params.alpha)**2,
@@ -328,31 +333,28 @@ class TestTransformBudget:
                            resolutions=(64,))
         assert fft_calls == {"irfft2": 8}
 
-    def test_norms_expand_no_full_spectrum(self, monkeypatch):
-        # every spectral norm is a half-spectrum Parseval sum; only the
-        # state's own updates (step, nonlinear_rhs) expand a full spectrum
-        from gmhd2d import diagnostics, dynamics, inequalities, spectral
-        calls = Counter()
-
-        def counted(*args, _fn=spectral.full_spectrum, **kwargs):
-            calls["full_spectrum"] += 1
-            return _fn(*args, **kwargs)
-        for module in (spectral, dynamics, diagnostics, inequalities):
-            if hasattr(module, "full_spectrum"):
-                monkeypatch.setattr(module, "full_spectrum", counted)
-        g = get_grid(64)
-        st = initial_condition("random_band_limited", g, seed=1, k_max=8)
-        f_hat = random_band_limited_field(g, 8, seed=2)
+    def test_package_makes_no_complex_transform(self, fft_calls, tmp_path):
+        # one spectral representation: states, snapshots, records and the
+        # state checks all use the real transform pair
+        g = get_grid(32)
+        for kind in ("orszag_tang", "random_band_limited", "shear",
+                     "single_mode"):
+            initial_condition(kind, g, seed=1, k_max=8)
+        cfg = parse_run_config(
+            f"params.n = 32\nparams.t_end = 0.02\n"
+            f"initial.kind = random_band_limited\ninitial.k_max = 8\n"
+            f"sample_every = 0.01\nsnapshot_every = 0.01\n"
+            f"output_dir = {tmp_path / 'out'}\n")
+        assert cmd_run(cfg) == 0
+        st, _ = load_snapshot(tmp_path / "out" / "snapshot_final.bin")
+        compute_record(st, Params(n=32))
         current_identity_residual(st)
         forcing_identity_residual(st)
-        compute_record(st, Params(n=64))
-        for spec in DEFAULT_INEQUALITY_SPECS:
-            for term in [spec.lhs] + [term for term, _ in spec.rhs]:
-                evaluate_norm(g, f_hat, term)
-        log_inequality_check(Corpus(count=2), resolutions=(64,))
-        assert calls["full_spectrum"] == 0
-        step(st, Params(n=64), 1e-3)  # the counter does see the solver
-        assert calls["full_spectrum"] == 2
+        advection_cancellations(st)
+        b1, b2 = to_physical(g, st.a_hat), to_physical(g, st.omega_hat)
+        direction_field_norms(g, b1, b2)
+        assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
+        assert fft_calls["rfft2"] > 0 and fft_calls["irfft2"] > 0
 
     def test_corpus_checks_make_no_complex_transform(self, fft_calls):
         corpus = Corpus(count=2)
@@ -529,8 +531,8 @@ class TestDirectionField:
     def test_rescaling_invariance(self):
         g = get_grid(64)
         st = initial_condition("orszag_tang", g)
-        b1c, b2c, _ = field_from_potential(g, st.a_hat)
-        b1, b2 = to_physical(g, b1c), to_physical(g, b2c)
+        b1c, b2c, _ = field_from_potential(g, full_spectrum(g, st.a_hat))
+        b1, b2 = full_to_physical(g, b1c), full_to_physical(g, b2c)
         lam = 7.3
         base = direction_field_norms(g, b1, b2, eps=1e-4)
         scaled = direction_field_norms(g, lam * b1, lam * b2, eps=lam * 1e-4)

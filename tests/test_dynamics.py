@@ -7,6 +7,7 @@ expressions, never through the code under test.
 """
 
 import dataclasses
+import struct
 import warnings
 
 import numpy as np
@@ -21,7 +22,6 @@ from gmhd2d.dynamics import (
     cfl_dt,
     current_identity_residual,
     forcing_identity_residual,
-    gradient_coupling,
     initial_condition,
     load_snapshot,
     nonlinear_rhs,
@@ -32,21 +32,30 @@ from gmhd2d.dynamics import (
 )
 from gmhd2d.spectral import (
     ParameterError,
-    full_spectrum,
     get_grid,
     physical_fields,
     spectral_l2,
     to_physical,
     to_spectral,
-    to_spectral_half,
 )
 from oracles import (
     biot_savart,
     dealiased_product,
     derivative,
     field_from_potential,
-    hermitian_defect,
+    full_l2,
+    full_spectrum,
+    full_to_physical,
+    full_to_spectral,
+    gradient_coupling,
 )
+
+
+def assert_column_zero_hermitian(c):
+    # c(-k1, 0) == conj(c(k1, 0)) bit for bit
+    col = c[:, 0]
+    np.testing.assert_array_equal(col[-np.arange(col.size) % col.size],
+                                  np.conj(col))
 
 
 class TestParams:
@@ -94,17 +103,19 @@ class TestInitialConditions:
         st = initial_condition("orszag_tang", g)
         w = to_physical(g, st.omega_hat)
         np.testing.assert_allclose(w, np.cos(g.x1) + np.cos(g.x2), atol=1e-13)
-        u1c, u2c = biot_savart(g, st.omega_hat)
-        np.testing.assert_allclose(to_physical(g, u1c), -np.sin(g.x2), atol=1e-13)
-        np.testing.assert_allclose(to_physical(g, u2c), np.sin(g.x1), atol=1e-13)
+        u1c, u2c = biot_savart(g, full_spectrum(g, st.omega_hat))
+        np.testing.assert_allclose(full_to_physical(g, u1c), -np.sin(g.x2),
+                                   atol=1e-13)
+        np.testing.assert_allclose(full_to_physical(g, u2c), np.sin(g.x1),
+                                   atol=1e-13)
         # ||u0||^2 = 4 pi^2 (mean of sin^2 x1 + sin^2 x2 is 1)
-        usq = spectral_l2(g, u1c) ** 2 + spectral_l2(g, u2c) ** 2
+        usq = full_l2(g, u1c) ** 2 + full_l2(g, u2c) ** 2
         assert usq == pytest.approx(4 * np.pi**2, rel=1e-13)
 
     def test_orszag_tang_divergence_free(self):
         g = get_grid(64)
         st = initial_condition("orszag_tang", g)
-        u1c, u2c = biot_savart(g, st.omega_hat)
+        u1c, u2c = biot_savart(g, full_spectrum(g, st.omega_hat))
         div = derivative(g, u1c, 0) + derivative(g, u2c, 1)
         assert np.max(np.abs(div)) < 1e-14
 
@@ -143,6 +154,28 @@ class TestInitialConditions:
         with pytest.raises(ParameterError, match="unknown initial-condition"):
             initial_condition("vortex_pair", get_grid(32))
 
+    @pytest.mark.parametrize("kind", ["orszag_tang", "random_band_limited",
+                                      "shear", "single_mode"])
+    def test_state_is_half_spectrum_of_real_fields(self, kind):
+        # what the benchmark's traced run reads: to_physical of a stored
+        # spectrum is the real n x n field the full spectrum describes
+        g = get_grid(32)
+        st = initial_condition(kind, g, seed=4, k_max=8)
+        for c in (st.omega_hat, st.a_hat):
+            assert c.shape == (32, g.half_cols)
+            assert_column_zero_hermitian(c)
+            values = to_physical(g, c)
+            assert values.shape == (32, 32) and values.dtype == np.float64
+            np.testing.assert_allclose(
+                values, full_to_physical(g, full_spectrum(g, c)),
+                rtol=0, atol=1e-14 * max(1.0, np.max(np.abs(values))))
+
+    def test_project_state_rejects_full_spectra(self):
+        g = get_grid(16)
+        full = np.zeros((16, 16), complex)
+        with pytest.raises(ParameterError, match="half spectrum shape"):
+            project_state(GmhdState(grid=g, omega_hat=full, a_hat=full))
+
 
 class TestNonlinearRhs:
     """Tendency against closed forms and an independent quadrature oracle."""
@@ -158,7 +191,7 @@ class TestNonlinearRhs:
         # omega = 0: d_omega = b.grad j with a = -cos x2 - cos(2 x1)/2
         g = get_grid(64)
         a = -np.cos(g.x2) - 0.5 * np.cos(2 * g.x1)
-        st = project_state(GmhdState(grid=g, omega_hat=np.zeros((64, 64), complex),
+        st = project_state(GmhdState(grid=g, omega_hat=np.zeros((64, 33), complex),
                                      a_hat=to_spectral(g, a), t=0.0))
         ten = nonlinear_rhs(st, Params(n=64))
         expected = 3.0 * np.sin(2 * g.x1) * np.sin(g.x2)  # b.grad j by hand
@@ -206,8 +239,9 @@ class TestNonlinearRhs:
                                  k_max=g.dealias_k, amplitude=3.0)
 
     @staticmethod
-    def oracle_tendency(g, wc, ac):
-        # the same tendency from the full-complex public primitives
+    def oracle_tendency(g, w_half, a_half):
+        # the same tendency from the full-spectrum oracle operators
+        wc, ac = full_spectrum(g, w_half), full_spectrum(g, a_half)
         u1c, u2c = biot_savart(g, wc)
         b1c, b2c, jc = field_from_potential(g, ac)
 
@@ -227,8 +261,9 @@ class TestNonlinearRhs:
             ten = nonlinear_rhs(st, Params(n=n))
             dw, da = self.oracle_tendency(st.grid, st.omega_hat, st.a_hat)
             for got, want in ((ten.d_omega, dw), (ten.d_a, da)):
-                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-                assert hermitian_defect(got) == 0.0
+                assert got.shape == (n, st.grid.half_cols)
+                assert (np.linalg.norm(full_spectrum(st.grid, got) - want)
+                        <= 1e-13 * np.linalg.norm(want))
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_stress_form_matches_advective_form(self, n):
@@ -239,9 +274,9 @@ class TestNonlinearRhs:
         states.append(initial_condition("orszag_tang", g))
 
         def band(values):
-            out = to_spectral_half(g, values) * g.half_dealias
+            out = to_spectral(g, values) * g.half_dealias
             out[0, 0] = 0.0
-            return full_spectrum(g, out)
+            return out
 
         for st in states:
             u1, u2, b1, b2, wx, wy, jx, jy, ax, ay = physical_fields(
@@ -262,9 +297,10 @@ class TestNonlinearRhs:
         out = step(st, Params(nu=0.05, kappa=0.05, alpha=1.5, beta=0.5, n=n),
                    1e-3)
         for c in (out.omega_hat, out.a_hat):
-            assert hermitian_defect(c) <= 1e-15 * np.linalg.norm(c)
+            assert c.shape == (n, g.half_cols)
+            assert_column_zero_hermitian(c)
             assert c[0, 0] == 0.0
-            assert not np.any(c[~g.dealias])
+            assert not np.any(c[~g.half_dealias])
             assert np.linalg.norm(c) > 0.0
 
     def test_linear_part_is_diagonal_multiplier(self):
@@ -272,18 +308,21 @@ class TestNonlinearRhs:
         st = initial_condition("shear", g)
         p = Params(nu=0.7, alpha=0.6, kappa=0.3, beta=1.4, n=32)
         ten = nonlinear_rhs(st, p)
-        np.testing.assert_allclose(ten.lin_omega, -0.7 * g.kabs**1.2, atol=1e-15)
-        np.testing.assert_allclose(ten.lin_a, -0.3 * g.kabs**2.8, atol=1e-15)
+        np.testing.assert_allclose(ten.lin_omega, -0.7 * g.half_kabs**1.2,
+                                   atol=1e-15)
+        np.testing.assert_allclose(ten.lin_a, -0.3 * g.half_kabs**2.8, atol=1e-15)
 
 
 class TestGradientCoupling:
-    """The bilinear grad(u)-grad(b) term of the current equation."""
+    """The bilinear grad(u)-grad(b) term of the current equation (the
+    oracles' full-spectrum form; the identity residuals use the same
+    partials)."""
 
     def test_zero_velocity(self):
         g = get_grid(32)
         z = np.zeros((32, 32), complex)
-        bc1 = to_spectral(g, -np.sin(g.x1) * np.cos(g.x2))
-        bc2 = to_spectral(g, np.cos(g.x1) * np.sin(g.x2))
+        bc1 = full_to_spectral(g, -np.sin(g.x1) * np.cos(g.x2))
+        bc2 = full_to_spectral(g, np.cos(g.x1) * np.sin(g.x2))
         assert np.max(np.abs(gradient_coupling(g, z, z, bc1, bc2))) == 0.0
 
     def test_closed_form_example(self):
@@ -291,9 +330,9 @@ class TestGradientCoupling:
         # -> only 2 d1(b1) d1(u2) survives = -2 cos^2 x1 cos x2
         g = get_grid(64)
         u1c = np.zeros((64, 64), complex)
-        u2c = to_spectral(g, np.sin(g.x1))
-        b1c = to_spectral(g, -np.sin(g.x1) * np.cos(g.x2))
-        b2c = to_spectral(g, np.cos(g.x1) * np.sin(g.x2))
+        u2c = full_to_spectral(g, np.sin(g.x1))
+        b1c = full_to_spectral(g, -np.sin(g.x1) * np.cos(g.x2))
+        b2c = full_to_spectral(g, np.cos(g.x1) * np.sin(g.x2))
         out = gradient_coupling(g, u1c, u2c, b1c, b2c)
         np.testing.assert_allclose(out, -2 * np.cos(g.x1) ** 2 * np.cos(g.x2),
                                    atol=1e-12)
@@ -302,7 +341,7 @@ class TestGradientCoupling:
         # with b := u the term collapses to 2 (div u)(d1 u2 + d2 u1) = 0
         g = get_grid(64)
         st = initial_condition("random_band_limited", g, seed=3, k_max=10)
-        u1c, u2c = biot_savart(g, st.omega_hat)
+        u1c, u2c = biot_savart(g, full_spectrum(g, st.omega_hat))
         out = gradient_coupling(g, u1c, u2c, u1c, u2c)
         assert np.max(np.abs(out)) < 1e-12
 
@@ -312,7 +351,7 @@ class TestIdentityResiduals:
 
     def test_trivial_zero_cases(self):
         g = get_grid(64)
-        z = np.zeros((64, 64), complex)
+        z = np.zeros((64, g.half_cols), complex)
         a_only = project_state(GmhdState(
             grid=g, omega_hat=z,
             a_hat=to_spectral(g, np.sin(g.x1) * np.sin(g.x2)), t=0.0))
@@ -324,7 +363,7 @@ class TestIdentityResiduals:
     def test_forcing_single_mode(self):
         g = get_grid(64)
         st = project_state(GmhdState(
-            grid=g, omega_hat=np.zeros((64, 64), complex),
+            grid=g, omega_hat=np.zeros((64, g.half_cols), complex),
             a_hat=to_spectral(g, np.sin(g.x1) * np.sin(g.x2)), t=0.0))
         assert forcing_identity_residual(st) < 1e-12
 
@@ -377,8 +416,8 @@ class TestCflandStep:
     def test_cfl_closed_forms(self):
         g = get_grid(128)
         zero = project_state(GmhdState(grid=g,
-                                       omega_hat=np.zeros((128, 128), complex),
-                                       a_hat=np.zeros((128, 128), complex)))
+                                       omega_hat=np.zeros((128, 65), complex),
+                                       a_hat=np.zeros((128, 65), complex)))
         assert cfl_dt(zero, Params()) == pytest.approx(0.01)  # dt_max cap
         shear = initial_condition("shear", g)  # |u|_inf = 1, b = 0
         assert cfl_dt(shear, Params(cfl=0.4)) == pytest.approx(0.01)  # capped
@@ -475,7 +514,7 @@ class TestCflandStep:
             ten = nonlinear_rhs(st, p)
             out = step(st, p, 1e-3)
         with np.errstate(over="ignore"):
-            expected = -(g.kabs ** 400.0)
+            expected = -(g.half_kabs ** 400.0)
         assert np.isinf(expected).sum() > g.n  # |k| >~ 5.9 overflows
         np.testing.assert_array_equal(ten.lin_omega, expected)
         assert np.all(np.isfinite(out.omega_hat))
@@ -645,6 +684,16 @@ class TestSnapshotIO:
         bad_version.write_bytes(bytes(blob))
         with pytest.raises(ParameterError, match="version"):
             load_snapshot(bad_version)
+
+    def test_rejects_size_before_allocating(self, tmp_path):
+        # a bare header claiming n = 2**20 (16 TiB of fields) is a truncated
+        # file, rejected before any n x n array is built
+        path = tmp_path / "huge.bin"
+        path.write_bytes(b"GMHD2D\x00\x00" + struct.pack("<II", 1, 2**20)
+                         + struct.pack("<5d", 0.0, 1.0, 1.0, 1.0, 1.0))
+        assert path.stat().st_size == 56
+        with pytest.raises(ParameterError, match="truncated"):
+            load_snapshot(path)
 
 
 if __name__ == "__main__":

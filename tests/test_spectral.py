@@ -4,6 +4,8 @@ Transforms are checked against a brute-force DFT, derivatives against
 centered finite differences under grid refinement, and the dealiased product
 against a zero-padded exact product on a doubled grid.  Closed-form values
 (shear modes, Biot-Savart of a checkerboard vortex) are frozen as literals.
+The package works on k2 >= 0 half spectra; the full-spectrum operators of
+tests/oracles.py are checked here too, since the other tests lean on them.
 """
 
 import gc
@@ -11,32 +13,35 @@ import gc
 import numpy as np
 import pytest
 
+from gmhd2d import spectral
 from gmhd2d.spectral import (
     Grid,
     ParameterError,
     fractional_power,
-    full_spectrum,
     get_grid,
     half_power_sum,
-    hermitian_part,
     lp_norm,
     physical_fields,
     random_band_limited_field,
     spectral_l2,
     to_physical,
-    to_physical_half,
     to_spectral,
-    to_spectral_half,
 )
 from oracles import (
     biot_savart,
     dealiased_product,
     derivative,
     field_from_potential,
+    full_grid,
+    full_spectrum,
+    full_to_physical,
+    full_to_spectral,
     hermitian_defect,
+    hermitian_part,
     homogeneous_sobolev_norm,
     inverse_laplacian,
     laplacian,
+    random_band_limited_draw_loop,
     random_band_limited_field_loop,
 )
 
@@ -59,8 +64,10 @@ class TestGrid:
     def test_wavenumber_layout(self):
         g = Grid(8)
         assert g.k1[:, 0].tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
-        assert g.k2[0, :].tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
-        assert g.ksq[1, 2] == 5.0
+        assert g.k2[0, :].tolist() == [0, 1, 2, 3, 4]
+        assert g.half_ksq[1, 2] == 5.0
+        assert g.half_ksq[-1, 4] == 17.0
+        assert g.half_kabs[-1, 4] == np.sqrt(17.0)
         assert g.x1[3, 0] == pytest.approx(3 * 2 * np.pi / 8)
         assert g.x2[0, 3] == pytest.approx(3 * 2 * np.pi / 8)
 
@@ -74,17 +81,17 @@ class TestGrid:
 
     def test_dealias_mask_band(self):
         g = Grid(64)
-        inside = (np.abs(g.k1) <= 21) & (np.abs(g.k2) <= 21)
-        assert np.array_equal(g.dealias, inside)
+        inside = (np.abs(g.k1) <= 21) & (g.k2 <= 21)
+        assert np.array_equal(g.half_dealias, inside)
         # alias safety: 2K < n so products of retained modes are representable
         assert 2 * g.dealias_k < g.n
         assert 3 * g.dealias_k < g.n
 
     def test_nyquist_derivative_multiplier_zeroed(self):
         g = Grid(16)
-        assert g.ik1[8, 0] == 0
-        assert g.ik2[0, 8] == 0
-        assert g.ik1[7, 0] == 7j
+        assert g.half_ik1[8, 0] == 0
+        assert g.half_ik2[0, 8] == 0
+        assert g.half_ik1[7, 0] == 7j
 
     def test_grid_identity(self):
         assert Grid(32) == Grid(32)
@@ -101,7 +108,8 @@ class TestGrid:
 
 
 class TestTransforms:
-    """fft2 conventions pinned against an explicit DFT."""
+    """rfft2 conventions pinned against an explicit DFT, and the oracles'
+    full-spectrum pair."""
 
     def test_round_trip(self):
         g = get_grid(32)
@@ -115,7 +123,9 @@ class TestTransforms:
         vals = random_values(n, seed=2)
         analysis = brute_dft_matrix(n, -1)
         brute = analysis @ vals @ analysis.T / n**2
-        np.testing.assert_allclose(to_spectral(g, vals), brute, atol=1e-13)
+        np.testing.assert_allclose(to_spectral(g, vals), brute[:, :g.half_cols],
+                                   atol=1e-13)
+        np.testing.assert_allclose(full_to_spectral(g, vals), brute, atol=1e-13)
 
     def test_single_mode_coefficients(self):
         # cos(3 x1): coefficient 1/2 at k = (+-3, 0) and nothing else
@@ -128,8 +138,10 @@ class TestTransforms:
 
     def test_real_fields_are_hermitian(self):
         g = get_grid(32)
-        c = to_spectral(g, random_values(32, seed=3))
+        vals = random_values(32, seed=3)
+        c = full_to_spectral(g, vals)
         assert hermitian_defect(c) < 1e-13 * np.linalg.norm(c)
+        assert hermitian_defect(full_spectrum(g, to_spectral(g, vals))) == 0.0
 
     def test_hermitian_part_is_projection(self):
         rng = np.random.default_rng(4)
@@ -143,7 +155,7 @@ class TestTransforms:
         g = get_grid(16)
         rng = np.random.default_rng(5)
         c = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        np.testing.assert_allclose(to_spectral(g, to_physical(g, c)),
+        np.testing.assert_allclose(full_to_spectral(g, full_to_physical(g, c)),
                                    hermitian_part(c), atol=1e-13)
 
     def test_shape_mismatch(self):
@@ -152,10 +164,13 @@ class TestTransforms:
             to_spectral(g, np.zeros((8, 8)))
         with pytest.raises(ParameterError, match="shape"):
             to_physical(g, np.zeros((8, 8), complex))
+        with pytest.raises(ParameterError, match="shape"):
+            to_physical(g, np.zeros((16, 16), complex))  # a full spectrum
 
 
 class TestHalfSpectrum:
-    """Real transforms on the k2 >= 0 half and the half -> full expansion."""
+    """The half grid and real transforms against the oracles' full-spectrum
+    forms, and the oracles' half -> full expansion."""
 
     @staticmethod
     def random_half(n, seed):
@@ -165,24 +180,29 @@ class TestHalfSpectrum:
 
     def test_half_multipliers_are_column_slices(self):
         g = get_grid(16)
+        full = full_grid(g)
         h = g.half_cols
         assert h == 9
-        for half, full in ((g.half_ik1, g.ik1), (g.half_ik2, g.ik2),
-                           (g.half_ksq, g.ksq), (g.half_inv_ksq, g.inv_ksq),
-                           (g.half_dealias, g.dealias)):
-            np.testing.assert_array_equal(half, full[:, :h])
+        for half, whole in ((g.half_ik1, full.ik1), (g.half_ik2, full.ik2),
+                            (g.half_ksq, full.ksq), (g.half_kabs, full.kabs),
+                            (g.half_inv_ksq, full.inv_ksq),
+                            (g.half_dealias, full.dealias)):
+            np.testing.assert_array_equal(
+                np.broadcast_to(half, (16, h)),
+                np.broadcast_to(whole, (16, 16))[:, :h])
 
     def test_matches_complex_transforms(self):
         g = get_grid(32)
         vals = random_values(32, seed=6)
-        c = to_spectral(g, vals)
-        half = to_spectral_half(g, vals)
+        c = full_to_spectral(g, vals)
+        half = to_spectral(g, vals)
         np.testing.assert_allclose(half, c[:, :g.half_cols], atol=1e-15)
-        np.testing.assert_allclose(to_physical_half(g, half), vals, atol=1e-13)
+        np.testing.assert_allclose(to_physical(g, half), vals, atol=1e-13)
+        np.testing.assert_allclose(full_to_physical(g, c), vals, atol=1e-13)
 
     def test_full_spectrum_restores_hermitian_arrays(self):
         g = get_grid(32)
-        c = to_spectral(g, random_values(32, seed=7))
+        c = full_to_spectral(g, random_values(32, seed=7))
         np.testing.assert_allclose(full_spectrum(g, c[:, :g.half_cols]), c,
                                    atol=1e-16)
 
@@ -195,8 +215,8 @@ class TestHalfSpectrum:
             full = full_spectrum(g, half)
             assert hermitian_defect(full) == 0.0
             np.testing.assert_array_equal(full[:, 1:n // 2], half[:, 1:n // 2])
-            np.testing.assert_allclose(to_physical_half(g, half),
-                                       to_physical(g, full), atol=1e-14)
+            np.testing.assert_allclose(to_physical(g, half),
+                                       full_to_physical(g, full), atol=1e-14)
 
 
 class TestPhysicalFields:
@@ -205,7 +225,8 @@ class TestPhysicalFields:
     SUFFIXES = ("", "_1", "_2", "_11", "_12", "_21", "_22")
 
     @staticmethod
-    def oracle_spectra(g, wc, ac):
+    def oracle_spectra(g, w_half, a_half):
+        wc, ac = full_spectrum(g, w_half), full_spectrum(g, a_half)
         u1, u2 = biot_savart(g, wc)
         b1, b2, j = field_from_potential(g, ac)
         return {"w": wc, "a": ac, "psi": inverse_laplacian(g, wc), "u1": u1,
@@ -214,28 +235,24 @@ class TestPhysicalFields:
     def test_matches_full_spectrum_oracle(self):
         for n in (32, 64):
             g = get_grid(n)
-            wc = random_band_limited_field(g, g.dealias_k, seed=21)
-            ac = random_band_limited_field(g, g.dealias_k, seed=22)
-            h = g.half_cols
-            spectra = self.oracle_spectra(g, wc, ac)
+            wh = random_band_limited_field(g, g.dealias_k, seed=21)
+            ah = random_band_limited_field(g, g.dealias_k, seed=22)
+            spectra = self.oracle_spectra(g, wh, ah)
             requests = [name + s for name in spectra for s in self.SUFFIXES]
-            planes = physical_fields(g, {"w": wc[:, :h], "a": ac[:, :h]},
-                                     *requests)
+            planes = physical_fields(g, {"w": wh, "a": ah}, *requests)
             for req, plane in zip(requests, planes):
                 name, _, digits = req.partition("_")
                 c = spectra[name]
                 for d in digits:
                     c = derivative(g, c, int(d) - 1)
-                want = to_physical(g, c)
+                want = full_to_physical(g, c)
                 err = np.max(np.abs(plane - want)) / np.max(np.abs(want))
                 assert err < 1e-12, (n, req, err)
 
     def test_mixed_partials_and_request_order(self):
         g = get_grid(32)
-        h = g.half_cols
-        halves = {
-            "w": random_band_limited_field(g, 8, seed=23)[:, :h],
-            "a": random_band_limited_field(g, 8, seed=24)[:, :h]}
+        halves = {"w": random_band_limited_field(g, 8, seed=23),
+                  "a": random_band_limited_field(g, 8, seed=24)}
         requests = ["b1_12", "u2", "j_2", "b1_21", "w_11", "u1_1", "b1"]
         forward = physical_fields(g, halves, *requests)
         np.testing.assert_array_equal(forward[0], forward[3])
@@ -250,20 +267,19 @@ class TestPhysicalFields:
         # a name present in halves is not derived again, so b1 may be any
         # field, not only -d2 a
         g = get_grid(32)
-        h = g.half_cols
         c = random_band_limited_field(g, 8, seed=25)
-        (b1_2,) = physical_fields(g, {"b1": c[:, :h]}, "b1_2")
-        np.testing.assert_allclose(b1_2, to_physical(g, derivative(g, c, 1)),
-                                   atol=1e-13)
+        (b1_2,) = physical_fields(g, {"b1": c}, "b1_2")
+        np.testing.assert_allclose(
+            b1_2, full_to_physical(g, derivative(g, full_spectrum(g, c), 1)),
+            atol=1e-13)
 
     def test_leaves_no_reference_cycle(self):
         # a cycle keeps the call's spectra alive until the cyclic collector
         # runs; inside the stepper that grew the peak memory of an n = 256
         # run by about 50 MiB
         g = get_grid(32)
-        h = g.half_cols
-        halves = {"w": random_band_limited_field(g, 8, seed=26)[:, :h],
-                  "a": random_band_limited_field(g, 8, seed=27)[:, :h]}
+        halves = {"w": random_band_limited_field(g, 8, seed=26),
+                  "a": random_band_limited_field(g, 8, seed=27)}
         gc.collect()
         gc.disable()
         try:
@@ -290,9 +306,9 @@ class TestMultipliers:
         f = np.sin(3 * g.x1) * np.cos(2 * g.x2)
         dfdx1 = 3 * np.cos(3 * g.x1) * np.cos(2 * g.x2)
         dfdx2 = -2 * np.sin(3 * g.x1) * np.sin(2 * g.x2)
-        c = to_spectral(g, f)
-        np.testing.assert_allclose(to_physical(g, derivative(g, c, 0)), dfdx1, atol=1e-12)
-        np.testing.assert_allclose(to_physical(g, derivative(g, c, 1)), dfdx2, atol=1e-12)
+        c = full_to_spectral(g, f)
+        np.testing.assert_allclose(full_to_physical(g, derivative(g, c, 0)), dfdx1, atol=1e-12)
+        np.testing.assert_allclose(full_to_physical(g, derivative(g, c, 1)), dfdx2, atol=1e-12)
 
     def test_derivative_vs_finite_differences_refinement(self):
         # centered differences converge at second order to the spectral value,
@@ -303,14 +319,14 @@ class TestMultipliers:
             f = np.sin(3 * g.x1) * np.cos(2 * g.x2) + 0.5 * np.cos(5 * g.x1 + g.x2)
             h = 2 * np.pi / n
             fd = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * h)
-            sp = to_physical(g, derivative(g, to_spectral(g, f), 0))
+            sp = full_to_physical(g, derivative(g, full_to_spectral(g, f), 0))
             errs.append(np.max(np.abs(fd - sp)))
         assert errs[0] / errs[1] > 3.4
         assert errs[1] / errs[2] > 3.4
 
     def test_derivative_keeps_fields_real(self):
         g = get_grid(16)
-        c = to_spectral(g, random_values(16, seed=6))  # has Nyquist content
+        c = full_to_spectral(g, random_values(16, seed=6))  # has Nyquist content
         assert hermitian_defect(derivative(g, c, 0)) < 1e-13
         assert hermitian_defect(derivative(g, c, 1)) < 1e-13
 
@@ -338,29 +354,30 @@ class TestMultipliers:
         g = get_grid(32)
         c = to_spectral(g, random_values(32, seed=9) + 3.0)  # nonzero mean
         np.testing.assert_allclose(fractional_power(g, c, 0.0), c, atol=0)
-        np.testing.assert_allclose(fractional_power(g, c, 2.0), -laplacian(g, c),
-                                   atol=1e-13)
+        np.testing.assert_allclose(
+            full_spectrum(g, fractional_power(g, c, 2.0)),
+            -laplacian(g, full_spectrum(g, c)), atol=1e-13)
         assert abs(fractional_power(g, c, 0.5)[0, 0]) == 0.0  # mean killed
 
     def test_inverse_laplacian_single_mode(self):
         # sin(2 x2) -> -(1/4) sin(2 x2)
         g = get_grid(32)
         f = np.sin(2 * g.x2)
-        out = to_physical(g, inverse_laplacian(g, to_spectral(g, f)))
+        out = full_to_physical(g, inverse_laplacian(g, full_to_spectral(g, f)))
         np.testing.assert_allclose(out, -0.25 * f, atol=1e-13)
 
     def test_inverse_laplacian_round_trip(self):
         g = get_grid(32)
         vals = random_values(32, seed=10) + 2.5
-        c = to_spectral(g, vals)
-        back = to_physical(g, laplacian(g, inverse_laplacian(g, c)))
+        c = full_to_spectral(g, vals)
+        back = full_to_physical(g, laplacian(g, inverse_laplacian(g, c)))
         np.testing.assert_allclose(back, vals - vals.mean(), atol=1e-11)
 
     def test_invalid_parameters(self):
         g = get_grid(16)
-        c = np.zeros((16, 16), complex)
         with pytest.raises(ParameterError, match="axis"):
-            derivative(g, c, 2)
+            derivative(g, np.zeros((16, 16), complex), 2)
+        c = np.zeros((16, g.half_cols), complex)
         with pytest.raises(ParameterError, match="exponent"):
             fractional_power(g, c, -0.5)
         with pytest.raises(ParameterError, match="exponent"):
@@ -374,15 +391,15 @@ class TestDivFreeFields:
         # omega = -2 sin x1 sin x2  ->  u = (-sin x1 cos x2, cos x1 sin x2)
         g = get_grid(64)
         omega = -2.0 * np.sin(g.x1) * np.sin(g.x2)
-        u1c, u2c = biot_savart(g, to_spectral(g, omega))
-        np.testing.assert_allclose(to_physical(g, u1c),
+        u1c, u2c = biot_savart(g, full_to_spectral(g, omega))
+        np.testing.assert_allclose(full_to_physical(g, u1c),
                                    -np.sin(g.x1) * np.cos(g.x2), atol=1e-13)
-        np.testing.assert_allclose(to_physical(g, u2c),
+        np.testing.assert_allclose(full_to_physical(g, u2c),
                                    np.cos(g.x1) * np.sin(g.x2), atol=1e-13)
 
     def test_divergence_free_and_curl_recovers(self):
         g = get_grid(64)
-        wc = random_band_limited_field(g, 12, seed=11)
+        wc = full_spectrum(g, random_band_limited_field(g, 12, seed=11))
         u1c, u2c = biot_savart(g, wc)
         div = derivative(g, u1c, 0) + derivative(g, u2c, 1)
         curl = derivative(g, u2c, 0) - derivative(g, u1c, 1)
@@ -391,10 +408,10 @@ class TestDivFreeFields:
 
     def test_mean_curl_is_projected_with_warning(self):
         g = get_grid(32)
-        wc = to_spectral(g, np.sin(g.x1) + 1.0)
+        wc = full_to_spectral(g, np.sin(g.x1) + 1.0)
         with pytest.warns(RuntimeWarning, match="mean"):
             u1c, u2c = biot_savart(g, wc)
-        wc0 = to_spectral(g, np.sin(g.x1))
+        wc0 = full_to_spectral(g, np.sin(g.x1))
         ref1, ref2 = biot_savart(g, wc0)
         np.testing.assert_allclose(u1c, ref1, atol=1e-14)
         np.testing.assert_allclose(u2c, ref2, atol=1e-14)
@@ -402,15 +419,18 @@ class TestDivFreeFields:
     def test_field_from_potential_single_mode(self):
         # a = cos x1 -> b = (0, -sin x1), j = -cos x1
         g = get_grid(32)
-        ac = to_spectral(g, np.cos(g.x1))
+        ac = full_to_spectral(g, np.cos(g.x1))
         b1c, b2c, jc = field_from_potential(g, ac)
-        np.testing.assert_allclose(to_physical(g, b1c), np.zeros((32, 32)), atol=1e-14)
-        np.testing.assert_allclose(to_physical(g, b2c), -np.sin(g.x1), atol=1e-14)
-        np.testing.assert_allclose(to_physical(g, jc), -np.cos(g.x1), atol=1e-14)
+        np.testing.assert_allclose(full_to_physical(g, b1c), np.zeros((32, 32)),
+                                   atol=1e-14)
+        np.testing.assert_allclose(full_to_physical(g, b2c), -np.sin(g.x1),
+                                   atol=1e-14)
+        np.testing.assert_allclose(full_to_physical(g, jc), -np.cos(g.x1),
+                                   atol=1e-14)
 
     def test_field_from_potential_properties(self):
         g = get_grid(64)
-        ac = random_band_limited_field(g, 15, seed=12)
+        ac = full_spectrum(g, random_band_limited_field(g, 15, seed=12))
         b1c, b2c, jc = field_from_potential(g, ac)
         div = derivative(g, b1c, 0) + derivative(g, b2c, 1)
         curl = derivative(g, b2c, 0) - derivative(g, b1c, 1)
@@ -443,8 +463,8 @@ class TestProductsAndNorms:
     def test_dealiased_product_matches_padded_oracle(self):
         n = 32
         g = get_grid(n)
-        fc = random_band_limited_field(g, g.dealias_k, seed=14)
-        gc = random_band_limited_field(g, g.dealias_k, seed=15)
+        fc = full_spectrum(g, random_band_limited_field(g, g.dealias_k, seed=14))
+        gc = full_spectrum(g, random_band_limited_field(g, g.dealias_k, seed=15))
         ours = dealiased_product(g, fc, gc)
 
         # oracle: multiply on a doubled grid where no aliasing can occur
@@ -454,15 +474,16 @@ class TestProductsAndNorms:
             out = np.zeros((2 * n, 2 * n), complex)
             out[np.ix_(kmap, kmap)] = c
             return out
-        exact = to_spectral(big, to_physical(big, embed(fc)) * to_physical(big, embed(gc)))
-        exact_small = exact[np.ix_(kmap, kmap)] * g.dealias
+        exact = full_to_spectral(big, full_to_physical(big, embed(fc))
+                                 * full_to_physical(big, embed(gc)))
+        exact_small = exact[np.ix_(kmap, kmap)] * full_grid(g).dealias
         np.testing.assert_allclose(ours, exact_small, atol=1e-13)
 
     def test_dealiased_product_zeroes_tail(self):
         g = get_grid(32)
-        c = to_spectral(g, random_values(32, seed=16))
+        c = full_to_spectral(g, random_values(32, seed=16))
         prod = dealiased_product(g, c, c)
-        assert np.all(prod[~g.dealias] == 0)
+        assert np.all(prod[~full_grid(g).dealias] == 0)
 
     def test_lp_norm_rejects_bad_p(self):
         g = get_grid(16)
@@ -477,7 +498,7 @@ class TestHalfPowerSum:
 
     def test_matches_full_spectrum_norm(self):
         g = get_grid(32)
-        c = to_spectral(g, random_values(32, seed=17))  # Nyquist lines too
+        c = full_to_spectral(g, random_values(32, seed=17))  # Nyquist lines too
         assert np.any(c[:, 16] != 0) and np.any(c[16, :] != 0)
         half = c[:, :g.half_cols]
         power = half.real**2 + half.imag**2
@@ -525,7 +546,7 @@ class TestRandomFields:
     def test_support_in_ball(self):
         g = get_grid(64)
         c = random_band_limited_field(g, 10, seed=1)
-        outside = g.ksq > 100.0
+        outside = g.half_ksq > 100.0
         assert np.all(c[outside] == 0)
         assert c[0, 0] == 0
 
@@ -537,23 +558,41 @@ class TestRandomFields:
         np.testing.assert_allclose(vf[::2, ::2], vc, atol=1e-13)
 
     def test_hermitian_and_real(self):
+        # column 0 holds whole conjugate pairs, exactly; the Nyquist column
+        # lies outside the ball
         g = get_grid(32)
         c = random_band_limited_field(g, 8, seed=9)
-        assert hermitian_defect(c) < 1e-14
+        col = c[:, 0]
+        np.testing.assert_array_equal(col[-np.arange(32) % 32], np.conj(col))
+        assert not np.any(c[:, -1])
 
     @pytest.mark.parametrize("n, k_max, seed", [
         (32, 1, 0), (32, 9, 5), (64, 16, 1), (128, 16, 7), (256, 16, 3),
         (256, 84, 11)])
-    def test_matches_per_mode_loop(self, n, k_max, seed):
-        # the two fancy-index assignments reproduce the loop bit for bit
+    def test_matches_per_mode_loop(self, n, k_max, seed, monkeypatch):
+        # the half spectrum is the k2 >= 0 columns of the loop's full draw:
+        # equal entries before normalization, and equal to 1e-15 after it
+        # (the half- and full-spectrum norms differ in roundoff)
         g = get_grid(n)
-        np.testing.assert_array_equal(
-            random_band_limited_field(g, k_max, seed),
-            random_band_limited_field_loop(g, k_max, seed))
+        h = g.half_cols
         ss = np.random.SeedSequence(seed)
-        np.testing.assert_array_equal(
-            random_band_limited_field(g, k_max, ss, amplitude=3.0),
-            random_band_limited_field_loop(g, k_max, ss, amplitude=3.0))
+        for draw_seed, amplitude in ((seed, 1.0), (ss, 3.0)):
+            want = random_band_limited_field_loop(g, k_max, draw_seed, amplitude)
+            got = random_band_limited_field(g, k_max, draw_seed, amplitude)
+            np.testing.assert_allclose(got, want[:, :h], rtol=1e-15, atol=0)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "spectral_l2", lambda grid, c: 1.0)
+            for draw_seed in (seed, ss):
+                np.testing.assert_array_equal(
+                    random_band_limited_field(g, k_max, draw_seed),
+                    random_band_limited_draw_loop(g, k_max, draw_seed)[:, :h])
+
+    def test_rejects_bad_amplitude(self):
+        g = get_grid(32)
+        for bad in (-1.0, np.inf, -np.inf, np.nan):
+            with pytest.raises(ParameterError, match="amplitude"):
+                random_band_limited_field(g, 8, seed=1, amplitude=bad)
+        assert not np.any(random_band_limited_field(g, 8, seed=1, amplitude=0.0))
 
     def test_k_max_validation(self):
         g = get_grid(32)
