@@ -115,8 +115,6 @@ def verdict_ranks(alpha, beta) -> np.ndarray:
     """
     a = np.asarray(alpha, dtype=float)
     b = np.asarray(beta, dtype=float)
-    if a.ndim == b.ndim == 0:  # one point: float comparisons, 10x cheaper
-        a, b = float(a), float(b)
     if not (np.isfinite(a) & np.isfinite(b)).all():
         raise ParameterError("alpha and beta must be finite")
     if (np.minimum(a, b) < 0.0).any():

@@ -241,11 +241,11 @@ def _suite_inequalities(count):
 
 
 def _suite_positivity(count):
-    corpus = Corpus(count=count or 200)
+    fields = Corpus(count=count or 200).fields(128)
     rows, text = [], []
     for alpha in (0.25, 0.5, 1.0):
         for p in (2, 4, 6):
-            rep = check_positivity(alpha, p, corpus)
+            rep = check_positivity(alpha, p, fields)
             rows.append((f"positivity_min[alpha={alpha:g};p={p}]",
                          rep.min_normalized, -1e-10, "min"))
             text.append(rep.summary())
@@ -337,12 +337,15 @@ VERIFY_SUITES = {
 def cmd_verify(suite: str, count: int | None = None, output=None) -> int:
     """Run a named verification suite, write its report CSV, print a summary.
 
-    Returns 0 iff every check passed.
+    count, when given, overrides the suite's corpus or state count and must
+    be >= 1.  Returns 0 iff every check passed.
     """
     if suite not in VERIFY_SUITES:
         raise ParameterError(
             f"unknown suite {suite!r}; expected one of "
             f"{', '.join(sorted(VERIFY_SUITES))}")
+    if count is not None and count < 1:
+        raise ParameterError(f"count must be a positive integer, got {count}")
     rows, text = VERIFY_SUITES[suite](count)
     out = Path(output) if output is not None else Path(f"verify_{suite}.csv")
     lines = ["check,value,bound,kind,passed"]

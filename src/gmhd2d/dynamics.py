@@ -506,33 +506,22 @@ def step(state: GmhdState, params: Params, dt: float) -> GmhdState:
     written back in w, gives the staged updates below.  Pure linear decay is
     reproduced exactly.  Raises BlowUpSignal when non-finite values appear.
     """
-    _check_dt(dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _tendency(state.grid, **state.halves())
-    return _step(state, params, dt, k1)
+    return _advance(state, params, dt, cfl=False)
 
 
-def _check_dt(dt: float) -> None:
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
-
-
-def _cfl_step(state: GmhdState, params: Params, remaining: float) -> GmhdState:
-    # step by min(cfl_dt(state), remaining), taking the CFL speed from the
-    # stage-1 planes the step needs anyway: 28 transforms, not 32
+def _advance(state: GmhdState, params: Params, dt: float, cfl: bool) -> GmhdState:
+    # the one IF-RK4 step; with cfl set, dt is first capped at the CFL bound
+    # of the stage-1 planes the step needs anyway (28 transforms, not 32)
     g = state.grid
-    planes = _stage_planes(g, state.halves())
-    dt = min(_cfl(g, params, *planes), remaining)
-    _check_dt(dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _stress_tendency(g, *planes)
+        planes = _stage_planes(g, state.halves())
+        if cfl:
+            dt = min(_cfl(g, params, *planes), dt)
+        if not (np.isfinite(dt) and dt > 0.0):
+            raise ParameterError(f"dt must be positive and finite, got {dt!r}")
+        k1w, k1a = _stress_tendency(g, *planes)
     del planes  # not held through stages 2-4
-    return _step(state, params, dt, k1)
 
-
-def _step(state: GmhdState, params: Params, dt: float, k1) -> GmhdState:
-    # the IF-RK4 step of `step`, given the stage-1 tendency k1 of the state
-    g = state.grid
     lw, la = _linear_multipliers(g.n, params.nu, params.alpha,
                                  params.kappa, params.beta)
     ew2 = np.exp(0.5 * dt * lw)
@@ -540,7 +529,6 @@ def _step(state: GmhdState, params: Params, dt: float, k1) -> GmhdState:
     ew1 = ew2 * ew2
     ea1 = ea2 * ea2
     w0, a0 = state.omega_hat, state.a_hat
-    k1w, k1a = k1
 
     with np.errstate(over="ignore", invalid="ignore"):
         k2w, k2a = _tendency(g, ew2 * (w0 + 0.5 * dt * k1w),
@@ -625,7 +613,7 @@ def run(
         for t_target in targets:
             while state.t < t_target - 1e-12:
                 if fixed_dt is None:
-                    state = _cfl_step(state, params, t_target - state.t)
+                    state = _advance(state, params, t_target - state.t, cfl=True)
                 else:
                     state = step(state, params, min(fixed_dt, t_target - state.t))
             state = dataclasses.replace(state, t=t_target)  # shed roundoff drift
@@ -682,6 +670,9 @@ def load_snapshot(path):
         blob = fh.read()
     if blob[:8] != SNAPSHOT_MAGIC:
         raise ParameterError(f"{path}: not a GMHD2D snapshot (bad magic)")
+    if len(blob) < 56:
+        raise ParameterError(
+            f"{path}: truncated snapshot ({len(blob)} bytes, header is 56)")
     version, n = struct.unpack_from("<II", blob, 8)
     if version != SNAPSHOT_VERSION:
         raise ParameterError(f"{path}: unknown snapshot version {version}")

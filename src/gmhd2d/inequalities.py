@@ -27,7 +27,6 @@ machinery.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 
@@ -204,13 +203,6 @@ def evaluate_norm(grid, f_hat, term: NormTerm) -> float:
 # corpus
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _corpus_field(n: int, k_max: int, seed: int) -> np.ndarray:
-    coeffs = random_band_limited_field(get_grid(n), k_max, seed)
-    coeffs.setflags(write=False)
-    return coeffs
-
-
 @dataclasses.dataclass(frozen=True)
 class Corpus:
     """A reproducible family of unit-L2 band-limited scalar fields, held as
@@ -234,12 +226,14 @@ class Corpus:
         return range(self.first_seed, self.first_seed + self.count)
 
     def fields(self, n: int) -> list[np.ndarray]:
-        return [_corpus_field(n, self.k_max, s) for s in self.seeds()]
+        grid = get_grid(n)
+        return [random_band_limited_field(grid, self.k_max, s)
+                for s in self.seeds()]
 
     def paired_fields(self, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(_corpus_field(n, self.k_max, s),
-                 _corpus_field(n, self.k_max, s + _PAIR_STRIDE))
-                for s in self.seeds()]
+        partners = dataclasses.replace(
+            self, first_seed=self.first_seed + _PAIR_STRIDE)
+        return list(zip(self.fields(n), partners.fields(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +366,11 @@ def check_positivity(alpha: float, p: int, corpus=None,
     corpus = Corpus() if corpus is None else corpus
     fields = corpus.fields(n) if isinstance(corpus, Corpus) else list(corpus)
     grid = get_grid(n)
-    lam = grid.half_kabs ** alpha
     cell = (2.0 * np.pi / n) ** 2
     worst = np.inf
     for f in fields:
-        w, lam_w = physical_fields(grid, {"w": f, "lw": lam * f}, "w", "lw")
+        lam_f = fractional_power(grid, f, alpha)
+        w, lam_w = physical_fields(grid, {"w": f, "lw": lam_f}, "w", "lw")
         integral = cell * float(np.sum(lam_w * w ** (p - 1)))
         scale = lp_norm(grid, w, p) ** p
         worst = min(worst, integral / scale)

@@ -353,6 +353,16 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "unknown suite 'nope'" in err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_exits_one(self, tmp_path, capsys, monkeypatch,
+                                       count):
+        # 0 must not fall back to the default corpus, nor -1 to an empty one
+        monkeypatch.chdir(tmp_path)
+        for suite in ("identities", "gronwall"):
+            assert main(["verify", "--suite", suite, "--count", count]) == 1
+            assert "error: count" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failing_suite_exits_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setitem(

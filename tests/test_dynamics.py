@@ -621,6 +621,24 @@ class TestRun:
         np.testing.assert_array_equal(res.final_state.a_hat, s.a_hat)
         assert res.final_state.t == s.t
 
+    def test_fixed_dt_run_matches_hand_loop(self):
+        # the fixed-dt path steps by min(fixed_dt, time left to the sample)
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=12)
+        p = Params(nu=0.05, kappa=0.05, alpha=1.5, beta=0.5, n=64, t_end=0.05)
+        h = 0.007
+        res = run(st, p, sample_every=0.02, fixed_dt=h)
+        s, steps = st, 0
+        for t_target in (0.02, 0.04, 0.05):
+            while s.t < t_target - 1e-12:
+                s = step(s, p, min(h, t_target - s.t))
+                steps += 1
+            s = dataclasses.replace(s, t=t_target)
+        assert steps == 8  # 3 + 3 + 2: each sample shortens its last step
+        np.testing.assert_array_equal(res.final_state.omega_hat, s.omega_hat)
+        np.testing.assert_array_equal(res.final_state.a_hat, s.a_hat)
+        assert res.final_state.t == s.t
+
     def test_zero_cfl_step_raises_instead_of_stalling(self, monkeypatch):
         # an infinite CFL speed gives dt = cfl dx / inf = 0: run must reject
         # it as step does, not loop without advancing t
@@ -692,6 +710,16 @@ class TestSnapshotIO:
         path.write_bytes(b"GMHD2D\x00\x00" + struct.pack("<II", 1, 2**20)
                          + struct.pack("<5d", 0.0, 1.0, 1.0, 1.0, 1.0))
         assert path.stat().st_size == 56
+        with pytest.raises(ParameterError, match="truncated"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("size", [10, 26])
+    def test_rejects_short_header(self, tmp_path, size):
+        # the magic plus part of the header: bad input, not a struct.error
+        path = tmp_path / "short.bin"
+        header = (b"GMHD2D\x00\x00" + struct.pack("<II", 1, 16)
+                  + struct.pack("<5d", 0.0, 1.0, 1.0, 1.0, 1.0))
+        path.write_bytes(header[:size])
         with pytest.raises(ParameterError, match="truncated"):
             load_snapshot(path)
 
