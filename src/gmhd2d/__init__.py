@@ -28,21 +28,18 @@ from .spectral import (  # noqa: F401
 from .dynamics import (  # noqa: F401
     INITIAL_KINDS,
     BlowUpSignal,
-    CancellationReport,
     GmhdState,
+    IdentityReport,
     Params,
-    ResidualReport,
     RunResult,
-    advection_cancellations,
     cfl_dt,
-    current_identity_residual,
-    forcing_identity_residual,
     initial_condition,
     load_snapshot,
     nonlinear_rhs,
     run,
     save_snapshot,
     step,
+    structure_identities,
 )
 from .diagnostics import (  # noqa: F401
     CSV_BASE_COLUMNS,

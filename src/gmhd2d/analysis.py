@@ -52,7 +52,7 @@ VERDICT_OPEN = "Open"
 TAG_ALPHA_GE_HALF_BETA_GE_ONE = "AlphaGeHalfBetaGeOne"    # a >= 1/2 and b >= 1
 TAG_TWO_ALPHA_PLUS_BETA_GT_TWO = "TwoAlphaPlusBetaGtTwo"  # a < 1/2 and 2a+b > 2
 TAG_ALPHA_GE_TWO_BETA_ZERO = "AlphaGeTwoBetaZero"         # a >= 2 and b = 0
-TAG_ALPHA_GE_ONE_SUM_GE_TWO = "AlphaGeOneSumGeTwo"        # a >= 1, b > 0, a+b >= 2
+TAG_ALPHA_GE_ONE_SUM_GE_TWO = "AlphaGeOneSumGeTwo"        # a >= 1, b > 0, a+b >= 2 (beyond the paper)
 TAG_ZERO_ALPHA_BETA_GT_ONE = "ZeroAlphaBetaGtOne"         # a = 0 and b > 1 (conditional)
 TAG_SUM_GE_TWO_COMBINED = "SumGeTwoCombined"              # a+b >= 2 annotation
 
@@ -131,10 +131,14 @@ def verdict_ranks(alpha, beta) -> np.ndarray:
 def classify_regime(alpha: float, beta: float) -> RegimeVerdict:
     """Classify a dissipation-exponent pair against the proven regions.
 
-    The unconditional sufficient conditions are: alpha >= 1/2 with beta >= 1;
-    alpha < 1/2 with 2*alpha + beta > 2; alpha >= 2 with beta = 0; and
-    alpha >= 1, beta > 0 with alpha + beta >= 2.  The conditional criterion
-    covers alpha = 0, beta > 1 under extra smallness hypotheses.  The
+    The unconditional sufficient conditions are the source paper's three
+    stated cases, alpha >= 1/2 with beta >= 1; alpha < 1/2 with
+    2*alpha + beta > 2; alpha >= 2 with beta = 0; and a fourth that lies
+    beyond them and cites no source, alpha >= 1, beta > 0 with
+    alpha + beta >= 2 (the coverage invariant, alpha + beta >= 2 with
+    alpha > 0 proven, rests on it for 1 <= alpha < 2, 0 < beta < 1).  The
+    conditional criterion is the paper's inviscid result, alpha = 0 with
+    beta > 1 while the direction of b stays smooth.  The
     combined-exponent region alpha + beta >= 2 is annotated separately; its
     single excluded point (0, 2) is noted explicitly.
     """

@@ -27,12 +27,10 @@ from .analysis import (
 from .config import RunConfig, load_run_config, make_initial_state
 from .diagnostics import write_csv
 from .dynamics import (
-    advection_cancellations,
-    current_identity_residual,
-    forcing_identity_residual,
     initial_condition,
     run,
     save_snapshot,
+    structure_identities,
 )
 from .inequalities import (
     Corpus,
@@ -216,17 +214,13 @@ def _suite_identities(count):
     rows = []
     for seed in range(1, count + 1):
         st = initial_condition("random_band_limited", grid, seed=seed, k_max=16)
-        rows.append((f"current_identity_residual[seed={seed}]",
-                     float(current_identity_residual(st)), 1e-9, "max"))
-        rows.append((f"forcing_identity_residual[seed={seed}]",
-                     float(forcing_identity_residual(st)), 1e-9, "max"))
-        can = advection_cancellations(st)
-        rows.append((f"self_transport_omega[seed={seed}]",
-                     can.self_transport_omega, 1e-10, "max"))
-        rows.append((f"self_transport_current[seed={seed}]",
-                     can.self_transport_current, 1e-10, "max"))
-        rows.append((f"lorentz_exchange[seed={seed}]",
-                     can.lorentz_exchange, 1e-10, "max"))
+        rep = structure_identities(st)
+        rows += [(f"{name}_identity_residual[seed={seed}]",
+                  getattr(rep, name), 1e-9, "max")
+                 for name in ("current", "forcing")]
+        rows += [(f"{name}[seed={seed}]", getattr(rep, name), 1e-10, "max")
+                 for name in ("self_transport_omega", "self_transport_current",
+                              "lorentz_exchange")]
     worst = max(r[1] for r in rows)
     return rows, [f"identities: {count} seeded states, worst value {worst:.3e}"]
 
@@ -242,14 +236,10 @@ def _suite_inequalities(count):
 
 def _suite_positivity(count):
     fields = Corpus(count=count or 200).fields(128)
-    rows, text = [], []
-    for alpha in (0.25, 0.5, 1.0):
-        for p in (2, 4, 6):
-            rep = check_positivity(alpha, p, fields)
-            rows.append((f"positivity_min[alpha={alpha:g};p={p}]",
-                         rep.min_normalized, -1e-10, "min"))
-            text.append(rep.summary())
-    return rows, text
+    reports = check_positivity((0.25, 0.5, 1.0), (2, 4, 6), fields)
+    rows = [(f"positivity_min[alpha={r.alpha:g};p={r.p}]",
+             r.min_normalized, -1e-10, "min") for r in reports]
+    return rows, [r.summary() for r in reports]
 
 
 def _suite_gronwall(count):

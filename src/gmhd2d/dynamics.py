@@ -17,7 +17,8 @@ current equation
     G = 2 d1(b1) (d1(u2) + d2(u1)) + 2 d2(u2) (d1(b2) + d2(b1)),
 
 which is *not* integrated here but is validated as an exact identity of the
-potential form (current_identity_residual).
+potential form by structure_identities, with the other exact facts the
+(w, j) energy bound rests on.
 
 Stepping is integrating-factor RK4: the stiff diagonal dissipation advances
 exactly through exp(-nu |k|^{2 alpha} dt) multipliers while classical RK4
@@ -27,7 +28,7 @@ interactions of retained modes are alias-free and the semi-discrete system
 conserves energy, cross helicity and the potential's L2 norm exactly when
 nu = kappa = 0.
 
-The fields are real, so the stepper, cfl_dt and the identity checks take
+The fields are real, so the stepper, cfl_dt and structure_identities take
 every physical field from the state's k2 >= 0 half spectra through
 spectral.physical_fields.  The tendency is evaluated in stress form: for
 divergence-free u and b, curl(u.grad u) = u.grad w and curl(b.grad b) =
@@ -74,13 +75,10 @@ __all__ = [
     "Tendency",
     "BlowUpSignal",
     "RunResult",
-    "ResidualReport",
     "initial_condition",
     "nonlinear_rhs",
-    "current_identity_residual",
-    "forcing_identity_residual",
-    "CancellationReport",
-    "advection_cancellations",
+    "IdentityReport",
+    "structure_identities",
     "cfl_dt",
     "step",
     "run",
@@ -208,20 +206,6 @@ class BlowUpSignal(RuntimeError):
         super().__init__(f"non-finite state detected at t = {time:.6g}")
         self.time = time
         self.state = state
-
-
-class ResidualReport(float):
-    """A residual magnitude carrying an under-resolution flag.
-
-    under_resolved is True when the state's spectral tail (outermost 15% of
-    the retained band) exceeds 1e-8 of its peak amplitude, in which case the
-    residual says more about truncation than about the identity.
-    """
-
-    def __new__(cls, value: float, under_resolved: bool = False):
-        obj = super().__new__(cls, value)
-        obj.under_resolved = bool(under_resolved)
-        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +337,8 @@ def nonlinear_rhs(state: GmhdState, params: Params) -> Tendency:
     return Tendency(d_omega=dw, d_a=da, lin_omega=lw, lin_a=la)
 
 
-# the partials G is built from, in the argument order of _coupling
-_COUPLING_PARTIALS = ("b1_1", "u2_1", "u1_2", "u2_2", "b2_1", "b1_2")
-
-
-def _coupling(b1_1, u2_1, u1_2, u2_2, b2_1, b1_2):
-    return 2.0 * b1_1 * (u2_1 + u1_2) + 2.0 * u2_2 * (b2_1 + b1_2)
-
-
 # ---------------------------------------------------------------------------
-# exact-identity residuals
+# exact structure identities
 # ---------------------------------------------------------------------------
 
 def _under_resolved(grid: Grid, *coeff_arrays) -> bool:
@@ -375,77 +351,65 @@ def _under_resolved(grid: Grid, *coeff_arrays) -> bool:
     return False
 
 
-def current_identity_residual(state: GmhdState) -> ResidualReport:
-    """Residual of Delta(u.grad a) = u.grad j - b.grad w - G(grad u, grad b).
+@dataclass(frozen=True)
+class IdentityReport:
+    """Normalized residuals of the exact identities behind the a-priori
+    estimates; each vanishes analytically, so roundoff reads ~1e-16.
 
-    The current equation is an exact consequence of the potential equation;
-    with consistent dealiasing both sides agree to roundoff for band-limited
-    states.  Returns ||lhs - rhs||_2 / max(1, ||u.grad j||_2) with an
-    under-resolution flag.
-    """
-    g = state.grid
-    u1, u2, b1, b2, jx, jy, wx, wy, *grads = physical_fields(
-        g, state.halves(), "u1", "u2", "b1", "b2", "j_1", "j_2", "w_1", "w_2",
-        *_COUPLING_PARTIALS)
-    # u.grad a = u1 b2 - u2 b1, since grad a = (b2, -b1)
-    lhs = -g.half_ksq * _dealiased(g, u1 * b2 - u2 * b1)
-    adv_j = _dealiased(g, u1 * jx + u2 * jy)
-    stretch = _dealiased(g, b1 * wx + b2 * wy)
-    coupling = _dealiased(g, _coupling(*grads))
-    num = spectral_l2(g, lhs - (adv_j - stretch - coupling))
-    den = max(1.0, spectral_l2(g, adv_j))
-    return ResidualReport(num / den,
-                          _under_resolved(g, state.omega_hat, state.a_hat))
-
-
-def forcing_identity_residual(state: GmhdState) -> ResidualReport:
-    """Residual of curl(b.grad b) = b.grad j for perp-gradient fields.
-
-    The vorticity forcing can be evaluated either as the curl of the Lorentz
-    term in velocity form or directly as b.grad j; both are computed here
-    independently and compared: ||lhs - rhs||_2 / max(1, ||b.grad j||_2).
-    """
-    g = state.grid
-    b1, b2, b1_1, b1_2, b2_1, b2_2, jx, jy = physical_fields(
-        g, state.halves(), "b1", "b2", "b1_1", "b1_2", "b2_1", "b2_2", "j_1", "j_2")
-    f1 = _dealiased(g, b1 * b1_1 + b2 * b1_2)
-    f2 = _dealiased(g, b1 * b2_1 + b2 * b2_2)
-    lhs = g.half_ik1 * f2 - g.half_ik2 * f1
-    rhs = _dealiased(g, b1 * jx + b2 * jy)
-    num = spectral_l2(g, lhs - rhs)
-    den = max(1.0, spectral_l2(g, rhs))
-    return ResidualReport(num / den, _under_resolved(g, state.a_hat))
-
-
-@dataclasses.dataclass(frozen=True)
-class CancellationReport:
-    """Normalized advection/exchange integrals that vanish analytically.
-
-    Each value is |integral| / (Cauchy-Schwarz scale), so roundoff shows up
-    as ~1e-16 regardless of field amplitude.
+    under_resolved is True when the spectral tail of omega or a (outermost
+    15% of the retained band) exceeds 1e-8 of its peak amplitude, in which
+    case the residuals say more about truncation than about the identities.
     """
 
+    current: float                 # Delta(u.grad a) = u.grad j - b.grad w - G
+    forcing: float                 # curl(b.grad b) = b.grad j
     self_transport_omega: float    # int (u.grad w) w dx
     self_transport_current: float  # int (u.grad j) j dx
     lorentz_exchange: float        # int (b.grad j) w dx + int (b.grad w) j dx
+    under_resolved: bool
 
 
-def advection_cancellations(state: GmhdState) -> CancellationReport:
-    """Evaluate the three vanishing integrals behind the (w, j) energy bound.
+def structure_identities(state: GmhdState) -> IdentityReport:
+    """Evaluate the five exact identities of IdentityReport on one state,
+    from one physical_fields call of 17 planes plus 7 real analyses.
 
-    Transport by a divergence-free field moves L2 density around without
-    creating it, and the two magnetic exchange terms cancel pairwise.  The
-    integrands are formed pointwise without any dealias projection; since the
-    retained band satisfies 3*dealias_k < n, the collocation quadrature of the
-    cubic products is exact and only floating-point cancellation remains.
-    Each integral is normalized by its Hoelder bound |v|_inf |grad f|_2 |g|_2,
-    which stays at field scale even when the integrand itself degenerates
-    (steady states), unlike a Cauchy-Schwarz scale of the product.
+    current: the current equation follows exactly from the potential
+    equation, so with consistent dealiasing both sides agree to roundoff on
+    band-limited states; ||lhs - rhs||_2 / max(1, ||u.grad j||_2).
+    forcing: the curl of the Lorentz term in velocity form against b.grad j,
+    ||lhs - rhs||_2 / max(1, ||b.grad j||_2).
+    The integrals: transport by a divergence-free field creates no L2
+    density, and the two magnetic exchange terms cancel pairwise.  The
+    integrands are formed pointwise without dealiasing; since 3*dealias_k
+    < n, collocation quadrature of the cubic products is exact and only
+    floating-point cancellation remains.  Each integral is normalized by its
+    Hoelder bound |v|_inf |grad f|_2 |g|_2, which stays at field scale even
+    when the integrand itself degenerates (steady states).
     """
     g = state.grid
-    u1, u2, b1, b2, w, j, wx, wy, jx, jy = physical_fields(
-        g, state.halves(), "u1", "u2", "b1", "b2", "w", "j",
-        "w_1", "w_2", "j_1", "j_2")
+    (u1, u2, b1, b2, w, j, wx, wy, jx, jy,
+     b1_1, b1_2, b2_1, b2_2, u2_1, u1_2, u2_2) = physical_fields(
+        g, state.halves(), "u1", "u2", "b1", "b2", "w", "j", "w_1", "w_2",
+        "j_1", "j_2", "b1_1", "b1_2", "b2_1", "b2_2", "u2_1", "u1_2", "u2_2")
+    u_grad_j = u1 * jx + u2 * jy
+    b_grad_w = b1 * wx + b2 * wy
+    b_grad_j = b1 * jx + b2 * jy
+
+    # u.grad a = u1 b2 - u2 b1, since grad a = (b2, -b1)
+    lhs = -g.half_ksq * _dealiased(g, u1 * b2 - u2 * b1)
+    adv_j = _dealiased(g, u_grad_j)
+    stretch = _dealiased(g, b_grad_w)
+    coupling = _dealiased(  # G(grad u, grad b)
+        g, 2.0 * b1_1 * (u2_1 + u1_2) + 2.0 * u2_2 * (b2_1 + b1_2))
+    current = (spectral_l2(g, lhs - (adv_j - stretch - coupling))
+               / max(1.0, spectral_l2(g, adv_j)))
+
+    f1 = _dealiased(g, b1 * b1_1 + b2 * b1_2)
+    f2 = _dealiased(g, b1 * b2_1 + b2 * b2_2)
+    rhs = _dealiased(g, b_grad_j)
+    forcing = (spectral_l2(g, g.half_ik1 * f2 - g.half_ik2 * f1 - rhs)
+               / max(1.0, spectral_l2(g, rhs)))
+
     cell = (2.0 * np.pi / g.n) ** 2
     tiny = np.finfo(float).tiny
     u_inf = float(np.max(np.hypot(u1, u2)))
@@ -453,19 +417,17 @@ def advection_cancellations(state: GmhdState) -> CancellationReport:
     w_l2, j_l2 = lp_norm(g, w, 2), lp_norm(g, j, 2)
     gw_l2 = lp_norm(g, np.hypot(wx, wy), 2)
     gj_l2 = lp_norm(g, np.hypot(jx, jy), 2)
-
-    def integral(integrand, weight):
-        return abs(cell * float(np.sum(integrand * weight)))
-
-    i_w = integral(u1 * wx + u2 * wy, w)
-    i_j = integral(u1 * jx + u2 * jy, j)
-    pair = cell * (float(np.sum((b1 * jx + b2 * jy) * w))
-                   + float(np.sum((b1 * wx + b2 * wy) * j)))
-    return CancellationReport(
+    i_w = abs(cell * float(np.sum((u1 * wx + u2 * wy) * w)))
+    i_j = abs(cell * float(np.sum(u_grad_j * j)))
+    pair = cell * (float(np.sum(b_grad_j * w)) + float(np.sum(b_grad_w * j)))
+    return IdentityReport(
+        current=current,
+        forcing=forcing,
         self_transport_omega=i_w / max(u_inf * gw_l2 * w_l2, tiny),
         self_transport_current=i_j / max(u_inf * gj_l2 * j_l2, tiny),
         lorentz_exchange=abs(pair) / max(
             b_inf * (gj_l2 * w_l2 + gw_l2 * j_l2), tiny),
+        under_resolved=_under_resolved(g, state.omega_hat, state.a_hat),
     )
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -225,15 +226,17 @@ class Corpus:
     def seeds(self) -> range:
         return range(self.first_seed, self.first_seed + self.count)
 
-    def fields(self, n: int) -> list[np.ndarray]:
+    def fields(self, n: int) -> Iterator[np.ndarray]:
+        """The corpus on the n-point grid, drawn one field at a time."""
         grid = get_grid(n)
-        return [random_band_limited_field(grid, self.k_max, s)
-                for s in self.seeds()]
+        return (random_band_limited_field(grid, self.k_max, s)
+                for s in self.seeds())
 
-    def paired_fields(self, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    def paired_fields(self, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Pairs of independent fields, drawn one pair at a time."""
         partners = dataclasses.replace(
             self, first_seed=self.first_seed + _PAIR_STRIDE)
-        return list(zip(self.fields(n), partners.fields(n)))
+        return zip(self.fields(n), partners.fields(n))
 
 
 # ---------------------------------------------------------------------------
@@ -348,35 +351,41 @@ def check_inequality(spec: InequalitySpec, corpus: Corpus | None = None,
     return check_inequalities((spec,), corpus, resolutions)[0]
 
 
-def check_positivity(alpha: float, p: int, corpus=None,
-                     n: int = 128) -> PositivityReport:
-    """Check int (Lambda^alpha w) w^(p-1) dx >= 0 over the corpus.
+def check_positivity(alphas, ps, fields) -> list[PositivityReport]:
+    """Check int (Lambda^alpha w) w^(p-1) dx >= 0 for every (alpha, p) over
+    the fields, one report per pair in (alpha, p) order.
 
-    The integrand is evaluated pointwise and integrated by collocation
-    quadrature, which is exact when p*k_max < n; the result is normalized by
-    ||w||_p^p.  PASS requires the corpus minimum to clear -1e-10.  corpus
-    may be a Corpus or an explicit sequence of half spectra on the n-point
-    grid.
+    fields is an iterable of half spectra, taken in one pass; each field's
+    grid follows from its shape.  w is synthesized once per field and
+    Lambda^alpha w once per (field, alpha).  The integrand is evaluated
+    pointwise and integrated by collocation quadrature, which is exact when
+    p*k_max < n; the result is normalized by ||w||_p^p.  PASS requires the
+    minimum over the fields to clear -1e-10; an empty iterable is rejected.
     """
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and 0.0 < alpha <= 2.0):
+    alphas, ps = [float(alpha) for alpha in alphas], list(ps)
+    if not all(math.isfinite(alpha) and 0.0 < alpha <= 2.0 for alpha in alphas):
         raise ParameterError("alpha must lie in (0, 2]")
-    if not (isinstance(p, (int, np.integer)) and p >= 2 and p % 2 == 0):
+    if not all(isinstance(p, (int, np.integer)) and p >= 2 and p % 2 == 0
+               for p in ps):
         raise ParameterError("p must be an even integer >= 2")
-    corpus = Corpus() if corpus is None else corpus
-    fields = corpus.fields(n) if isinstance(corpus, Corpus) else list(corpus)
-    grid = get_grid(n)
-    cell = (2.0 * np.pi / n) ** 2
-    worst = np.inf
+    ratios = []  # per field, the normalized integrals in (alpha, p) order
     for f in fields:
-        lam_f = fractional_power(grid, f, alpha)
-        w, lam_w = physical_fields(grid, {"w": f, "lw": lam_f}, "w", "lw")
-        integral = cell * float(np.sum(lam_w * w ** (p - 1)))
-        scale = lp_norm(grid, w, p) ** p
-        worst = min(worst, integral / scale)
-    return PositivityReport(alpha=alpha, p=int(p), corpus_size=len(fields),
-                            min_normalized=worst,
-                            passed=bool(worst >= -1e-10))
+        grid = get_grid(f.shape[0])
+        halves = {"w": f}
+        halves.update((f"lw{i}", fractional_power(grid, f, alpha))
+                      for i, alpha in enumerate(alphas))
+        w, *lam_ws = physical_fields(grid, halves, *halves)
+        cell = (2.0 * np.pi / grid.n) ** 2
+        weights = [(w ** (p - 1), lp_norm(grid, w, p) ** p) for p in ps]
+        ratios.append([cell * float(np.sum(lam_w * power)) / scale
+                       for lam_w in lam_ws for power, scale in weights])
+    if not ratios:
+        raise ParameterError("positivity needs at least one field")
+    return [PositivityReport(alpha=alpha, p=int(p), corpus_size=len(ratios),
+                             min_normalized=float(worst),
+                             passed=bool(worst >= -1e-10))
+            for (alpha, p), worst in zip(itertools.product(alphas, ps),
+                                         np.min(ratios, axis=0))]
 
 
 def log_inequality_check(corpus: Corpus | None = None,

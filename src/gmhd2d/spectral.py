@@ -177,11 +177,17 @@ def fractional_power(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
             any s > 0 annihilates the mean mode.
 
     Returns:
-        Half spectrum of Lambda^s applied to the field.
+        Half spectrum of Lambda^s applied to the field.  As in
+        half_power_sum, |k|^s weights only nonzero coefficients, so a weight
+        beyond float range leaves empty modes at 0, not inf * 0 = nan.
     """
     if not np.isfinite(s) or s < 0:
         raise ParameterError(f"fractional exponent must be finite and >= 0, got {s}")
-    return grid.half_kabs**s * coeffs  # 0**0 == 1, so s = 0 keeps the mean
+    coeffs = np.asarray(coeffs)
+    with np.errstate(over="ignore"):  # overflow on empty modes is unused
+        weight = grid.half_kabs**s  # 0**0 == 1, so s = 0 keeps the mean
+    out = np.zeros_like(coeffs, np.result_type(weight, coeffs))
+    return np.multiply(weight, coeffs, out=out, where=coeffs != 0)
 
 
 # name -> (source, multiplier) of each field physical_fields forms itself

@@ -25,11 +25,9 @@ from gmhd2d.diagnostics import (
 )
 from gmhd2d.dynamics import (
     Params,
-    advection_cancellations,
-    current_identity_residual,
-    forcing_identity_residual,
     initial_condition,
     run,
+    structure_identities,
 )
 from gmhd2d.inequalities import (
     Corpus,
@@ -86,12 +84,10 @@ def test_criterion_02_structure_identities_on_seeded_states():
     worst_cancel = 0.0
     for seed in range(1, 51):
         st = initial_condition("random_band_limited", g, seed=seed, k_max=16)
-        worst_resid = max(worst_resid,
-                          current_identity_residual(st),
-                          forcing_identity_residual(st))
-        can = advection_cancellations(st)
-        worst_cancel = max(worst_cancel, can.self_transport_omega,
-                           can.self_transport_current, can.lorentz_exchange)
+        rep = structure_identities(st)
+        worst_resid = max(worst_resid, rep.current, rep.forcing)
+        worst_cancel = max(worst_cancel, rep.self_transport_omega,
+                           rep.self_transport_current, rep.lorentz_exchange)
     elapsed = time.perf_counter() - t0
     assert worst_resid < 1e-9
     assert worst_cancel < 1e-10
@@ -164,14 +160,14 @@ def test_criterion_04_closed_form_decay_and_rk4_order():
 
 def test_criterion_05_fractional_positivity_over_corpus():
     t0 = time.perf_counter()
-    corpus = Corpus()
+    reports = check_positivity((0.25, 0.5, 1.0), (2, 4, 6),
+                               Corpus().fields(128))
+    assert len(reports) == 9
     worst = math.inf
-    for alpha in (0.25, 0.5, 1.0):
-        for p in (2, 4, 6):
-            rep = check_positivity(alpha, p, corpus)
-            worst = min(worst, rep.min_normalized)
-            assert rep.min_normalized >= -1e-10, (alpha, p)
-            assert rep.corpus_size == 200
+    for rep in reports:
+        worst = min(worst, rep.min_normalized)
+        assert rep.min_normalized >= -1e-10, (rep.alpha, rep.p)
+        assert rep.corpus_size == 200
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _line(5, f"9 (alpha, p) pairs x 200 fields: min normalized integral "

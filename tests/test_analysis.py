@@ -105,22 +105,31 @@ class TestClassifier:
 
 
 class TestVerdictRanks:
-    """The elementwise verdict rule against per-point classification."""
+    """The elementwise verdict rule against scalar rules written out here."""
 
     @staticmethod
-    def expected_ranks(alphas, betas):
-        # the rank of each point's verdict, which must also follow from the
-        # point's own witnesses
-        ranks = []
-        for a, b in zip(alphas, betas):
-            v = classify_regime(a, b)
-            rank = VERDICTS.index(v.verdict)
-            if any(w in PROVEN_TAGS for w in v.witnesses):
-                assert rank == 2
-            else:
-                assert rank == ("ZeroAlphaBetaGtOne" in v.witnesses)
-            ranks.append(rank)
-        return np.array(ranks, dtype=np.int8)
+    def oracle_rank(a, b):
+        # the source paper's three proven cases, the code's extra case
+        # (alpha >= 1, beta > 0, alpha + beta >= 2; beyond the paper), then
+        # the paper's conditional nu = 0, beta > 1 result; 2 / 1 / 0 as in
+        # VERDICTS
+        if a >= 0.5 and b >= 1:
+            return 2
+        if 0 <= a < 0.5 and 2 * a + b > 2:
+            return 2
+        if a >= 2 and b == 0:
+            return 2
+        if a >= 1 and b > 0 and a + b >= 2:
+            return 2
+        if a == 0 and b > 1:
+            return 1
+        return 0
+
+    def expected_ranks(self, alphas, betas):
+        return np.array([self.oracle_rank(a, b)
+                         for a, b in zip(np.ravel(alphas).tolist(),
+                                         np.ravel(betas).tolist())],
+                        dtype=np.int8)
 
     def test_full_grid(self):
         # the verify suite's 401 x 401 grid on [0, 4]^2
@@ -129,19 +138,27 @@ class TestVerdictRanks:
         a, b = np.meshgrid(vals, vals, indexing="ij")
         ranks = verdict_ranks(vals[:, None], vals[None, :])
         assert ranks.dtype == np.int8 and ranks.shape == (401, 401)
-        np.testing.assert_array_equal(
-            ranks.ravel(), self.expected_ranks(a.ravel(), b.ravel()))
+        np.testing.assert_array_equal(ranks.ravel(), self.expected_ranks(a, b))
 
     def test_boundary_lines(self):
+        # every line where a condition switches; classify_regime's verdict
+        # and witnesses must agree with the same rules
         t = np.linspace(0.0, 4.0, 801)
         lines = [(np.full_like(t, a), t) for a in (0.0, 0.5, 1.0, 2.0)]
         lines += [(t, np.full_like(t, b)) for b in (0.0, 1.0, 2.0)]
         s = np.linspace(0.0, 1.0, 401)
         lines.append((s, 2.0 - 2.0 * s))  # 2 alpha + beta = 2
         for alphas, betas in lines:
-            np.testing.assert_array_equal(
-                verdict_ranks(alphas, betas),
-                self.expected_ranks(alphas, betas))
+            expected = self.expected_ranks(alphas, betas)
+            np.testing.assert_array_equal(verdict_ranks(alphas, betas),
+                                          expected)
+            for a, b, rank in zip(alphas, betas, expected):
+                v = classify_regime(a, b)
+                assert VERDICTS.index(v.verdict) == rank
+                proven = any(w in PROVEN_TAGS for w in v.witnesses)
+                assert proven == (rank == 2)
+                if rank == 1:
+                    assert "ZeroAlphaBetaGtOne" in v.witnesses
 
     def test_scalar_and_validation(self):
         assert verdict_ranks(0.0, 2.0) == 1

@@ -25,14 +25,12 @@ from gmhd2d.diagnostics import (
 )
 from gmhd2d.dynamics import (
     Params,
-    advection_cancellations,
     cfl_dt,
-    current_identity_residual,
-    forcing_identity_residual,
     initial_condition,
     nonlinear_rhs,
     run,
     step,
+    structure_identities,
 )
 from gmhd2d.inequalities import (
     DEFAULT_INEQUALITY_SPECS,
@@ -302,10 +300,10 @@ class TestTransformBudget:
 
     @pytest.mark.parametrize("check, counts", [
         (lambda st: cfl_dt(st, Params(n=64)), {"irfft2": 4}),
-        (current_identity_residual, {"irfft2": 14, "rfft2": 4}),
-        (forcing_identity_residual, {"irfft2": 8, "rfft2": 3}),
-        (advection_cancellations, {"irfft2": 10}),
-    ], ids=["cfl_dt", "current_identity", "forcing_identity", "advection"])
+        # the 17 distinct planes of the five identities, and the 4 + 3
+        # analyses of the current and forcing residuals
+        (structure_identities, {"irfft2": 17, "rfft2": 7}),
+    ], ids=["cfl_dt", "identities"])
     def test_state_checks(self, fft_calls, check, counts):
         g = get_grid(64)
         st = initial_condition("random_band_limited", g, seed=1, k_max=8)
@@ -348,17 +346,24 @@ class TestTransformBudget:
         assert cmd_run(cfg) == 0
         st, _ = load_snapshot(tmp_path / "out" / "snapshot_final.bin")
         compute_record(st, Params(n=32))
-        current_identity_residual(st)
-        forcing_identity_residual(st)
-        advection_cancellations(st)
+        structure_identities(st)
         b1, b2 = to_physical(g, st.a_hat), to_physical(g, st.omega_hat)
         direction_field_norms(g, b1, b2)
         assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
         assert fft_calls["rfft2"] > 0 and fft_calls["irfft2"] > 0
 
+    def test_positivity_is_one_pass_per_field(self, fft_calls):
+        # w once per field and Lambda^alpha w once per (field, alpha),
+        # shared by every p
+        alphas = (0.25, 0.5, 1.0)
+        reports = check_positivity(alphas, (2, 4, 6),
+                                   Corpus(count=3).fields(64))
+        assert len(reports) == 9
+        assert fft_calls == {"irfft2": 3 * (1 + len(alphas))}
+
     def test_corpus_checks_make_no_complex_transform(self, fft_calls):
         corpus = Corpus(count=2)
-        check_positivity(1.0, 4, corpus, n=64)
+        check_positivity((1.0,), (4,), corpus.fields(64))
         log_inequality_check(corpus, resolutions=(64,))
         assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
         assert fft_calls["irfft2"] > 0

@@ -18,10 +18,7 @@ from gmhd2d.dynamics import (
     BlowUpSignal,
     GmhdState,
     Params,
-    advection_cancellations,
     cfl_dt,
-    current_identity_residual,
-    forcing_identity_residual,
     initial_condition,
     load_snapshot,
     nonlinear_rhs,
@@ -29,6 +26,7 @@ from gmhd2d.dynamics import (
     run,
     save_snapshot,
     step,
+    structure_identities,
 )
 from gmhd2d.spectral import (
     ParameterError,
@@ -355,33 +353,34 @@ class TestIdentityResiduals:
         a_only = project_state(GmhdState(
             grid=g, omega_hat=z,
             a_hat=to_spectral(g, np.sin(g.x1) * np.sin(g.x2)), t=0.0))
-        w_only = initial_condition("shear", g)
-        assert current_identity_residual(a_only) == 0.0
-        assert current_identity_residual(w_only) == 0.0
-        assert forcing_identity_residual(w_only) == 0.0
+        w_only = structure_identities(initial_condition("shear", g))
+        assert structure_identities(a_only).current == 0.0
+        assert w_only.current == 0.0
+        assert w_only.forcing == 0.0
 
     def test_forcing_single_mode(self):
         g = get_grid(64)
         st = project_state(GmhdState(
             grid=g, omega_hat=np.zeros((64, g.half_cols), complex),
             a_hat=to_spectral(g, np.sin(g.x1) * np.sin(g.x2)), t=0.0))
-        assert forcing_identity_residual(st) < 1e-12
+        assert structure_identities(st).forcing < 1e-12
 
     def test_random_band_limited_residuals(self):
         g = get_grid(128)
         st = initial_condition("random_band_limited", g, seed=11, k_max=16)
-        r_cur = current_identity_residual(st)
-        r_for = forcing_identity_residual(st)
-        assert r_cur < 1e-9
-        assert r_for < 1e-9
-        assert not r_cur.under_resolved
-        assert not r_for.under_resolved
+        rep = structure_identities(st)
+        assert rep.current < 1e-9
+        assert rep.forcing < 1e-9
+        assert not rep.under_resolved
 
     def test_under_resolved_flag(self):
-        # energy parked at the dealias edge must trip the resolution flag
+        # energy parked at the dealias edge of either spectrum must trip the
+        # resolution flag
         g = get_grid(64)
         st = initial_condition("single_mode", g, mode=(g.dealias_k, 0))
-        assert current_identity_residual(st).under_resolved
+        assert structure_identities(st).under_resolved
+        edge_a = dataclasses.replace(st, omega_hat=st.a_hat, a_hat=st.omega_hat)
+        assert structure_identities(edge_a).under_resolved
 
 
 class TestCancellations:
@@ -389,7 +388,7 @@ class TestCancellations:
 
     def test_zero_and_decoupled_states(self):
         g = get_grid(64)
-        rep = advection_cancellations(initial_condition("shear", g))
+        rep = structure_identities(initial_condition("shear", g))
         assert rep.self_transport_omega == 0.0
         assert rep.self_transport_current == 0.0
         assert rep.lorentz_exchange == 0.0
@@ -398,14 +397,14 @@ class TestCancellations:
         g = get_grid(128)
         for seed in (1, 7, 42):
             st = initial_condition("random_band_limited", g, seed=seed, k_max=16)
-            rep = advection_cancellations(st)
+            rep = structure_identities(st)
             assert rep.self_transport_omega < 1e-10
             assert rep.self_transport_current < 1e-10
             assert rep.lorentz_exchange < 1e-10
 
     def test_orszag_tang(self):
         st = initial_condition("orszag_tang", get_grid(64))
-        rep = advection_cancellations(st)
+        rep = structure_identities(st)
         assert max(rep.self_transport_omega, rep.self_transport_current,
                    rep.lorentz_exchange) < 1e-12
 

@@ -8,6 +8,7 @@ path for p != 2 is cross-checked against the spectral p = 2 shortcut.
 import numpy as np
 import pytest
 
+from gmhd2d import inequalities
 from gmhd2d.inequalities import (
     Corpus,
     DEFAULT_INEQUALITY_SPECS,
@@ -75,6 +76,16 @@ class TestNormTerm:
         assert evaluate_norm(g, f_hat, NormTerm("b", grad=1, p=np.inf)) == (
             pytest.approx(1.0, rel=1e-12))
 
+    def test_large_lam_on_a_unit_mode(self):
+        # Lambda^400 is the identity on |k| = 1; its weight overflows only on
+        # empty modes, which must leave the quadrature norm finite
+        g = get_grid(64)
+        f_hat = np.zeros((64, g.half_cols), complex)
+        f_hat[1, 0], f_hat[-1, 0] = -0.5j, 0.5j  # sin x1
+        want = evaluate_norm(g, f_hat, NormTerm("f", 0, 0.0, 3.0))
+        assert np.isfinite(want)
+        assert evaluate_norm(g, f_hat, NormTerm("f", 0, 400.0, 3.0)) == want
+
     def test_p2_shortcut_matches_quadrature(self):
         g = get_grid(64)
         f_hat = random_band_limited_field(g, 12, seed=9)
@@ -123,6 +134,34 @@ class TestInequalitySpec:
             return evaluate_norm(g, c, spec.lhs) / rhs
 
         assert ratio(7.3 * f_hat) == pytest.approx(ratio(f_hat), rel=1e-12)
+
+
+class TestCorpus:
+    def test_fields_are_drawn_one_at_a_time(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return random_band_limited_field(*args, **kwargs)
+
+        monkeypatch.setattr(inequalities, "random_band_limited_field", counted)
+        next(iter(Corpus(count=50).fields(64)))
+        assert calls == [1]
+        next(iter(Corpus(count=50).paired_fields(64)))
+        assert calls == [1, 1, 10_001]
+
+    def test_same_seeded_values(self):
+        g = get_grid(64)
+        corpus = Corpus(count=3, k_max=8, first_seed=5)
+        pairs = list(corpus.paired_fields(64))
+        assert len(pairs) == 3
+        for seed, f_hat, (w_hat, a_hat) in zip(
+                (5, 6, 7), corpus.fields(64), pairs):
+            want = random_band_limited_field(g, 8, seed)
+            np.testing.assert_array_equal(f_hat, want)
+            np.testing.assert_array_equal(w_hat, want)
+            np.testing.assert_array_equal(
+                a_hat, random_band_limited_field(g, 8, seed + 10_000))
 
 
 class TestCheckInequality:
@@ -198,29 +237,41 @@ class TestPositivity:
         # int (Lambda^a sin)(sin) = |sin|_2^2 for |k| = 1, any a; normalized
         # by |sin|_2^2 the report minimum is exactly 1
         g, f_hat = sine_mode
-        for alpha in (0.25, 1.0, 2.0):
-            rep = check_positivity(alpha, 2, [f_hat], n=64)
+        reports = check_positivity((0.25, 1.0, 2.0), (2,), [f_hat])
+        assert [r.alpha for r in reports] == [0.25, 1.0, 2.0]
+        for rep in reports:
             assert rep.min_normalized == pytest.approx(1.0, rel=1e-12)
             assert rep.passed
 
     def test_corpus_combinations(self):
-        corpus = Corpus(count=30)
-        for alpha in (0.25, 0.5, 1.0):
-            for p in (2, 4, 6):
-                rep = check_positivity(alpha, p, corpus)
-                assert rep.passed, rep.summary()
-                assert rep.min_normalized >= -1e-10
-                assert rep.corpus_size == 30
+        alphas, ps = (0.25, 0.5, 1.0), (2, 4, 6)
+        reports = check_positivity(alphas, ps, Corpus(count=30).fields(128))
+        assert [(r.alpha, r.p) for r in reports] == [
+            (alpha, p) for alpha in alphas for p in ps]
+        for rep in reports:
+            assert rep.passed, rep.summary()
+            assert rep.min_normalized >= -1e-10
+            assert rep.corpus_size == 30
+
+    def test_table_matches_single_pairs(self):
+        # one pass over the fields changes no report; the grid follows from
+        # each field's shape
+        fields = list(Corpus(count=5).fields(64))
+        table = check_positivity((0.5, 1.0), (2, 6), fields)
+        singles = [check_positivity((alpha,), (p,), fields)[0]
+                   for alpha in (0.5, 1.0) for p in (2, 6)]
+        assert table == singles
 
     def test_validation(self):
+        fields = Corpus(count=2).fields(64)
         with pytest.raises(ParameterError, match="alpha"):
-            check_positivity(0.0, 2, Corpus(count=2))
+            check_positivity((0.0,), (2,), fields)
         with pytest.raises(ParameterError, match="alpha"):
-            check_positivity(2.5, 2, Corpus(count=2))
+            check_positivity((1.0, 2.5), (2,), fields)
         with pytest.raises(ParameterError, match="even"):
-            check_positivity(1.0, 3, Corpus(count=2))
+            check_positivity((1.0,), (2, 3), fields)
         with pytest.raises(ParameterError, match="even"):
-            check_positivity(1.0, 0, Corpus(count=2))
+            check_positivity((1.0,), (0,), fields)
 
 
 class TestLogInequality:

@@ -359,6 +359,18 @@ class TestMultipliers:
             -laplacian(g, full_spectrum(g, c)), atol=1e-13)
         assert abs(fractional_power(g, c, 0.5)[0, 0]) == 0.0  # mean killed
 
+    def test_fractional_large_exponent_weights_only_nonzero_modes(self):
+        # |k|^400 overflows beyond |k| = 5.9: empty modes must stay 0 (not
+        # inf * 0 = nan) and the overflow must not escape as a warning
+        g = get_grid(64)
+        f = random_band_limited_field(g, 8, seed=1)
+        out = fractional_power(g, f, 400.0)
+        assert not np.isnan(out).any()
+        np.testing.assert_array_equal(out[f == 0], 0.0)
+        low = g.half_kabs < 5.0
+        np.testing.assert_array_equal(out[low], g.half_kabs[low] ** 400.0 * f[low])
+        assert not np.isfinite(out[(f != 0) & (g.half_kabs > 6.0)]).any()
+
     def test_inverse_laplacian_single_mode(self):
         # sin(2 x2) -> -(1/4) sin(2 x2)
         g = get_grid(32)
