@@ -13,6 +13,7 @@ import datetime
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .analysis import (
 from .config import RunConfig, load_run_config, make_initial_state
 from .diagnostics import write_csv
 from .dynamics import (
+    Params,
     initial_condition,
     run,
     save_snapshot,
@@ -39,7 +41,6 @@ from .inequalities import (
     check_positivity,
     log_inequality_check,
 )
-from .dynamics import Params
 from .spectral import ParameterError, get_grid
 
 __all__ = ["main", "cmd_run", "cmd_scan", "cmd_verify", "cmd_classify",
@@ -180,9 +181,7 @@ def cmd_scan(config: RunConfig, alpha_values, beta_values,
                      f"{_fmt(max_h2)},{_fmt(bkm)},{blowup}")
     (out / "scan.csv").write_text("\n".join(lines) + "\n")
 
-    verdict_counts: dict[str, int] = {}
-    for row in rows:
-        verdict_counts[row[2]] = verdict_counts.get(row[2], 0) + 1
+    verdict_counts = Counter(row[2] for row in rows)
     summary = [
         f"generated_at = {_timestamp()}",
         f"alpha_values = {', '.join(_fmt(a) for a in alpha_values)}",
@@ -202,11 +201,6 @@ def cmd_scan(config: RunConfig, alpha_values, beta_values,
 # ---------------------------------------------------------------------------
 # Each suite returns (rows, text_lines); a row is (check, value, bound, kind)
 # with kind "max" (pass iff value <= bound) or "min" (pass iff value >= bound).
-
-def _row_passed(row) -> bool:
-    _, value, bound, kind = row
-    return bool(value <= bound) if kind == "max" else bool(value >= bound)
-
 
 def _suite_identities(count):
     count = count or 50
@@ -338,20 +332,18 @@ def cmd_verify(suite: str, count: int | None = None, output=None) -> int:
         raise ParameterError(f"count must be a positive integer, got {count}")
     rows, text = VERIFY_SUITES[suite](count)
     out = Path(output) if output is not None else Path(f"verify_{suite}.csv")
-    lines = ["check,value,bound,kind,passed"]
-    all_passed = True
-    for row in rows:
-        ok = _row_passed(row)
-        all_passed &= ok
-        lines.append(f"{row[0]},{_fmt(row[1])},{_fmt(row[2])},{row[3]},"
-                     f"{1 if ok else 0}")
-    out.write_text("\n".join(lines) + "\n")
+    passed = [bool(value <= bound) if kind == "max" else bool(value >= bound)
+              for _, value, bound, kind in rows]
+    out.write_text("check,value,bound,kind,passed\n" + "".join(
+        f"{check},{_fmt(value)},{_fmt(bound)},{kind},{int(ok)}\n"
+        for (check, value, bound, kind), ok in zip(rows, passed)))
     for line in text:
         print(line)
-    for row in rows:
-        if not _row_passed(row):
-            print(f"FAIL {row[0]}: value {_fmt(row[1])} vs bound "
-                  f"{_fmt(row[2])} ({row[3]})")
+    for (check, value, bound, kind), ok in zip(rows, passed):
+        if not ok:
+            print(f"FAIL {check}: value {_fmt(value)} vs bound {_fmt(bound)} "
+                  f"({kind})")
+    all_passed = all(passed)
     print(f"suite {suite}: {'PASS' if all_passed else 'FAIL'} "
           f"({len(rows)} checks) -> {out}")
     return 0 if all_passed else 1

@@ -16,12 +16,10 @@ and dotted keys group parameters one level deep:
     sample_every = 0.01
     output_dir = out
 
-Recognized keys: params.{nu,kappa,alpha,beta,cfl,t_end,n,dt_max},
-initial.{kind,seed,k_max,amplitude,mode}, sample_every, snapshot_every,
-fixed_dt, output_dir, p_list, eps_bhat.  `initial.mode` is a pair "k1,k2";
-`p_list` a comma-separated list of Lebesgue exponents; `eps_bhat` a positive
-floor or "auto".  Later assignments override earlier ones; unknown keys are
-rejected.
+The keys are the fields of Params (params.*), InitialSpec (initial.*) and
+the rest of RunConfig.  `initial.mode` is a pair "k1,k2"; `p_list` a
+comma-separated list of Lebesgue exponents; `eps_bhat` a positive floor or
+"auto".  Later assignments override earlier ones; unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -110,15 +108,15 @@ def _parse_eps(key, value):
     return _parse_positive(key, value)
 
 
-_PARAM_KEYS = ("nu", "kappa", "alpha", "beta", "cfl", "t_end", "n", "dt_max")
-_INITIAL_PARSERS = {
-    "kind": lambda k, v: v,
-    "seed": _parse_int,
-    "k_max": _parse_int,
-    "amplitude": _parse_float,
-    "mode": _parse_mode,
-}
-_TOP_PARSERS = {
+_PARSERS = {
+    **{f"params.{k}": _parse_float
+       for k in ("nu", "kappa", "alpha", "beta", "cfl", "t_end", "dt_max")},
+    "params.n": _parse_int,
+    "initial.kind": lambda k, v: v,
+    "initial.seed": _parse_int,
+    "initial.k_max": _parse_int,
+    "initial.amplitude": _parse_float,
+    "initial.mode": _parse_mode,
     "sample_every": _parse_positive,
     "snapshot_every": _parse_positive,
     "fixed_dt": _parse_positive,
@@ -134,9 +132,7 @@ def parse_run_config(text: str) -> RunConfig:
     Raises ParameterError on unknown keys, malformed lines, or values the
     solver would reject.
     """
-    params_kwargs: dict = {}
-    initial_kwargs: dict = {}
-    top_kwargs: dict = {}
+    groups: dict = {"params": {}, "initial": {}, "": {}}  # by key prefix
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -145,31 +141,20 @@ def parse_run_config(text: str) -> RunConfig:
             raise ParameterError(
                 f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("params."):
-            sub = key[len("params."):]
-            if sub not in _PARAM_KEYS:
-                raise ParameterError(f"unknown config key: {key}")
-            params_kwargs[sub] = (_parse_int(key, value) if sub == "n"
-                                  else _parse_float(key, value))
-        elif key.startswith("initial."):
-            sub = key[len("initial."):]
-            if sub not in _INITIAL_PARSERS:
-                raise ParameterError(f"unknown config key: {key}")
-            initial_kwargs[sub] = _INITIAL_PARSERS[sub](key, value)
-        elif key in _TOP_PARSERS:
-            top_kwargs[key] = _TOP_PARSERS[key](key, value)
-        else:
+        if key not in _PARSERS:
             raise ParameterError(f"unknown config key: {key}")
+        group, _, name = key.rpartition(".")
+        groups[group][name] = _PARSERS[key](key, value)
 
-    params = Params(**params_kwargs)
+    params = Params(**groups["params"])
     if params.n & (params.n - 1):
         warnings.warn(f"n = {params.n} is not a power of two; transforms "
                       "will be slower", RuntimeWarning, stacklevel=2)
-    initial = InitialSpec(**initial_kwargs)
+    initial = InitialSpec(**groups["initial"])
     if initial.kind not in INITIAL_KINDS:
         raise ParameterError(
             f"initial.kind must be one of {', '.join(INITIAL_KINDS)}")
-    return RunConfig(params=params, initial=initial, **top_kwargs)
+    return RunConfig(params=params, initial=initial, **groups[""])
 
 
 def load_run_config(path) -> RunConfig:

@@ -55,7 +55,6 @@ __all__ = [
     "DiagnosticsRecord",
     "DirectionFieldNorms",
     "LpBoundReport",
-    "lp_norm",
     "compute_record",
     "energy_balance_residual",
     "lp_vorticity_bound_check",

@@ -70,6 +70,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "INITIAL_KINDS",
     "Params",
     "GmhdState",
     "Tendency",
@@ -229,13 +230,16 @@ def initial_condition(
         random_band_limited: independent Gaussian draws for omega and a with
             support |k| <= k_max and L2 norm = amplitude, deterministic in the
             64-bit seed (two spawned streams of one SeedSequence).
-        shear: u = (-sin x2, 0), no magnetic field (omega0 = cos x2).
         single_mode: omega = cos(mode . x), no magnetic field; a steady Euler
             flow, handy for time-stepper checks.
+        shear: single_mode with mode (0, 1), u = (-sin x2, 0) (omega0 =
+            cos x2); mode is ignored.
 
     Returns:
         GmhdState at t = 0.
     """
+    if kind == "shear":
+        kind, mode = "single_mode", (0, 1)
     z = np.zeros((grid.n, grid.half_cols), dtype=complex)
     if kind == "orszag_tang":
         w = to_spectral(grid, np.cos(grid.x1) + np.cos(grid.x2))
@@ -244,9 +248,6 @@ def initial_condition(
         seq_w, seq_a = np.random.SeedSequence(seed).spawn(2)
         w = random_band_limited_field(grid, k_max, seq_w, amplitude)
         a = random_band_limited_field(grid, k_max, seq_a, amplitude)
-    elif kind == "shear":
-        w = to_spectral(grid, np.cos(grid.x2))
-        a = z
     elif kind == "single_mode":
         k1, k2 = (int(mode[0]), int(mode[1]))
         if (k1, k2) == (0, 0) or max(abs(k1), abs(k2)) > grid.dealias_k:
@@ -410,16 +411,15 @@ def structure_identities(state: GmhdState) -> IdentityReport:
     forcing = (spectral_l2(g, g.half_ik1 * f2 - g.half_ik2 * f1 - rhs)
                / max(1.0, spectral_l2(g, rhs)))
 
-    cell = (2.0 * np.pi / g.n) ** 2
     tiny = np.finfo(float).tiny
     u_inf = float(np.max(np.hypot(u1, u2)))
     b_inf = float(np.max(np.hypot(b1, b2)))
     w_l2, j_l2 = lp_norm(g, w, 2), lp_norm(g, j, 2)
     gw_l2 = lp_norm(g, np.hypot(wx, wy), 2)
     gj_l2 = lp_norm(g, np.hypot(jx, jy), 2)
-    i_w = abs(cell * float(np.sum((u1 * wx + u2 * wy) * w)))
-    i_j = abs(cell * float(np.sum(u_grad_j * j)))
-    pair = cell * (float(np.sum(b_grad_j * w)) + float(np.sum(b_grad_w * j)))
+    i_w = abs(g.cell * float(np.sum((u1 * wx + u2 * wy) * w)))
+    i_j = abs(g.cell * float(np.sum(u_grad_j * j)))
+    pair = g.cell * (float(np.sum(b_grad_j * w)) + float(np.sum(b_grad_w * j)))
     return IdentityReport(
         current=current,
         forcing=forcing,

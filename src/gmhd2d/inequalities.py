@@ -16,8 +16,8 @@ evaluated once.  L2 terms are Parseval sums over a half power spectrum
 formed once per field.  Terms of one (field, grad, lam) family that differ
 only in p share one pointwise magnitude: the default battery's 22
 distinct terms need four such families, eight real syntheses per field per
-resolution.  evaluate_norm and check_inequality are the one-term and
-one-spec cases of the same code.
+resolution.  evaluate_norm is the one-term case of the same code, and a
+single spec is checked as check_inequalities((spec,), ...)[0].
 
 Positivity of the fractional-dissipation integral against odd powers and the
 logarithmic bound on the velocity gradient are checked by the same corpus
@@ -51,7 +51,6 @@ __all__ = [
     "Corpus",
     "evaluate_norm",
     "check_inequalities",
-    "check_inequality",
     "check_positivity",
     "log_inequality_check",
     "DEFAULT_INEQUALITY_SPECS",
@@ -145,12 +144,10 @@ def _field_power(grid, f, field):
     return power
 
 
-def _magnitude(grid, f, field, grad, lam):
-    # pointwise Euclidean magnitude of the derivative stack of order grad
-    # of Lambda^lam X(f); Lambda^lam commutes with every derivative, and
-    # |k|^0 = 1 keeps the mean
-    potential = fractional_power(grid, f, lam)
-    # the ordered partials: "a_12" and "a_21" are one synthesis, counted twice
+def _magnitude(grid, potential, field, grad):
+    # pointwise Euclidean magnitude of the derivative stack of order grad of
+    # X(potential), potential = Lambda^lam f; the ordered partials "a_12" and
+    # "a_21" are one synthesis, counted twice
     axes = ["".join(p) for p in itertools.product("12", repeat=grad)]
     names = {"f": ("a",), "b": ("b1", "b2"), "j": ("j",)}[field]
     planes = physical_fields(grid, {"a": potential}, *(
@@ -166,7 +163,9 @@ def _norm_table(grid, f_hat, terms) -> dict:
     The p = 2 terms of one field share its power spectrum.  The other terms
     of one (field, grad, lam) family differ only in p and share one
     magnitude plane from one physical_fields call; families are taken one
-    at a time, so one family's planes at most are alive at once.
+    at a time, so one family's planes at most are alive at once.  A family
+    whose Lambda^lam spectrum is not finite reads inf, as its p = 2 terms
+    do, with no synthesis (which would turn inf into nan).
     """
     table, powers, families = {}, {}, {}
     for term in terms:
@@ -178,8 +177,13 @@ def _norm_table(grid, f_hat, terms) -> dict:
         else:
             families.setdefault((term.field, term.grad, term.lam),
                                 []).append(term)
-    for family, members in families.items():
-        magnitude = _magnitude(grid, f_hat, *family)
+    for (field, grad, lam), members in families.items():
+        potential = fractional_power(grid, f_hat, lam)  # |k|^0 keeps the mean
+        if not np.isfinite(potential).all():
+            table.update(dict.fromkeys(members, math.inf))
+            continue
+        magnitude = _magnitude(grid, potential, field, grad)
+        del potential
         for term in members:
             table[term] = lp_norm(grid, magnitude, term.p)
         del magnitude
@@ -344,13 +348,6 @@ def check_inequalities(specs, corpus: Corpus | None = None,
             for i, spec in enumerate(specs)]
 
 
-def check_inequality(spec: InequalitySpec, corpus: Corpus | None = None,
-                     resolutions=DEFAULT_RESOLUTIONS) -> ConstantReport:
-    """Measure one inequality's best constant over the corpus; see
-    check_inequalities."""
-    return check_inequalities((spec,), corpus, resolutions)[0]
-
-
 def check_positivity(alphas, ps, fields) -> list[PositivityReport]:
     """Check int (Lambda^alpha w) w^(p-1) dx >= 0 for every (alpha, p) over
     the fields, one report per pair in (alpha, p) order.
@@ -375,9 +372,8 @@ def check_positivity(alphas, ps, fields) -> list[PositivityReport]:
         halves.update((f"lw{i}", fractional_power(grid, f, alpha))
                       for i, alpha in enumerate(alphas))
         w, *lam_ws = physical_fields(grid, halves, *halves)
-        cell = (2.0 * np.pi / grid.n) ** 2
         weights = [(w ** (p - 1), lp_norm(grid, w, p) ** p) for p in ps]
-        ratios.append([cell * float(np.sum(lam_w * power)) / scale
+        ratios.append([grid.cell * float(np.sum(lam_w * power)) / scale
                        for lam_w in lam_ws for power, scale in weights])
     if not ratios:
         raise ParameterError("positivity needs at least one field")

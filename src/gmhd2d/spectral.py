@@ -87,6 +87,7 @@ class Grid:
             for columns 0 and n/2 (they hold both members of their conjugate
             pairs) and 2 (2pi)^2 for the others, whose mirror is absent.
         x1, x2: physical coordinates, shape (n, n).
+        cell: (2pi/n)^2, the area of one cell, the rectangle-rule weight.
     """
 
     def __init__(self, n: int):
@@ -118,6 +119,7 @@ class Grid:
         self.half_weight[[0, -1]] = (2.0 * np.pi) ** 2
         x = np.arange(n) * (2.0 * np.pi / n)
         self.x1, self.x2 = np.meshgrid(x, x, indexing="ij")
+        self.cell = (2.0 * np.pi / self.n) ** 2
 
     def __repr__(self) -> str:
         return f"Grid(n={self.n})"
@@ -178,16 +180,19 @@ def fractional_power(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
 
     Returns:
         Half spectrum of Lambda^s applied to the field.  As in
-        half_power_sum, |k|^s weights only nonzero coefficients, so a weight
-        beyond float range leaves empty modes at 0, not inf * 0 = nan.
+        half_power_sum, |k|^s weights only nonzero coefficients, and the real
+        and imaginary parts separately, so a weight beyond float range gives
+        inf where a part is nonzero and 0 elsewhere, never inf * 0 = nan.
     """
     if not np.isfinite(s) or s < 0:
         raise ParameterError(f"fractional exponent must be finite and >= 0, got {s}")
-    coeffs = np.asarray(coeffs)
+    coeffs = np.asarray(coeffs, dtype=complex)
     with np.errstate(over="ignore"):  # overflow on empty modes is unused
         weight = grid.half_kabs**s  # 0**0 == 1, so s = 0 keeps the mean
-    out = np.zeros_like(coeffs, np.result_type(weight, coeffs))
-    return np.multiply(weight, coeffs, out=out, where=coeffs != 0)
+    out = np.zeros_like(coeffs)
+    for part, dest in ((coeffs.real, out.real), (coeffs.imag, out.imag)):
+        np.multiply(weight, part, out=dest, where=part != 0)
+    return out
 
 
 # name -> (source, multiplier) of each field physical_fields forms itself
@@ -292,7 +297,6 @@ def lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:
         raise ParameterError(f"p must satisfy 1 <= p <= inf, got {p!r}")
     if np.isinf(p):
         return float(np.max(np.abs(values)))
-    cell = (2.0 * np.pi / grid.n) ** 2
     if p in (4.0, 6.0):  # np.square products: about 3x faster than float **
         sq = np.square(np.abs(values) if np.iscomplexobj(values) else values)
         power = np.square(sq)
@@ -300,7 +304,7 @@ def lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:
             power *= sq
     else:
         power = np.abs(values) ** p
-    return float((cell * np.sum(power)) ** (1.0 / p))
+    return float((grid.cell * np.sum(power)) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Command-line harness tests: config grammar, run/scan/verify/classify
 subcommands, exit codes, and artifact formats."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gmhd2d import config
 from gmhd2d.cli import (
     SCAN_CSV_HEADER,
     VERIFY_SUITES,
@@ -78,6 +80,14 @@ class TestConfigGrammar:
         assert str(cfg.output_dir) == "somewhere/deep"
         assert cfg.p_list == (3.0, 5.0, 8.0)
         assert cfg.eps_bhat == 0.01
+
+    def test_key_table_matches_config_fields(self):
+        # one key per field of Params, InitialSpec and the rest of RunConfig
+        fields = {f"params.{f.name}" for f in dataclasses.fields(Params)}
+        fields |= {f"initial.{f.name}" for f in dataclasses.fields(InitialSpec)}
+        fields |= {f.name for f in dataclasses.fields(RunConfig)
+                   if f.name not in ("params", "initial")}
+        assert set(config._PARSERS) == fields
 
     def test_defaults(self):
         cfg = parse_run_config("params.n = 32\n")

@@ -123,6 +123,10 @@ class TestInitialConditions:
         np.testing.assert_allclose(to_physical(g, st.omega_hat), np.cos(g.x2),
                                    atol=1e-14)
         assert np.all(st.a_hat == 0)
+        # shear is the single_mode (0, 1) state, bitwise
+        mode = initial_condition("single_mode", g, mode=(0, 1))
+        assert st.omega_hat.tobytes() == mode.omega_hat.tobytes()
+        assert st.a_hat.tobytes() == mode.a_hat.tobytes()
 
     def test_single_mode(self):
         g = get_grid(32)

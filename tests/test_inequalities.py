@@ -16,7 +16,6 @@ from gmhd2d.inequalities import (
     InequalitySpec,
     NormTerm,
     check_inequalities,
-    check_inequality,
     check_positivity,
     evaluate_norm,
     log_inequality_check,
@@ -85,6 +84,15 @@ class TestNormTerm:
         want = evaluate_norm(g, f_hat, NormTerm("f", 0, 0.0, 3.0))
         assert np.isfinite(want)
         assert evaluate_norm(g, f_hat, NormTerm("f", 0, 400.0, 3.0)) == want
+
+    def test_large_lam_beyond_float_range_reads_inf(self):
+        # Lambda^400 overflows on the field's support: every p reads inf, as
+        # the p = 2 Parseval sum does, with no synthesis of an inf spectrum
+        g = get_grid(64)
+        f_hat = random_band_limited_field(g, 8, 1)
+        for term in (NormTerm("f", 0, 400.0, 2.0), NormTerm("f", 0, 400.0, 3.0),
+                     NormTerm("b", 1, 400.0, np.inf)):
+            assert evaluate_norm(g, f_hat, term) == np.inf
 
     def test_p2_shortcut_matches_quadrature(self):
         g = get_grid(64)
@@ -181,7 +189,8 @@ class TestCheckInequality:
     def test_curl_bound_ratio_is_exactly_one(self):
         spec = next(s for s in DEFAULT_INEQUALITY_SPECS
                     if s.name == "curl_controls_gradient")
-        rep = check_inequality(spec, Corpus(count=10), resolutions=(64, 128))
+        rep = check_inequalities((spec,), Corpus(count=10),
+                                 resolutions=(64, 128))[0]
         assert rep.max_ratio == pytest.approx(1.0, rel=1e-12)
         assert abs(rep.growth) < 1e-12
         assert rep.passed
@@ -189,7 +198,8 @@ class TestCheckInequality:
     def test_small_corpus_stability(self):
         corpus = Corpus(count=30)
         for spec in DEFAULT_INEQUALITY_SPECS[:6]:
-            rep = check_inequality(spec, corpus, resolutions=DEFAULT_RESOLUTIONS)
+            rep = check_inequalities((spec,), corpus,
+                                     resolutions=DEFAULT_RESOLUTIONS)[0]
             assert rep.passed, rep.summary()
             assert abs(rep.growth) < 1e-3
             assert rep.max_ratio == rep.trend[-1][1]
@@ -198,8 +208,8 @@ class TestCheckInequality:
 
     def test_report_determinism(self):
         spec = DEFAULT_INEQUALITY_SPECS[7]
-        a = check_inequality(spec, Corpus(count=8), resolutions=(64, 128))
-        b = check_inequality(spec, Corpus(count=8), resolutions=(64, 128))
+        a = check_inequalities((spec,), Corpus(count=8), resolutions=(64, 128))
+        b = check_inequalities((spec,), Corpus(count=8), resolutions=(64, 128))
         assert a == b
 
     def test_battery_matches_per_spec_checks(self):
@@ -214,7 +224,8 @@ class TestCheckInequality:
         reports = check_inequalities(specs, corpus, resolutions=(64, 128))
         assert [r.name for r in reports] == [s.name for s in specs]
         for spec, rep in zip(specs, reports):
-            assert rep == check_inequality(spec, corpus, resolutions=(64, 128))
+            assert rep == check_inequalities((spec,), corpus,
+                                             resolutions=(64, 128))[0]
         # and the per-field ratios are those of one evaluate_norm per term
         for n, worst in reports[-1].trend:
             g = get_grid(n)
@@ -228,8 +239,8 @@ class TestCheckInequality:
 
     def test_needs_resolutions(self):
         with pytest.raises(ParameterError, match="resolution"):
-            check_inequality(DEFAULT_INEQUALITY_SPECS[0], Corpus(count=2),
-                             resolutions=())
+            check_inequalities(DEFAULT_INEQUALITY_SPECS[:1], Corpus(count=2),
+                               resolutions=())
 
 
 class TestPositivity:

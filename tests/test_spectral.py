@@ -371,6 +371,18 @@ class TestMultipliers:
         np.testing.assert_array_equal(out[low], g.half_kabs[low] ** 400.0 * f[low])
         assert not np.isfinite(out[(f != 0) & (g.half_kabs > 6.0)]).any()
 
+    def test_fractional_large_exponent_weights_each_part(self):
+        # cos(10 x1) has real coefficients: the overflowing weight gives inf
+        # in the real part and must leave the zero imaginary part 0, not
+        # inf * 0 = nan from a complex product
+        g = get_grid(64)
+        f = np.zeros((64, g.half_cols), complex)
+        f[10, 0] = f[-10, 0] = 0.5
+        out = fractional_power(g, f, 400.0)
+        np.testing.assert_array_equal(out.real[f != 0], np.inf)
+        np.testing.assert_array_equal(out.imag, 0.0)
+        np.testing.assert_array_equal(out[f == 0], 0.0)
+
     def test_inverse_laplacian_single_mode(self):
         # sin(2 x2) -> -(1/4) sin(2 x2)
         g = get_grid(32)
