@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 # No name is re-exported: import it from its submodule.  Every submodule loads
 # here, in this order, whatever a caller imports first; with an empty package
-# the cli loaded first, and the peak RSS of the stepping benchmark (an n = 256
-# dynamics.run) rose from 63.2 to 64.1 MiB.
+# the cli loads first, and the peak RSS of the stepping benchmark (an n = 256
+# dynamics.run) rises from 55.7 to 56.7 MiB.
 from . import (  # noqa: F401
     spectral, dynamics, diagnostics, analysis, inequalities, config, cli)

@@ -25,14 +25,24 @@ The rest follows from div u = div b = 0 and j = curl b:
 With the Nyquist-zeroed i*k multipliers these hold exactly only for spectra
 without content on the Nyquist lines, which every state from
 initial_condition, step and load_snapshot satisfies (the 2/3 band excludes
-them).  The quadratic quantities (energy, the dissipation sums, h2, cross
+them).
+
+The syntheses come in three groups, in this order, and each group is
+reduced to its scalars and dropped before the next is synthesized: (w, j);
+(d1 u1, d2 u1, d1 u2); and b with its first and second partials (nine
+planes).  In the last group the second partials of the direction field are
+formed one at a time in reused buffers, and each is reduced to its max as
+soon as it is formed.  So one record holds at most 22 n x n float64 planes
+at once (tracemalloc peak).
+
+The quadratic quantities (energy, the dissipation sums, h2, cross
 helicity) are spectral.half_power_sum Parseval sums over the half power
-spectra |w_hat|^2 and |a_hat|^2 of the state.  That
-sum weights only modes with nonzero power, so an overflowing |k|^{2s} gives
-inf on a sum that is truly beyond float range and never inf * 0 = nan on an
-empty mode.  Magnitudes of b come from np.hypot:
-squaring first overflows at |b| ~ 1e154, and then the default
-eps = 1e-6 * max|b| would read inf on a state that is large but finite.
+spectra |w_hat|^2 and |a_hat|^2 of the state.  That sum weights only modes
+with nonzero power, so an overflowing |k|^{2s} gives inf on a sum that is
+truly beyond float range and never inf * 0 = nan on an empty mode.
+Magnitudes of b come from np.hypot: squaring first overflows at
+|b| ~ 1e154, and then the default eps = 1e-6 * max|b| would read inf on a
+state that is large but finite.
 """
 
 from __future__ import annotations
@@ -134,6 +144,8 @@ def compute_record(
     for p in ps:
         if not p >= 1:
             raise ParameterError(f"p_list entries must be >= 1, got {p}")
+    if eps_bhat is not None:
+        _check_eps(eps_bhat)
     # near blow-up the fields overflow; record inf/nan quietly rather than warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _compute_record(state, params, ps, eps_bhat, prev, e0)
@@ -142,41 +154,49 @@ def compute_record(
 def _compute_record(state, params, ps, eps_bhat, prev, e0):
     g = state.grid
     halves = state.halves()
-    # the record's 14 syntheses; the other partials follow from the
-    # identities in the module docstring
-    (w, j, b1, b2, u1_1, u1_2, u2_1, b1_1, b1_2, b2_1,
-     b1_11, b1_12, b1_22, b2_11) = physical_fields(
-        g, halves, "w", "j", "b1", "b2", "u1_1", "u1_2", "u2_1",
-        "b1_1", "b1_2", "b2_1", "b1_11", "b1_12", "b1_22", "b2_11")
-    b2_12, b2_22 = -b1_11, -b1_12
-
     sums = _spectral_sums(g, halves["w"], halves["a"], params)
+    # the record's 14 syntheses in three groups (module docstring); each
+    # group is reduced to scalars and dropped before the next is synthesized
+    w, j = physical_fields(g, halves, "w", "j")
     omega_l2 = lp_norm(g, w, 2)
     j_l2 = lp_norm(g, j, 2)
+    omega_linf = lp_norm(g, w, np.inf)
+    j_linf = lp_norm(g, j, np.inf)
+    omega_lp = {p: lp_norm(g, w, p) for p in ps}
+    del w, j
     h1 = omega_l2**2 + j_l2**2
     h2 = omega_l2**2 + sums["grad_w_sq"] + j_l2**2 + sums["grad_j_sq"]
 
+    u1_1, u1_2, u2_1 = physical_fields(g, halves, "u1_1", "u1_2", "u2_1")
     # |grad u|^2 = (d1 u1)^2 + (d2 u1)^2 + (d1 u2)^2 + (d2 u2)^2, d2 u2 = -d1 u1
     grad_u_linf = float(np.sqrt(np.max(2.0 * u1_1 * u1_1 + u1_2 * u1_2
                                        + u2_1 * u2_1)))
+    del u1_1, u1_2, u2_1
+
+    (b1, b2, b1_1, b1_2, b2_1, b1_11, b1_12, b1_22, b2_11) = physical_fields(
+        g, halves, "b1", "b2", "b1_1", "b1_2", "b2_1",
+        "b1_11", "b1_12", "b1_22", "b2_11")
+    b2_2, b2_12, b2_22 = -b1_1, -b1_11, -b1_12  # div b = 0
     # |grad j| feeds only the L^p sums, which overflow with its square
     # anyway for p >= 2; sqrt of squares is several times cheaper than hypot
     jx, jy = b2_11 - b1_12, b2_12 - b1_22
     grad_j_mag = np.sqrt(jx * jx + jy * jy)
+    del jx, jy
+    grad_j_lp = {p: lp_norm(g, grad_j_mag, p) for p in ps}
+    del grad_j_mag
 
     mag = np.hypot(b1, b2)
     b_linf = float(np.max(mag))
-    eps = _regularization(b_linf, eps_bhat)
-    _, dbhat, d2bhat = _unit_field_derivatives(
-        (b1, b2), mag,
-        [[b1_1, b1_2], [b2_1, -b1_1]],
-        [{(0, 0): b1_11, (0, 1): b1_12, (1, 1): b1_22},
-         {(0, 0): b2_11, (0, 1): b2_12, (1, 1): b2_22}],
-        eps)
-    bhat_w1inf, bhat_w2inf = _sup_norms(dbhat, d2bhat)
+    min_abs_b = float(np.min(mag))
+    _, dbhat, second = _unit_field_derivatives(
+        (b1, b2), mag, [[b1_1, b1_2], [b2_1, b2_2]],
+        [dict(zip(_PAIRS, (b1_11, b1_12, b1_22))),
+         dict(zip(_PAIRS, (b2_11, b2_12, b2_22)))],
+        _regularization(b_linf, eps_bhat))
+    del b1, b2, mag  # the second partials of bhat need none of them
+    bhat_w1inf = _sup_norm(v for row in dbhat for v in row)
+    bhat_w2inf = _sup_norm(plane for _, _, plane in second)
 
-    omega_linf = lp_norm(g, w, np.inf)
-    j_linf = lp_norm(g, j, np.inf)
     integrand = omega_linf + j_linf
     if prev is None:
         bkm_accum = 0.0
@@ -207,14 +227,14 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
         bhat_w1inf=bhat_w1inf,
         bhat_w2inf=bhat_w2inf,
         energy_residual=energy_residual,
-        omega_lp={p: lp_norm(g, w, p) for p in ps},
-        grad_j_lp={p: lp_norm(g, grad_j_mag, p) for p in ps},
+        omega_lp=omega_lp,
+        grad_j_lp=grad_j_lp,
         a_l2=float(np.sqrt(sums["a_sq"])),
         b_linf=b_linf,
         cross_helicity=sums["cross_helicity"],
         diss_omega=sums["diss_omega"],
         diss_j=sums["diss_j"],
-        min_abs_b=float(np.min(mag)),
+        min_abs_b=min_abs_b,
     )
 
 
@@ -357,13 +377,18 @@ class DirectionFieldNorms:
 _PAIRS = ((0, 0), (0, 1), (1, 1))
 
 
+def _check_eps(eps) -> float:
+    # the direction-field floor must be positive and finite
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ParameterError(f"eps must be positive and finite, got {eps!r}")
+    return float(eps)
+
+
 def _regularization(bmax: float, eps: float | None) -> float:
     # the direction-field floor: eps as given, or 1e-6 * max|b| (1e-6 for b = 0)
     if eps is None:
         eps = 1e-6 * bmax if bmax > 0.0 else 1e-6
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ParameterError(f"eps must be positive and finite, got {eps!r}")
-    return float(eps)
+    return _check_eps(eps)
 
 
 def _unit_field_derivatives(b, mag, db, d2b, eps):
@@ -379,30 +404,48 @@ def _unit_field_derivatives(b, mag, db, d2b, eps):
         d_i d_k bhat_j = (d_i d_k b_j - d_k bhat_j t_i - d_i bhat_j t_k
                           - bhat_j T_ik) r
 
-    Returns (bhat, dbhat, d2bhat) laid out like (b, db, d2b).
+    Returns (bhat, dbhat, second): bhat and dbhat are laid out like b and
+    db, and second is a generator of (j, (i, k), d_i d_k bhat_j), pair by
+    pair in _PAIRS order and j = 0, 1 within a pair.  Every plane it yields
+    is the same buffer, overwritten by the next: reduce it or copy it.  It
+    holds neither b nor mag, so a caller that drops them keeps those planes
+    out of the second-order stage.
     """
     r = 1.0 / np.sqrt(mag * mag + eps * eps)
     bhat = [b[0] * r, b[1] * r]
     t = [bhat[0] * db[0][i] + bhat[1] * db[1][i] for i in (0, 1)]
-    dbhat = [[(db[jc][i] - bhat[jc] * t[i]) * r for i in (0, 1)]
-             for jc in (0, 1)]
-    d2bhat = [{}, {}]
+    dbhat = [[np.multiply(bhat[jc], t[i]) for i in (0, 1)] for jc in (0, 1)]
+    for jc in (0, 1):
+        for i in (0, 1):
+            d = dbhat[jc][i]
+            np.subtract(db[jc][i], d, out=d)
+            d *= r
+    return bhat, dbhat, _second_derivatives(bhat, dbhat, t, r, db, d2b)
+
+
+def _second_derivatives(bhat, dbhat, t, r, db, d2b):
+    # the second-order half of _unit_field_derivatives, term by term in the
+    # order of its formulas, in three reused buffers
+    tik, tmp, out = (np.empty_like(r) for _ in range(3))
     for i, k in _PAIRS:
-        tik = (dbhat[0][k] * db[0][i] + dbhat[1][k] * db[1][i]
-               + bhat[0] * d2b[0][(i, k)] + bhat[1] * d2b[1][(i, k)])
+        np.multiply(dbhat[0][k], db[0][i], out=tik)
+        tik += np.multiply(dbhat[1][k], db[1][i], out=tmp)
+        tik += np.multiply(bhat[0], d2b[0][(i, k)], out=tmp)
+        tik += np.multiply(bhat[1], d2b[1][(i, k)], out=tmp)
         for jc in (0, 1):
-            d2bhat[jc][(i, k)] = (d2b[jc][(i, k)] - dbhat[jc][k] * t[i]
-                                  - dbhat[jc][i] * t[k] - bhat[jc] * tik) * r
-    return bhat, dbhat, d2bhat
+            np.multiply(dbhat[jc][k], t[i], out=out)
+            np.subtract(d2b[jc][(i, k)], out, out=out)
+            out -= np.multiply(dbhat[jc][i], t[k], out=tmp)
+            out -= np.multiply(bhat[jc], tik, out=tmp)
+            out *= r
+            yield jc, (i, k), out
 
 
-def _sup_norms(dbhat, d2bhat) -> tuple[float, float]:
-    # max-over-partials W^{1,inf} and W^{2,inf} seminorms of bhat
-    w1inf = max(float(np.max(np.abs(dbhat[jc][i])))
-                for jc in (0, 1) for i in (0, 1))
-    w2inf = max(float(np.max(np.abs(v)))
-                for jc in (0, 1) for v in d2bhat[jc].values())
-    return w1inf, w2inf
+def _sup_norm(planes) -> float:
+    # max over the planes of max |plane|, a max-over-partials seminorm of
+    # bhat; max(|max v|, |min v|) is max |v|, nan for a plane holding nan,
+    # without forming the plane |v|
+    return float(max(max(abs(np.max(v)), abs(np.min(v))) for v in planes))
 
 
 def _coefficient_fields(bhat, dbhat, d2bhat):
@@ -444,7 +487,10 @@ def _unit_field_jet(grid: Grid, b1: np.ndarray, b2: np.ndarray,
         grid, halves, c + "_11", c + "_12", c + "_22"))) for c in halves]
     mag = np.hypot(b1, b2)
     eps = _regularization(float(np.max(mag)), eps)
-    bhat, dbhat, d2bhat = _unit_field_derivatives((b1, b2), mag, db, d2b, eps)
+    bhat, dbhat, second = _unit_field_derivatives((b1, b2), mag, db, d2b, eps)
+    d2bhat = [{}, {}]
+    for jc, ik, plane in second:
+        d2bhat[jc][ik] = plane.copy()
     vec, curl_vec = _coefficient_fields(bhat, dbhat, d2bhat)
     return {"bhat": bhat, "dbhat": dbhat, "d2bhat": d2bhat, "vec": vec,
             "curl_vec": curl_vec, "mag": mag, "eps": eps}
@@ -468,7 +514,8 @@ def direction_field_norms(
     """
     jet = _unit_field_jet(grid, np.asarray(b1, dtype=float),
                           np.asarray(b2, dtype=float), eps)
-    w1inf, w2inf = _sup_norms(jet["dbhat"], jet["d2bhat"])
+    w1inf = _sup_norm(v for row in jet["dbhat"] for v in row)
+    w2inf = _sup_norm(v for comp in jet["d2bhat"] for v in comp.values())
     min_abs_b = float(np.min(jet["mag"]))
     return DirectionFieldNorms(
         w1inf=w1inf,

@@ -6,6 +6,7 @@ audits against the closed-form decaying shear, and the unit-field derivatives
 against sympy symbolic differentiation away from the zero set of |b|.
 """
 
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -168,6 +169,22 @@ class TestComputeRecord:
         with pytest.raises(ParameterError, match="p_list"):
             compute_record(st, Params(n=32), p_list=(0.5,))
 
+    def test_peak_is_at_most_24_planes(self):
+        # the three synthesis groups are reduced one after another, and the
+        # second partials of bhat plane by plane, so one record holds at most
+        # 24 n x n float64 planes at once
+        n = 128
+        g = get_grid(n)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=20)
+        compute_record(st, Params(n=n))  # warm the per-size caches
+        tracemalloc.start()
+        try:
+            compute_record(st, Params(n=n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n * n * 8
+
     @staticmethod
     def _oracle(st, params, ps, prev=None, e0=None):
         # the record rebuilt from the full-spectrum oracle operators and
@@ -268,6 +285,14 @@ class TestTransformBudget:
         st = initial_condition("random_band_limited", g, seed=1, k_max=8)
         compute_record(st, Params(n=64))
         assert fft_calls == {"irfft2": 14}
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_bad_eps_is_rejected_before_any_transform(self, fft_calls, eps):
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=8)
+        with pytest.raises(ParameterError, match="eps"):
+            compute_record(st, Params(n=64), eps_bhat=eps)
+        assert fft_calls == {}
 
     def test_step_is_twenty_eight_real_transforms(self, fft_calls):
         g = get_grid(64)
