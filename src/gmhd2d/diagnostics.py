@@ -40,9 +40,8 @@ helicity) are spectral.half_power_sum Parseval sums over the half power
 spectra |w_hat|^2 and |a_hat|^2 of the state.  That sum weights only modes
 with nonzero power, so an overflowing |k|^{2s} gives inf on a sum that is
 truly beyond float range and never inf * 0 = nan on an empty mode.
-Magnitudes of b come from np.hypot: squaring first overflows at
-|b| ~ 1e154, and then the default eps = 1e-6 * max|b| would read inf on a
-state that is large but finite.
+Every pointwise magnitude (|grad u|, |grad j|, |b|, the floored |b|) is
+spectral.magnitude, which stays finite wherever its components are finite.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ from .spectral import (
     ParameterError,
     half_power_sum,
     lp_norm,
+    magnitude,
     physical_fields,
     to_spectral,
 )
@@ -168,25 +168,20 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
     h2 = omega_l2**2 + sums["grad_w_sq"] + j_l2**2 + sums["grad_j_sq"]
 
     u1_1, u1_2, u2_1 = physical_fields(g, halves, "u1_1", "u1_2", "u2_1")
-    # |grad u|^2 = (d1 u1)^2 + (d2 u1)^2 + (d1 u2)^2 + (d2 u2)^2, d2 u2 = -d1 u1
-    grad_u_linf = float(np.sqrt(np.max(2.0 * u1_1 * u1_1 + u1_2 * u1_2
-                                       + u2_1 * u2_1)))
+    # |grad u| over (d1 u1, d2 u1, d1 u2, d2 u2), with d2 u2 = -d1 u1
+    grad_u_linf = lp_norm(g, magnitude(u1_1, u1_1, u1_2, u2_1), np.inf)
     del u1_1, u1_2, u2_1
 
     (b1, b2, b1_1, b1_2, b2_1, b1_11, b1_12, b1_22, b2_11) = physical_fields(
         g, halves, "b1", "b2", "b1_1", "b1_2", "b2_1",
         "b1_11", "b1_12", "b1_22", "b2_11")
     b2_2, b2_12, b2_22 = -b1_1, -b1_11, -b1_12  # div b = 0
-    # |grad j| feeds only the L^p sums, which overflow with its square
-    # anyway for p >= 2; sqrt of squares is several times cheaper than hypot
-    jx, jy = b2_11 - b1_12, b2_12 - b1_22
-    grad_j_mag = np.sqrt(jx * jx + jy * jy)
-    del jx, jy
+    grad_j_mag = magnitude(b2_11 - b1_12, b2_12 - b1_22)
     grad_j_lp = {p: lp_norm(g, grad_j_mag, p) for p in ps}
     del grad_j_mag
 
-    mag = np.hypot(b1, b2)
-    b_linf = float(np.max(mag))
+    mag = magnitude(b1, b2)
+    b_linf = lp_norm(g, mag, np.inf)
     min_abs_b = float(np.min(mag))
     _, dbhat, second = _unit_field_derivatives(
         (b1, b2), mag, [[b1_1, b1_2], [b2_1, b2_2]],
@@ -194,8 +189,8 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
          dict(zip(_PAIRS, (b2_11, b2_12, b2_22)))],
         _regularization(b_linf, eps_bhat))
     del b1, b2, mag  # the second partials of bhat need none of them
-    bhat_w1inf = _sup_norm(v for row in dbhat for v in row)
-    bhat_w2inf = _sup_norm(plane for _, _, plane in second)
+    bhat_w1inf = max(lp_norm(g, v, np.inf) for row in dbhat for v in row)
+    bhat_w2inf = max(lp_norm(g, plane, np.inf) for _, _, plane in second)
 
     integrand = omega_linf + j_linf
     if prev is None:
@@ -411,7 +406,7 @@ def _unit_field_derivatives(b, mag, db, d2b, eps):
     holds neither b nor mag, so a caller that drops them keeps those planes
     out of the second-order stage.
     """
-    r = 1.0 / np.sqrt(mag * mag + eps * eps)
+    r = 1.0 / magnitude(mag, eps)
     bhat = [b[0] * r, b[1] * r]
     t = [bhat[0] * db[0][i] + bhat[1] * db[1][i] for i in (0, 1)]
     dbhat = [[np.multiply(bhat[jc], t[i]) for i in (0, 1)] for jc in (0, 1)]
@@ -439,13 +434,6 @@ def _second_derivatives(bhat, dbhat, t, r, db, d2b):
             out -= np.multiply(bhat[jc], tik, out=tmp)
             out *= r
             yield jc, (i, k), out
-
-
-def _sup_norm(planes) -> float:
-    # max over the planes of max |plane|, a max-over-partials seminorm of
-    # bhat; max(|max v|, |min v|) is max |v|, nan for a plane holding nan,
-    # without forming the plane |v|
-    return float(max(max(abs(np.max(v)), abs(np.min(v))) for v in planes))
 
 
 def _coefficient_fields(bhat, dbhat, d2bhat):
@@ -485,8 +473,8 @@ def _unit_field_jet(grid: Grid, b1: np.ndarray, b2: np.ndarray,
     db = [physical_fields(grid, halves, c + "_1", c + "_2") for c in halves]
     d2b = [dict(zip(_PAIRS, physical_fields(
         grid, halves, c + "_11", c + "_12", c + "_22"))) for c in halves]
-    mag = np.hypot(b1, b2)
-    eps = _regularization(float(np.max(mag)), eps)
+    mag = magnitude(b1, b2)
+    eps = _regularization(lp_norm(grid, mag, np.inf), eps)
     bhat, dbhat, second = _unit_field_derivatives((b1, b2), mag, db, d2b, eps)
     d2bhat = [{}, {}]
     for jc, ik, plane in second:
@@ -514,15 +502,15 @@ def direction_field_norms(
     """
     jet = _unit_field_jet(grid, np.asarray(b1, dtype=float),
                           np.asarray(b2, dtype=float), eps)
-    w1inf = _sup_norm(v for row in jet["dbhat"] for v in row)
-    w2inf = _sup_norm(v for comp in jet["d2bhat"] for v in comp.values())
+    w1inf = max(lp_norm(grid, v, np.inf) for row in jet["dbhat"] for v in row)
+    w2inf = max(lp_norm(grid, v, np.inf) for d in jet["d2bhat"] for v in d.values())
     min_abs_b = float(np.min(jet["mag"]))
     return DirectionFieldNorms(
         w1inf=w1inf,
         w2inf=w2inf,
         min_abs_b=min_abs_b,
-        a_coeff_linf=float(np.max(np.abs(jet["curl_vec"]))),
-        b_coeff_linf=float(np.max(np.hypot(jet["vec"][0], jet["vec"][1]))),
+        a_coeff_linf=lp_norm(grid, jet["curl_vec"], np.inf),
+        b_coeff_linf=lp_norm(grid, magnitude(*jet["vec"]), np.inf),
         regularization_dominated=min_abs_b < jet["eps"],
         eps=jet["eps"],
     )

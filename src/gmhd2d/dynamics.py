@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import struct
 from dataclasses import dataclass
 
@@ -62,6 +61,7 @@ from .spectral import (
     ParameterError,
     get_grid,
     lp_norm,
+    magnitude,
     physical_fields,
     random_band_limited_field,
     spectral_l2,
@@ -412,11 +412,11 @@ def structure_identities(state: GmhdState) -> IdentityReport:
                / max(1.0, spectral_l2(g, rhs)))
 
     tiny = np.finfo(float).tiny
-    u_inf = float(np.max(np.hypot(u1, u2)))
-    b_inf = float(np.max(np.hypot(b1, b2)))
+    u_inf = lp_norm(g, magnitude(u1, u2), np.inf)
+    b_inf = lp_norm(g, magnitude(b1, b2), np.inf)
     w_l2, j_l2 = lp_norm(g, w, 2), lp_norm(g, j, 2)
-    gw_l2 = lp_norm(g, np.hypot(wx, wy), 2)
-    gj_l2 = lp_norm(g, np.hypot(jx, jy), 2)
+    gw_l2 = lp_norm(g, magnitude(wx, wy), 2)
+    gj_l2 = lp_norm(g, magnitude(jx, jy), 2)
     i_w = abs(g.cell * float(np.sum((u1 * wx + u2 * wy) * w)))
     i_j = abs(g.cell * float(np.sum(u_grad_j * j)))
     pair = g.cell * (float(np.sum(b_grad_j * w)) + float(np.sum(b_grad_w * j)))
@@ -435,20 +435,10 @@ def structure_identities(state: GmhdState) -> IdentityReport:
 # time stepping
 # ---------------------------------------------------------------------------
 
-def _max_speed(x1, x2) -> float:
-    # max |x| as the root of the largest square, about 4x faster than
-    # np.hypot; squares of a huge but finite field overflow, and hypot's
-    # scaled form then still gives the finite speed (so a positive dt)
-    with np.errstate(over="ignore"):
-        sq = float(np.max(x1 * x1 + x2 * x2))
-    if math.isfinite(sq):
-        return math.sqrt(sq)
-    return float(np.max(np.hypot(x1, x2)))
-
-
 def _cfl(grid: Grid, params: Params, u1, u2, b1, b2) -> float:
-    umax = _max_speed(u1, u2)
-    bmax = _max_speed(b1, b2)
+    # magnitude stays finite on a huge but finite state, so dt stays positive
+    umax = lp_norm(grid, magnitude(u1, u2), np.inf)
+    bmax = lp_norm(grid, magnitude(b1, b2), np.inf)
     speed = max(umax + bmax, 1e-8)
     return min(params.cfl * (2.0 * np.pi / grid.n) / speed, params.dt_max)
 
@@ -543,9 +533,13 @@ def run(
     snapshotted at the start and end (plus every snapshot_every time units if
     given).  On blow-up the partial trajectory is returned with
     blew_up = True; the result is deterministic given (initial, params).
+    A non-finite initial state is bad input (ParameterError), not a blow-up.
     """
     from .diagnostics import compute_record  # deferred: diagnostics imports Params
 
+    for name in ("omega_hat", "a_hat", "t"):
+        if not np.isfinite(getattr(initial, name)).all():
+            raise ParameterError(f"initial state {name} is not finite")
     if params.t_end < initial.t:
         raise ParameterError(
             f"t_end = {params.t_end} precedes the initial time {initial.t}")

@@ -39,6 +39,7 @@ from .spectral import (
     get_grid,
     half_power_sum,
     lp_norm,
+    magnitude,
     physical_fields,
     random_band_limited_field,
 )
@@ -144,18 +145,6 @@ def _field_power(grid, f, field):
     return power
 
 
-def _magnitude(grid, potential, field, grad):
-    # pointwise Euclidean magnitude of the derivative stack of order grad of
-    # X(potential), potential = Lambda^lam f; the ordered partials "a_12" and
-    # "a_21" are one synthesis, counted twice
-    axes = ["".join(p) for p in itertools.product("12", repeat=grad)]
-    names = {"f": ("a",), "b": ("b1", "b2"), "j": ("j",)}[field]
-    planes = physical_fields(grid, {"a": potential}, *(
-        f"{name}_{ax}" if ax else name for name in names for ax in axes))
-    mag_sq = sum(v * v for v in planes)
-    return np.sqrt(mag_sq)
-
-
 def _norm_table(grid, f_hat, terms) -> dict:
     """Every NormTerm of `terms` (see evaluate_norm) on the potential with
     half spectrum f_hat, as a dict.
@@ -182,11 +171,16 @@ def _norm_table(grid, f_hat, terms) -> dict:
         if not np.isfinite(potential).all():
             table.update(dict.fromkeys(members, math.inf))
             continue
-        magnitude = _magnitude(grid, potential, field, grad)
+        # the magnitude of the derivative stack of order grad of X(potential);
+        # the ordered partials "a_12" and "a_21" are one synthesis, counted twice
+        axes = ["".join(p) for p in itertools.product("12", repeat=grad)]
+        names = {"f": ("a",), "b": ("b1", "b2"), "j": ("j",)}[field]
+        mag = magnitude(*physical_fields(grid, {"a": potential}, *(
+            f"{name}_{ax}" if ax else name for name in names for ax in axes)))
         del potential
         for term in members:
-            table[term] = lp_norm(grid, magnitude, term.p)
-        del magnitude
+            table[term] = lp_norm(grid, mag, term.p)
+        del mag
     return table
 
 
@@ -399,7 +393,7 @@ def log_inequality_check(corpus: Corpus | None = None,
     def ratio(grid, w_hat, a_hat):
         *grad_u, w = physical_fields(
             grid, {"w": w_hat}, "u1_1", "u1_2", "u2_1", "u2_2", "w")
-        lhs = float(np.max(np.sqrt(sum(v * v for v in grad_u))))
+        lhs = lp_norm(grid, magnitude(*grad_u), np.inf)
         w_inf = lp_norm(grid, w, np.inf)
         pw = w_hat.real**2 + w_hat.imag**2
         pj = grid.half_ksq**2 * (a_hat.real**2 + a_hat.imag**2)  # |j_hat|^2

@@ -38,7 +38,8 @@ faster than one over the stacked planes); for the same reason a field's
 spectrum is formed once per call and released after its partials.
 half_power_sum is the one Parseval sum: every spectral norm of the record,
 the identity residuals and the inequality checks is a weighted sum over a
-half power spectrum.
+half power spectrum.  magnitude is the one pointwise Euclidean norm of point
+values, and lp_norm(grid, v, inf) the one sup norm.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "physical_fields",
     "fractional_power",
     "half_power_sum",
+    "magnitude",
     "spectral_l2",
     "lp_norm",
     "random_band_limited_field",
@@ -286,6 +288,24 @@ def half_power_sum(grid: Grid, power: np.ndarray, s: float = 0.0) -> float:
     return float(np.sum(power, axis=0) @ grid.half_weight)
 
 
+def magnitude(*components) -> np.ndarray:
+    """Pointwise Euclidean norm sqrt(sum v^2) of real point values.
+
+    The squares are summed in argument order; a scalar component (e.g. a
+    regularization floor) broadcasts.  If a square overflows, the result is
+    reduce(np.hypot, components) instead, so it stays finite wherever the
+    components are finite.  nan propagates.
+    """
+    with np.errstate(over="ignore"):
+        total = np.empty(np.broadcast_shapes(*map(np.shape, components)))
+        np.square(components[0], out=total)
+        for v in components[1:]:
+            total += np.square(v)
+        if np.isinf(total).any():
+            return functools.reduce(np.hypot, components, 0.0)  # 0.0: one is |v|
+    return np.sqrt(total, out=total)
+
+
 def lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:
     """L^p norm of point values by the rectangle rule; p = inf is the max.
 
@@ -293,12 +313,14 @@ def lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:
     below n (e.g. even integer p and band-limited input of degree < n/p).
     """
     values = np.asarray(values)
+    if np.iscomplexobj(values):
+        values = np.abs(values)
     if not p >= 1:  # also rejects nan
         raise ParameterError(f"p must satisfy 1 <= p <= inf, got {p!r}")
-    if np.isinf(p):
-        return float(np.max(np.abs(values)))
+    if np.isinf(p):  # max |v| without forming |v|
+        return float(max(abs(np.max(values)), abs(np.min(values))))
     if p in (4.0, 6.0):  # np.square products: about 3x faster than float **
-        sq = np.square(np.abs(values) if np.iscomplexobj(values) else values)
+        sq = np.square(values)
         power = np.square(sq)
         if p == 6.0:
             power *= sq

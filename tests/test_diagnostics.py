@@ -186,6 +186,28 @@ class TestComputeRecord:
         assert peak <= 24 * n * n * 8
 
     @staticmethod
+    def _scaled_records(s):
+        # a large but finite state: squares of its point values overflow
+        # (|b| ~ 1e154 and beyond), its magnitudes do not; any warning
+        # fails the test (filterwarnings = error)
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=67, k_max=8)
+        big = replace(st, omega_hat=s * st.omega_hat, a_hat=s * st.a_hat)
+        return compute_record(st, Params(n=64)), compute_record(big, Params(n=64))
+
+    @pytest.mark.parametrize("s", [1e155, 1e160])
+    def test_grad_u_linf_scales_past_overflowing_squares(self, s):
+        rec, big = self._scaled_records(s)
+        assert big.grad_u_linf == pytest.approx(s * rec.grad_u_linf, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1e155, 1e160])
+    def test_direction_field_is_scale_invariant(self, s):
+        # bhat = b / |b| does not see the scale, and neither does the floor
+        rec, big = self._scaled_records(s)
+        assert big.bhat_w1inf == pytest.approx(rec.bhat_w1inf, rel=1e-9)
+        assert big.bhat_w2inf == pytest.approx(rec.bhat_w2inf, rel=1e-9)
+
+    @staticmethod
     def _oracle(st, params, ps, prev=None, e0=None):
         # the record rebuilt from the full-spectrum oracle operators and
         # collocation quadrature (exact: every squared field has degree < n)

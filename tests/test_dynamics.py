@@ -594,6 +594,27 @@ class TestRun:
         with pytest.raises(ParameterError, match="t_end"):
             run(late, Params(n=32, t_end=1.0), sample_every=0.1)
 
+    @pytest.mark.parametrize("fixed_dt", [None, 0.01])
+    @pytest.mark.parametrize("field", ["omega_hat", "a_hat"])
+    def test_non_finite_initial_state_is_bad_input(self, field, fixed_dt):
+        # rejected before the first record on both stepping paths, not
+        # reported as a bad dt (CFL) or a blow-up at t = dt (fixed dt)
+        g = get_grid(32)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=8)
+        coeffs = getattr(st, field).copy()
+        coeffs[1, 2] = np.nan
+        bad = dataclasses.replace(st, **{field: coeffs})
+        with pytest.raises(ParameterError, match=f"initial state {field}"):
+            run(bad, Params(n=32, t_end=0.05), sample_every=0.05,
+                fixed_dt=fixed_dt)
+
+    def test_non_finite_initial_time_is_bad_input(self):
+        st = initial_condition("shear", get_grid(32))
+        for t in (np.nan, np.inf):
+            with pytest.raises(ParameterError, match="initial state t"):
+                run(dataclasses.replace(st, t=t), Params(n=32, t_end=0.05),
+                    sample_every=0.05)
+
     def test_snapshot_every_validation(self):
         # None or a positive finite cadence
         g = get_grid(32)

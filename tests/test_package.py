@@ -1,6 +1,7 @@
 """The package surface: every public name has one home, the __all__ of the
 submodule that defines it, and the package itself re-exports none."""
 
+import ast
 import importlib
 import inspect
 import warnings
@@ -49,3 +50,25 @@ def test_version_is_declared_once():
         project = pyprojecttoml.read_configuration(path)["project"]
     assert "version" in project["dynamic"]
     assert project["version"] == gmhd2d.__version__
+
+
+def _magnitude_forms(path):
+    # np.hypot calls, and np.sqrt calls whose argument holds a product or power
+    for node in ast.walk(ast.parse(path.read_text())):
+        func = getattr(node, "func", None)
+        if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name) and func.value.id == "np"):
+            continue
+        if func.attr == "hypot" or func.attr == "sqrt" and any(
+                isinstance(sub, ast.BinOp) and isinstance(sub.op, (ast.Mult, ast.Pow))
+                for arg in node.args for sub in ast.walk(arg)):
+            yield f"{path.name}:{node.lineno} np.{func.attr}"
+
+
+def test_pointwise_magnitude_has_one_home():
+    # |v| of point values is spectral.magnitude; a hand-rolled np.hypot or
+    # np.sqrt of squares elsewhere is a second form of it
+    src = Path(gmhd2d.__file__).parent
+    found = [form for path in sorted(src.glob("*.py")) if path.name != "spectral.py"
+             for form in _magnitude_forms(path)]
+    assert found == []

@@ -8,7 +8,9 @@ The package works on k2 >= 0 half spectra; the full-spectrum operators of
 tests/oracles.py are checked here too, since the other tests lean on them.
 """
 
+import functools
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from gmhd2d.spectral import (
     get_grid,
     half_power_sum,
     lp_norm,
+    magnitude,
     physical_fields,
     random_band_limited_field,
     spectral_l2,
@@ -515,6 +518,63 @@ class TestProductsAndNorms:
             lp_norm(g, np.zeros((16, 16)), 0.5)
         with pytest.raises(ParameterError, match="p must"):
             lp_norm(g, np.zeros((16, 16)), np.nan)
+
+
+class TestMagnitude:
+    """The one pointwise Euclidean norm and the one sup norm."""
+
+    @staticmethod
+    def planes(count, scale=1.0):
+        return [scale * random_values(16, seed=30 + i) for i in range(count)]
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_is_root_of_in_order_sum_of_squares(self, count):
+        vs = self.planes(count)
+        total = vs[0] * vs[0]
+        for v in vs[1:]:
+            total = total + v * v
+        assert magnitude(*vs).tobytes() == np.sqrt(total).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_overflowing_squares_fall_back_to_hypot(self, count):
+        vs = self.planes(count, scale=1e200)
+        got = magnitude(*vs)
+        assert np.isfinite(got).all()
+        want = functools.reduce(np.hypot, vs) if count > 1 else np.abs(vs[0])
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_component_broadcasts(self):
+        (v,) = self.planes(1)
+        assert magnitude(v, 3.0).tobytes() == np.sqrt(v * v + 9.0).tobytes()
+        assert magnitude(3.0, v).tobytes() == np.sqrt(9.0 + v * v).tobytes()
+        assert float(magnitude(3.0, 4.0)) == 5.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_nan_propagates(self, scale):
+        v1, v2 = self.planes(2, scale)
+        v1[3, 4] = np.nan
+        got = magnitude(v1, v2)
+        assert np.isnan(got[3, 4]) and np.isnan(got).sum() == 1
+
+    def test_no_runtime_warning(self):
+        huge = np.full(4, 1.5e308)  # |(huge, huge)| is beyond float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isinf(magnitude(huge, huge)).all()
+            magnitude(*self.planes(3, scale=1e200))
+            magnitude(*self.planes(3, scale=1e-200))  # squares underflow
+            magnitude(np.array([np.nan, np.inf, 1.0]), 1e300)
+
+    def test_sup_norm_is_max_abs_without_forming_it(self):
+        g = get_grid(16)
+        for v in (random_values(16, seed=40), -np.abs(random_values(16, 41)),
+                  np.zeros((16, 16)), -np.zeros((16, 16))):
+            assert lp_norm(g, v, np.inf) == float(np.max(np.abs(v)))
+        v = random_values(16, seed=42)
+        v[5, 6] = np.nan
+        assert np.isnan(lp_norm(g, v, np.inf))
+        z = random_values(16, seed=43) + 1j * random_values(16, seed=44)
+        assert lp_norm(g, z, np.inf) == float(np.max(np.abs(z)))
 
 
 class TestHalfPowerSum:
