@@ -137,11 +137,10 @@ def _parse_range(text: str, name: str) -> list[float]:
 
 def _scan_point(task):
     """Run one (alpha, beta) grid point of a scan; top-level for pickling."""
-    config, alpha, beta = task
+    config, state, alpha, beta = task
     verdict = classify_regime(alpha, beta).verdict
     try:
         params = dataclasses.replace(config.params, alpha=alpha, beta=beta)
-        state = make_initial_state(dataclasses.replace(config, params=params))
         result = run(state, params, config.sample_every,
                      fixed_dt=config.fixed_dt, p_list=config.p_list,
                      eps_bhat=config.eps_bhat)
@@ -161,11 +160,13 @@ def cmd_scan(config: RunConfig, alpha_values, beta_values,
 
     Rows are ordered by (alpha, beta) regardless of worker count, so the CSV
     content is deterministic.  Per-point failures (including blow-ups) set
-    the blowup flag and the scan continues; the exit status stays 0.
+    the blowup flag and the scan continues; the exit status stays 0.  The
+    initial state, the same at every point, is built (and checked) once.
     """
     if workers < 1:
         raise ParameterError("workers must be a positive integer")
-    tasks = [(config, a, b) for a in alpha_values for b in beta_values]
+    state = make_initial_state(config)
+    tasks = [(config, state, a, b) for a in alpha_values for b in beta_values]
     pool_size = min(workers, len(tasks))  # the pool forks them all at once
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:

@@ -5,7 +5,7 @@ of a single state: the per-state record (collocation L^p norms, spectral
 Sobolev sums, and the running L-infinity integral bkm_accum behind the
 blow-up criterion proxy), the energy balance audit, the L^p vorticity growth
 bound, and the W^{1,inf}/W^{2,inf} norms of the unit magnetic direction
-field with its induced coefficient fields.
+field.
 
 Conventions: the L-infinity norm of a vector or gradient field is the grid
 maximum of the pointwise Euclidean magnitude over all (ordered) components;
@@ -183,7 +183,7 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
     mag = magnitude(b1, b2)
     b_linf = lp_norm(g, mag, np.inf)
     min_abs_b = float(np.min(mag))
-    _, dbhat, second = _unit_field_derivatives(
+    dbhat, second = _unit_field_derivatives(
         (b1, b2), mag, [[b1_1, b1_2], [b2_1, b2_2]],
         [dict(zip(_PAIRS, (b1_11, b1_12, b1_22))),
          dict(zip(_PAIRS, (b2_11, b2_12, b2_22)))],
@@ -351,20 +351,17 @@ def lp_vorticity_bound_check(series, p: float) -> LpBoundReport:
 
 @dataclass(frozen=True)
 class DirectionFieldNorms:
-    """Regularized unit-field norms and the induced coefficient fields.
+    """Regularized derivative norms of the unit field of b.
 
     w1inf/w2inf are max-over-partials W^{1,inf}/W^{2,inf} norms of
-    bhat = b / sqrt(|b|^2 + eps^2).  a_coeff_linf and b_coeff_linf are the
-    L-infinity norms of A = curl(bhat.grad bhat - (div bhat) bhat) and of
-    that vector field itself.  regularization_dominated is set when
-    min|b| < eps, i.e. when the floor (not the data) controls the values.
+    bhat = b / sqrt(|b|^2 + eps^2), min_abs_b is min |b| over the grid and
+    eps the floor used.  regularization_dominated is set when min|b| < eps,
+    i.e. when the floor (not the data) controls the values.
     """
 
     w1inf: float
     w2inf: float
     min_abs_b: float
-    a_coeff_linf: float
-    b_coeff_linf: float
     regularization_dominated: bool
     eps: float
 
@@ -399,12 +396,12 @@ def _unit_field_derivatives(b, mag, db, d2b, eps):
         d_i d_k bhat_j = (d_i d_k b_j - d_k bhat_j t_i - d_i bhat_j t_k
                           - bhat_j T_ik) r
 
-    Returns (bhat, dbhat, second): bhat and dbhat are laid out like b and
-    db, and second is a generator of (j, (i, k), d_i d_k bhat_j), pair by
-    pair in _PAIRS order and j = 0, 1 within a pair.  Every plane it yields
-    is the same buffer, overwritten by the next: reduce it or copy it.  It
-    holds neither b nor mag, so a caller that drops them keeps those planes
-    out of the second-order stage.
+    Returns (dbhat, second): dbhat is laid out like db, and second is a
+    generator of (j, (i, k), d_i d_k bhat_j), pair by pair in _PAIRS order
+    and j = 0, 1 within a pair.  Every plane it yields is the same buffer,
+    overwritten by the next: reduce it or copy it.  It holds neither b nor
+    mag, so a caller that drops them keeps those planes out of the
+    second-order stage.
     """
     r = 1.0 / magnitude(mag, eps)
     bhat = [b[0] * r, b[1] * r]
@@ -415,7 +412,7 @@ def _unit_field_derivatives(b, mag, db, d2b, eps):
             d = dbhat[jc][i]
             np.subtract(db[jc][i], d, out=d)
             d *= r
-    return bhat, dbhat, _second_derivatives(bhat, dbhat, t, r, db, d2b)
+    return dbhat, _second_derivatives(bhat, dbhat, t, r, db, d2b)
 
 
 def _second_derivatives(bhat, dbhat, t, r, db, d2b):
@@ -436,54 +433,6 @@ def _second_derivatives(bhat, dbhat, t, r, db, d2b):
             yield jc, (i, k), out
 
 
-def _coefficient_fields(bhat, dbhat, d2bhat):
-    """vec = bhat.grad bhat - (div bhat) bhat and its scalar curl, pointwise."""
-    def second(jc, i, k):
-        return d2bhat[jc][(i, k) if i <= k else (k, i)]
-
-    div_bhat = dbhat[0][0] + dbhat[1][1]
-    vec = [bhat[0] * dbhat[jc][0] + bhat[1] * dbhat[jc][1] - div_bhat * bhat[jc]
-           for jc in (0, 1)]
-
-    def dvec(jc, k):  # d_k vec_j
-        adv = sum(dbhat[i][k] * dbhat[jc][i] + bhat[i] * second(jc, i, k)
-                  for i in (0, 1))
-        ddiv = second(0, 0, k) + second(1, 1, k)
-        return adv - ddiv * bhat[jc] - div_bhat * dbhat[jc][k]
-
-    return vec, dvec(1, 0) - dvec(0, 1)
-
-
-def _unit_field_jet(grid: Grid, b1: np.ndarray, b2: np.ndarray,
-                    eps: float | None = None) -> dict:
-    """Pointwise derivatives of bhat = b/(|b|^2+eps^2)^{1/2} up to second order.
-
-    All derivatives of the band-limited components b1, b2 are spectral (2
-    analyses, 10 syntheses: b need not be divergence free here); the chain
-    rule then assembles the derivatives of bhat pointwise.  (bhat itself is a
-    rational function of b with point singularities, so differentiating it
-    directly in Fourier space would pollute the whole grid with Gibbs error;
-    the product-rule route stays exact.)  eps = None selects 1e-6 * max|b|.
-
-    Returns a dict with bhat[j], dbhat[j][i], d2bhat[j][(i,k)] (i <= k), the
-    coefficient vector field vec = bhat.grad bhat - (div bhat) bhat, its
-    scalar curl curl_vec, the unregularized magnitude mag and the floor eps.
-    """
-    halves = {"b1": to_spectral(grid, b1), "b2": to_spectral(grid, b2)}
-    db = [physical_fields(grid, halves, c + "_1", c + "_2") for c in halves]
-    d2b = [dict(zip(_PAIRS, physical_fields(
-        grid, halves, c + "_11", c + "_12", c + "_22"))) for c in halves]
-    mag = magnitude(b1, b2)
-    eps = _regularization(lp_norm(grid, mag, np.inf), eps)
-    bhat, dbhat, second = _unit_field_derivatives((b1, b2), mag, db, d2b, eps)
-    d2bhat = [{}, {}]
-    for jc, ik, plane in second:
-        d2bhat[jc][ik] = plane.copy()
-    vec, curl_vec = _coefficient_fields(bhat, dbhat, d2bhat)
-    return {"bhat": bhat, "dbhat": dbhat, "d2bhat": d2bhat, "vec": vec,
-            "curl_vec": curl_vec, "mag": mag, "eps": eps}
-
-
 def direction_field_norms(
     grid: Grid,
     b1: np.ndarray,
@@ -491,6 +440,10 @@ def direction_field_norms(
     eps: float | None = None,
 ) -> DirectionFieldNorms:
     """Derivative norms of the regularized unit field bhat = b/(|b|^2+eps^2)^{1/2}.
+
+    b1, b2 are differentiated spectrally (2 analyses, 10 syntheses; b need
+    not be divergence free), and the record's chain rule forms the partials
+    of bhat, which is singular where b = 0, reducing each as it is formed.
 
     Args:
         grid: grid of the sampled components.
@@ -500,19 +453,23 @@ def direction_field_norms(
     Returns:
         DirectionFieldNorms.
     """
-    jet = _unit_field_jet(grid, np.asarray(b1, dtype=float),
-                          np.asarray(b2, dtype=float), eps)
-    w1inf = max(lp_norm(grid, v, np.inf) for row in jet["dbhat"] for v in row)
-    w2inf = max(lp_norm(grid, v, np.inf) for d in jet["d2bhat"] for v in d.values())
-    min_abs_b = float(np.min(jet["mag"]))
+    b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
+    halves = {"b1": to_spectral(grid, b1), "b2": to_spectral(grid, b2)}
+    db = [physical_fields(grid, halves, c + "_1", c + "_2") for c in halves]
+    d2b = [dict(zip(_PAIRS, physical_fields(
+        grid, halves, c + "_11", c + "_12", c + "_22"))) for c in halves]
+    del halves
+    mag = magnitude(b1, b2)
+    min_abs_b = float(np.min(mag))
+    eps = _regularization(lp_norm(grid, mag, np.inf), eps)
+    dbhat, second = _unit_field_derivatives((b1, b2), mag, db, d2b, eps)
+    del mag
     return DirectionFieldNorms(
-        w1inf=w1inf,
-        w2inf=w2inf,
+        w1inf=max(lp_norm(grid, v, np.inf) for row in dbhat for v in row),
+        w2inf=max(lp_norm(grid, plane, np.inf) for _, _, plane in second),
         min_abs_b=min_abs_b,
-        a_coeff_linf=lp_norm(grid, jet["curl_vec"], np.inf),
-        b_coeff_linf=lp_norm(grid, magnitude(*jet["vec"]), np.inf),
-        regularization_dominated=min_abs_b < jet["eps"],
-        eps=jet["eps"],
+        regularization_dominated=min_abs_b < eps,
+        eps=eps,
     )
 
 

@@ -229,7 +229,7 @@ def initial_condition(
             i.e. u0 = (-sin x2, sin x1), b0 = (-sin x2, sin 2 x1).
         random_band_limited: independent Gaussian draws for omega and a with
             support |k| <= k_max and L2 norm = amplitude, deterministic in the
-            64-bit seed (two spawned streams of one SeedSequence).
+            integer seed >= 0 (two spawned streams of one SeedSequence).
         single_mode: omega = cos(mode . x), no magnetic field; a steady Euler
             flow, handy for time-stepper checks.
         shear: single_mode with mode (0, 1), u = (-sin x2, 0) (omega0 =
@@ -245,6 +245,8 @@ def initial_condition(
         w = to_spectral(grid, np.cos(grid.x1) + np.cos(grid.x2))
         a = to_spectral(grid, -np.cos(grid.x2) - 0.5 * np.cos(2.0 * grid.x1))
     elif kind == "random_band_limited":
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
         seq_w, seq_a = np.random.SeedSequence(seed).spawn(2)
         w = random_band_limited_field(grid, k_max, seq_w, amplitude)
         a = random_band_limited_field(grid, k_max, seq_a, amplitude)

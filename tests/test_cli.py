@@ -212,6 +212,17 @@ class TestRunCommand:
         assert not (out / "snapshot_initial.bin").exists()
         assert not out.exists()
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        cfg = write_cfg(tmp_path, (
+            f"params.n = 32\nparams.t_end = 0.1\n"
+            f"initial.kind = random_band_limited\ninitial.k_max = 8\n"
+            f"initial.seed = -1\nsample_every = 0.05\noutput_dir = {out}\n"))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+        assert not out.exists()
+
     def test_blow_up_exits_two_with_partial_artifacts(self, tmp_path):
         out = tmp_path / "out"
         text = (
@@ -325,6 +336,20 @@ class TestScanCommand:
         row = (out / "scan.csv").read_text().splitlines()[1].split(",")
         assert row[2] == "ProvenRegular"  # verdict needs no solve
         assert row[3] == "nan" and row[4] == "nan" and row[5] == "1"
+
+    def test_bad_base_config_exits_one_without_artifacts(self, tmp_path,
+                                                         capsys):
+        # the initial state does not depend on (alpha, beta): a bad one is
+        # bad input for the whole scan, not a blow-up at every point
+        out = tmp_path / "never"
+        cfg = write_cfg(tmp_path, (
+            f"params.n = 32\nparams.t_end = 0.02\n"
+            f"initial.kind = random_band_limited\ninitial.k_max = 20\n"
+            f"sample_every = 0.01\noutput_dir = {out}\n"), "scan.cfg")
+        assert main(["scan", "--config", str(cfg),
+                     "--alpha", "1.0:1.0:1.0", "--beta", "0.5:1.0:0.5"]) == 1
+        assert "error: k_max" in capsys.readouterr().err
+        assert not out.exists()  # no scan.csv and no summary.txt
 
     def test_range_parsing(self):
         assert _parse_range("0:1:0.5", "x") == [0.0, 0.5, 1.0]

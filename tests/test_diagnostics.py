@@ -22,7 +22,8 @@ from gmhd2d.diagnostics import (
     lp_vorticity_bound_check,
     read_csv,
     write_csv,
-    _unit_field_jet,
+    _PAIRS,
+    _unit_field_derivatives,
 )
 from gmhd2d.dynamics import (
     Params,
@@ -49,8 +50,11 @@ from gmhd2d.spectral import (
     ParameterError,
     get_grid,
     lp_norm,
+    magnitude,
+    physical_fields,
     random_band_limited_field,
     to_physical,
+    to_spectral,
 )
 from oracles import (
     biot_savart,
@@ -308,6 +312,14 @@ class TestTransformBudget:
         compute_record(st, Params(n=64))
         assert fft_calls == {"irfft2": 14}
 
+    def test_direction_field_is_two_analyses_and_ten_syntheses(self, fft_calls):
+        g = get_grid(64)
+        b1, b2 = physical_fields(g, {"a": random_band_limited_field(g, 8, 1)},
+                                 "b1", "b2")
+        fft_calls.clear()
+        direction_field_norms(g, b1, b2)
+        assert fft_calls == {"rfft2": 2, "irfft2": 10}
+
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_bad_eps_is_rejected_before_any_transform(self, fft_calls, eps):
         g = get_grid(64)
@@ -510,7 +522,7 @@ class TestBkm:
 
 
 class TestDirectionField:
-    """Unit-field derivative norms and the induced coefficient fields."""
+    """Derivative norms of the unit field of b."""
 
     def test_constant_field(self):
         g = get_grid(32)
@@ -518,7 +530,6 @@ class TestDirectionField:
         zeros = np.zeros((32, 32))
         out = direction_field_norms(g, ones, zeros, eps=1e-8)
         assert out.w1inf < 1e-6 and out.w2inf < 1e-6
-        assert out.a_coeff_linf < 1e-6 and out.b_coeff_linf < 1e-6
         assert out.min_abs_b == pytest.approx(1.0)
         assert not out.regularization_dominated
 
@@ -549,36 +560,33 @@ class TestDirectionField:
                 for k, w in ((0, x), (1, y)):
                     if i <= k:
                         exprs[("d2", jc, i, k)] = bh.diff(v).diff(w)
-        # coefficient fields: vec = bhat.grad bhat - (div bhat) bhat, curl vec
-        bh = (b1s / rho0, b2s / rho0)
-        div = bh[0].diff(x) + bh[1].diff(y)
-        vec = [bh[0] * c.diff(x) + bh[1] * c.diff(y) - div * c for c in bh]
-        for jc in (0, 1):
-            exprs[("vec", jc)] = vec[jc]
-        exprs[("curl_vec",)] = vec[1].diff(x) - vec[0].diff(y)
         fns = {key: sympy.lambdify((x, y), e, "numpy") for key, e in exprs.items()}
 
         g = get_grid(64)
         b1 = -np.sin(g.x1) * np.cos(g.x2)
         b2 = np.cos(g.x1) * np.sin(g.x2)
-        jet = _unit_field_jet(g, b1, b2, eps=1e-6)
-        mask = jet["mag"] > 0.1
+        halves = {"b1": to_spectral(g, b1), "b2": to_spectral(g, b2)}
+        db = [physical_fields(g, halves, c + "_1", c + "_2") for c in halves]
+        d2b = [dict(zip(_PAIRS, physical_fields(
+            g, halves, c + "_11", c + "_12", c + "_22"))) for c in halves]
+        mag = magnitude(b1, b2)
+        dbhat, second = _unit_field_derivatives((b1, b2), mag, db, d2b, 1e-6)
+        # every streamed plane is one reused buffer: keep a copy of each
+        d2bhat = {(jc, ik): plane.copy() for jc, ik, plane in second}
+        assert sorted(d2bhat) == sorted((jc, ik) for jc in (0, 1) for ik in _PAIRS)
+        mask = mag > 0.1
         # the symbolic reference itself blows up on the zero set of |b|;
         # the mask discards those grid points
         with np.errstate(divide="ignore", invalid="ignore"):
             for jc in (0, 1):
                 for i in (0, 1):
                     ref = fns[("d", jc, i)](g.x1, g.x2)
-                    err = np.max(np.abs(jet["dbhat"][jc][i] - ref)[mask])
+                    err = np.max(np.abs(dbhat[jc][i] - ref)[mask])
                     assert err < 1e-6
-                for (i, k), vals in jet["d2bhat"][jc].items():
-                    ref = fns[("d2", jc, i, k)](g.x1, g.x2)
-                    err = np.max(np.abs(vals - ref)[mask])
-                    assert err < 1e-6
-                ref = fns[("vec", jc)](g.x1, g.x2)
-                assert np.max(np.abs(jet["vec"][jc] - ref)[mask]) < 1e-6
-            ref = fns[("curl_vec",)](g.x1, g.x2)
-            assert np.max(np.abs(jet["curl_vec"] - ref)[mask]) < 1e-6
+            for (jc, (i, k)), vals in d2bhat.items():
+                ref = fns[("d2", jc, i, k)](g.x1, g.x2)
+                err = np.max(np.abs(vals - ref)[mask])
+                assert err < 1e-6
 
     def test_rescaling_invariance(self):
         g = get_grid(64)
@@ -590,6 +598,22 @@ class TestDirectionField:
         scaled = direction_field_norms(g, lam * b1, lam * b2, eps=lam * 1e-4)
         assert scaled.w1inf == pytest.approx(base.w1inf, rel=1e-12)
         assert scaled.w2inf == pytest.approx(base.w2inf, rel=1e-12)
+
+    def test_peak_is_at_most_26_planes(self):
+        # the second partials of bhat are reduced plane by plane, as in the
+        # record, so no call holds all six of them at once
+        n = 128
+        g = get_grid(n)
+        b1, b2 = physical_fields(g, {"a": random_band_limited_field(g, 20, 1)},
+                                 "b1", "b2")
+        direction_field_norms(g, b1, b2)  # warm the per-size caches
+        tracemalloc.start()
+        try:
+            direction_field_norms(g, b1, b2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * n * n * 8
 
     def test_eps_validation(self):
         g = get_grid(32)

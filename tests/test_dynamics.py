@@ -152,6 +152,12 @@ class TestInitialConditions:
         with pytest.raises(ParameterError, match="k_max"):
             initial_condition("random_band_limited", g, seed=1, k_max=40)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_random_rejects_bad_seed(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            initial_condition("random_band_limited", get_grid(32), seed=seed,
+                              k_max=8)
+
     def test_unknown_kind(self):
         with pytest.raises(ParameterError, match="unknown initial-condition"):
             initial_condition("vortex_pair", get_grid(32))
