@@ -207,19 +207,14 @@ def weak_dissipation_exponents(alpha: float, p1: float) -> WeakDissipationExpone
 class GronwallReport:
     """Discrete audit of eta(t) + int psi <= eta(0) exp(int phi).
 
-    hypothesis_excess[i] = forward difference of eta plus psi minus phi*eta
-    on interval i (nonpositive when the differential hypothesis holds);
     margin[k] = eta(0) exp(int phi) - (eta[k] + int psi) using left Riemann
-    sums.  checked[k] is True when the hypothesis held on every interval
-    before sample k; passed requires the conclusion at all checked samples,
-    up to the slack that the hypothesis tolerance propagates.
+    sums.  checked[k] is True when the hypothesis (eta' + psi <= phi*eta by
+    forward differences) held on every interval before sample k; passed
+    requires the conclusion at all checked samples, up to the slack that the
+    hypothesis tolerance propagates.
     """
 
-    times: np.ndarray
-    hypothesis_excess: np.ndarray
-    hypothesis_ok: np.ndarray
     margin: np.ndarray
-    conclusion_ok: np.ndarray
     checked: np.ndarray
     passed: bool
 
@@ -274,10 +269,7 @@ def gronwall_check(times, eta, psi, phi) -> GronwallReport:
     conclusion_ok = margin >= -slack
     checked = np.concatenate([[True], np.cumprod(hypothesis_ok) > 0])
     passed = bool(np.all(conclusion_ok[checked]))
-    return GronwallReport(times=t, hypothesis_excess=excess,
-                          hypothesis_ok=hypothesis_ok, margin=margin,
-                          conclusion_ok=conclusion_ok, checked=checked,
-                          passed=passed)
+    return GronwallReport(margin=margin, checked=checked, passed=passed)
 
 
 def fit_gronwall_constant(times, eta, psi, phi) -> float:

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import datetime
 import math
-import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -382,8 +381,8 @@ def _build_parser() -> _Parser:
                         help="alpha range start:stop:step")
     p_scan.add_argument("--beta", required=True, metavar="B0:B1:DB",
                         help="beta range start:stop:step")
-    p_scan.add_argument("--workers", type=int, default=None,
-                        help="concurrent runs (default $GMHD2D_WORKERS or 1)")
+    p_scan.add_argument("--workers", type=int, default=1,
+                        help="concurrent runs (default 1)")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True,
@@ -407,18 +406,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(load_run_config(args.config))
         if args.command == "scan":
-            workers = args.workers
-            if workers is None:
-                raw = os.environ.get("GMHD2D_WORKERS", "1")
-                try:
-                    workers = int(raw)
-                except ValueError:
-                    raise ParameterError(
-                        f"GMHD2D_WORKERS must be an integer, got {raw!r}") from None
             return cmd_scan(load_run_config(args.config),
                             _parse_range(args.alpha, "--alpha"),
                             _parse_range(args.beta, "--beta"),
-                            workers)
+                            args.workers)
         if args.command == "verify":
             return cmd_verify(args.suite, args.count, args.output)
         return cmd_classify(args.alpha, args.beta)

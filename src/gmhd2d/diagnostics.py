@@ -87,7 +87,7 @@ class DiagnosticsRecord:
     The first fifteen fields are the fixed CSV columns; omega_lp and
     grad_j_lp hold one entry per configured p (omega_lp is also written to
     CSV as omega_lp_<p> columns).  The remaining fields are in-memory only:
-    they feed the Gronwall, ideal-invariant, and regularization audits.
+    they feed the L^p bound, Gronwall, and ideal-invariant audits.
     """
 
     t: float
@@ -111,8 +111,6 @@ class DiagnosticsRecord:
     b_linf: float = 0.0
     cross_helicity: float = 0.0
     diss_omega: float = 0.0
-    diss_j: float = 0.0
-    min_abs_b: float = 0.0
 
 
 def compute_record(
@@ -182,7 +180,6 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
 
     mag = magnitude(b1, b2)
     b_linf = lp_norm(g, mag, np.inf)
-    min_abs_b = float(np.min(mag))
     dbhat, second = _unit_field_derivatives(
         (b1, b2), mag, [[b1_1, b1_2], [b2_1, b2_2]],
         [dict(zip(_PAIRS, (b1_11, b1_12, b1_22))),
@@ -228,8 +225,6 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
         b_linf=b_linf,
         cross_helicity=sums["cross_helicity"],
         diss_omega=sums["diss_omega"],
-        diss_j=sums["diss_j"],
-        min_abs_b=min_abs_b,
     )
 
 
@@ -247,7 +242,6 @@ def _spectral_sums(grid: Grid, wh: np.ndarray, ah: np.ndarray, params: Params) -
         "diss_u": half_power_sum(grid, pu, params.alpha),
         "diss_b": half_power_sum(grid, pb, params.beta),
         "diss_omega": half_power_sum(grid, pw, params.alpha),
-        "diss_j": half_power_sum(grid, pj, params.beta),
         "grad_w_sq": half_power_sum(grid, pw, 1.0),
         "grad_j_sq": half_power_sum(grid, pj, 1.0),
         "a_sq": half_power_sum(grid, pa),

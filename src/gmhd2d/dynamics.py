@@ -344,32 +344,16 @@ def nonlinear_rhs(state: GmhdState, params: Params) -> Tendency:
 # exact structure identities
 # ---------------------------------------------------------------------------
 
-def _under_resolved(grid: Grid, *coeff_arrays) -> bool:
-    edge = grid.half_dealias & (
-        np.maximum(np.abs(grid.k1), grid.k2) > 0.85 * grid.dealias_k)
-    for c in coeff_arrays:
-        peak = float(np.max(np.abs(c)))
-        if peak > 0.0 and float(np.max(np.abs(c[edge]))) > 1e-8 * peak:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Normalized residuals of the exact identities behind the a-priori
-    estimates; each vanishes analytically, so roundoff reads ~1e-16.
-
-    under_resolved is True when the spectral tail of omega or a (outermost
-    15% of the retained band) exceeds 1e-8 of its peak amplitude, in which
-    case the residuals say more about truncation than about the identities.
-    """
+    estimates; each vanishes analytically, so roundoff reads ~1e-16."""
 
     current: float                 # Delta(u.grad a) = u.grad j - b.grad w - G
     forcing: float                 # curl(b.grad b) = b.grad j
     self_transport_omega: float    # int (u.grad w) w dx
     self_transport_current: float  # int (u.grad j) j dx
     lorentz_exchange: float        # int (b.grad j) w dx + int (b.grad w) j dx
-    under_resolved: bool
 
 
 def structure_identities(state: GmhdState) -> IdentityReport:
@@ -429,7 +413,6 @@ def structure_identities(state: GmhdState) -> IdentityReport:
         self_transport_current=i_j / max(u_inf * gj_l2 * j_l2, tiny),
         lorentz_exchange=abs(pair) / max(
             b_inf * (gj_l2 * w_l2 + gw_l2 * j_l2), tiny),
-        under_resolved=_under_resolved(g, state.omega_hat, state.a_hat),
     )
 
 

@@ -16,8 +16,7 @@ evaluated once.  L2 terms are Parseval sums over a half power spectrum
 formed once per field.  Terms of one (field, grad, lam) family that differ
 only in p share one pointwise magnitude: the default battery's 22
 distinct terms need four such families, eight real syntheses per field per
-resolution.  evaluate_norm is the one-term case of the same code, and a
-single spec is checked as check_inequalities((spec,), ...)[0].
+resolution.  A single spec is checked as check_inequalities((spec,), ...)[0].
 
 Positivity of the fractional-dissipation integral against odd powers and the
 logarithmic bound on the velocity gradient are checked by the same corpus
@@ -50,7 +49,6 @@ __all__ = [
     "ConstantReport",
     "PositivityReport",
     "Corpus",
-    "evaluate_norm",
     "check_inequalities",
     "check_positivity",
     "log_inequality_check",
@@ -146,10 +144,12 @@ def _field_power(grid, f, field):
 
 
 def _norm_table(grid, f_hat, terms) -> dict:
-    """Every NormTerm of `terms` (see evaluate_norm) on the potential with
-    half spectrum f_hat, as a dict.
+    """Every NormTerm of `terms` on the potential with half spectrum f_hat,
+    as a dict.
 
-    The p = 2 terms of one field share its power spectrum.  The other terms
+    The p = 2 terms are Parseval sums, since the ordered-partials convention
+    collapses there to the multiplier norm of |k|^(lam + grad), and those of
+    one field share its power spectrum.  The other terms
     of one (field, grad, lam) family differ only in p and share one
     magnitude plane from one physical_fields call; families are taken one
     at a time, so one family's planes at most are alive at once.  A family
@@ -182,20 +182,6 @@ def _norm_table(grid, f_hat, terms) -> dict:
             table[term] = lp_norm(grid, mag, term.p)
         del mag
     return table
-
-
-def evaluate_norm(grid, f_hat, term: NormTerm) -> float:
-    """Evaluate a NormTerm on the scalar potential with half spectrum f_hat.
-
-    For p = 2 the ordered-partials convention collapses to the exact
-    multiplier norm: a Parseval sum of |k|^(2 (lam + grad)) times the power
-    of X(f), which is |fhat|^2 for f, the Nyquist-zeroed |k|^2 |fhat|^2 for
-    b and |k|^4 |fhat|^2 for j.  Other exponents build the pointwise
-    Euclidean magnitude of the full derivative stack and integrate it by
-    collocation quadrature.  This is the one-term case of the norm table
-    check_inequalities builds.
-    """
-    return _norm_table(grid, f_hat, (term,))[term]
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +231,13 @@ class Corpus:
 class ConstantReport:
     """Observed left/right ratios for one inequality across refinements.
 
-    trend lists (n, max ratio); quantiles are taken at the finest
-    resolution; growth is the relative increase of the max ratio over the
-    last refinement step; passed means growth < 5%.
+    trend lists (n, max ratio); max_ratio is that of the finest resolution;
+    growth is the relative increase of the max ratio over the last
+    refinement step; passed means growth < 5%.
     """
 
     name: str
-    corpus_size: int
     max_ratio: float
-    quantiles: tuple[tuple[float, float], ...]
     trend: tuple[tuple[int, float], ...]
     growth: float
     passed: bool
@@ -291,17 +275,12 @@ def _constant_report(name, per_resolution) -> ConstantReport:
     if not per_resolution:
         raise ParameterError("need at least one resolution")
     trend = tuple((n, float(np.max(r))) for n, r in per_resolution)
-    finest = per_resolution[-1][1]
-    qs = (0.5, 0.9, 1.0)
-    quantiles = tuple((q, float(np.quantile(finest, q))) for q in qs)
     if len(trend) >= 2:
         growth = trend[-1][1] / trend[-2][1] - 1.0
     else:
         growth = 0.0
-    return ConstantReport(name=name, corpus_size=len(finest),
-                          max_ratio=trend[-1][1], quantiles=quantiles,
-                          trend=trend, growth=growth,
-                          passed=bool(growth < 0.05))
+    return ConstantReport(name=name, max_ratio=trend[-1][1], trend=trend,
+                          growth=growth, passed=bool(growth < 0.05))
 
 
 # ---------------------------------------------------------------------------

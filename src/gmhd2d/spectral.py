@@ -132,6 +132,11 @@ class Grid:
     def __hash__(self) -> int:
         return hash(("Grid", self.n))
 
+    def __reduce__(self):
+        # a pickled Grid (a scan task's state carries one) is just n; the
+        # receiving process rebuilds or reuses its own cached instance
+        return get_grid, (self.n,)
+
 
 @functools.lru_cache(maxsize=None)
 def get_grid(n: int) -> Grid:

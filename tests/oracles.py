@@ -10,7 +10,9 @@ gradient coupling of the current equation, the Hermitian projection and
 defect, the half -> full expansion and the homogeneous Sobolev norm.  They
 are independent of the half-spectrum code paths, which is what makes them
 useful as oracles.  random_band_limited_field_loop is the per-mode loop the
-package's vectorized corpus draw replaced.
+package's vectorized corpus draw replaced.  norm_of_term is no oracle: it
+reads one NormTerm off the package's own norm table, for tests that need a
+single norm.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import warnings
 
 import numpy as np
 
+from gmhd2d.inequalities import _norm_table
 from gmhd2d.spectral import Grid, ParameterError
 
 
@@ -254,3 +257,8 @@ def random_band_limited_field_loop(
     """
     c = random_band_limited_draw_loop(grid, k_max, seed)
     return c * (amplitude / full_l2(grid, c))
+
+
+def norm_of_term(grid: Grid, f_hat: np.ndarray, term) -> float:
+    """One NormTerm on the potential with half spectrum f_hat."""
+    return _norm_table(grid, f_hat, (term,))[term]

@@ -313,14 +313,6 @@ class TestScanCommand:
         assert {"workers = 1", "pool_size = 1"} <= set(summaries[0])
         assert {"workers = 500", "pool_size = 4"} <= set(summaries[1])
 
-    def test_workers_env_fallback(self, tmp_path, monkeypatch):
-        out = tmp_path / "env_out"
-        cfg = self.scan_cfg(tmp_path, out)
-        monkeypatch.setenv("GMHD2D_WORKERS", "2")
-        assert main(["scan", "--config", str(cfg),
-                     "--alpha", "1.0:1.0:1.0", "--beta", "1.0:1.0:1.0"]) == 0
-        assert "workers = 2" in (out / "summary.txt").read_text()
-
     def test_failed_point_is_recorded_not_fatal(self, tmp_path, monkeypatch,
                                                 capsys):
         out = tmp_path / "fail_out"
@@ -469,17 +461,6 @@ class TestUsageErrors:
         assert main(["scan", "--config", str(cfg), "--alpha", "1:1:1",
                      "--beta", "1:1:1", "--workers", "0"]) == 1
         assert "workers" in capsys.readouterr().err
-
-    def test_non_integer_workers_env_exits_one(self, tmp_path, capsys,
-                                               monkeypatch):
-        cfg = write_cfg(tmp_path, BASE_CFG.format(out=tmp_path / "o"))
-        monkeypatch.setenv("GMHD2D_WORKERS", "abc")
-        assert main(["scan", "--config", str(cfg), "--alpha", "1:1:1",
-                     "--beta", "1:1:1"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: GMHD2D_WORKERS")
-        assert "'abc'" in err
-        assert not (tmp_path / "o").exists()
 
 
 if __name__ == "__main__":

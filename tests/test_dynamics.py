@@ -381,16 +381,6 @@ class TestIdentityResiduals:
         rep = structure_identities(st)
         assert rep.current < 1e-9
         assert rep.forcing < 1e-9
-        assert not rep.under_resolved
-
-    def test_under_resolved_flag(self):
-        # energy parked at the dealias edge of either spectrum must trip the
-        # resolution flag
-        g = get_grid(64)
-        st = initial_condition("single_mode", g, mode=(g.dealias_k, 0))
-        assert structure_identities(st).under_resolved
-        edge_a = dataclasses.replace(st, omega_hat=st.a_hat, a_hat=st.omega_hat)
-        assert structure_identities(edge_a).under_resolved
 
 
 class TestCancellations:

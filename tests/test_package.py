@@ -1,5 +1,6 @@
 """The package surface: every public name has one home, the __all__ of the
-submodule that defines it, and the package itself re-exports none."""
+submodule that defines it, and a reader outside its definition; the package
+itself re-exports none."""
 
 import ast
 import importlib
@@ -72,3 +73,86 @@ def test_pointwise_magnitude_has_one_home():
     found = [form for path in sorted(src.glob("*.py")) if path.name != "spectral.py"
              for form in _magnitude_forms(path)]
     assert found == []
+
+
+# Public names that no src module and no acceptance test reads, kept for the
+# reason given.  Every other __all__ name needs a reader.
+UNREAD_BUT_KEPT = {
+    "direction_field_norms": "the benchmark times it (perfbench/layers.py), "
+                             "and the record's oracle test uses it",
+    "nonlinear_rhs": "the benchmark's set-up builds the dissipation "
+                     "multipliers with it (perfbench/workloads.py)",
+    "cfl_dt": "the benchmark times it (perfbench/layers.py)",
+    "read_csv": "reads back the diagnostics.csv that cmd_run writes; the "
+                "benchmark's sampled workload checks its output with it",
+    "load_snapshot": "reads back the snapshots that cmd_run writes; the "
+                     "benchmark's sampled workload checks its output with it",
+}
+
+
+def _statements(source):
+    # (names a top-level statement defines, names it reads): loaded
+    # ast.Name ids, ast.Attribute attrs and import aliases; docstrings and
+    # __all__ strings are constants, so they read nothing
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defines = {stmt.name}
+        else:
+            targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+            defines = {t.id for t in targets if isinstance(t, ast.Name)}
+        reads = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.alias):
+                reads.add(node.name)
+        yield defines, reads
+
+
+def _exports(source):
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    return []
+
+
+def _unread_exports(sources, acceptance):
+    """(module, name) for each __all__ name of sources (module name -> source
+    text) that nothing reads outside its own definition, neither a src module
+    nor the acceptance battery."""
+    statements = {home: list(_statements(text)) for home, text in sources.items()}
+    contract = set().union(*(reads for _, reads in _statements(acceptance)))
+    return [(home, name)
+            for home, text in sources.items() for name in _exports(text)
+            if name not in contract and not any(
+                name in reads
+                for module, stmts in statements.items()
+                for defines, reads in stmts
+                if not (module == home and name in defines))]
+
+
+def _package_sources():
+    # every module of the package, __main__ included
+    src = Path(gmhd2d.__file__).parent
+    return ({path.stem: path.read_text() for path in sorted(src.glob("*.py"))},
+            (Path(__file__).parent / "test_acceptance.py").read_text())
+
+
+def test_every_public_name_has_a_reader():
+    sources, acceptance = _package_sources()
+    unread = _unread_exports(sources, acceptance)
+    assert sorted(name for _, name in unread) == sorted(UNREAD_BUT_KEPT)
+
+
+def test_a_restored_test_only_helper_is_caught():
+    # evaluate_norm was a one-term wrapper of the norm table that only tests
+    # called; put back with its __all__ entry, the guard must flag it
+    sources, acceptance = _package_sources()
+    sources["inequalities"] = sources["inequalities"].replace(
+        '__all__ = [', '__all__ = [\n    "evaluate_norm",', 1) + (
+        "\n\ndef evaluate_norm(grid, f_hat, term):\n"
+        "    return _norm_table(grid, f_hat, (term,))[term]\n")
+    assert ("inequalities", "evaluate_norm") in _unread_exports(sources, acceptance)

@@ -10,6 +10,7 @@ tests/oracles.py are checked here too, since the other tests lean on them.
 
 import functools
 import gc
+import pickle
 import warnings
 
 import numpy as np
@@ -100,6 +101,13 @@ class TestGrid:
         assert Grid(32) == Grid(32)
         assert Grid(32) != Grid(64)
         assert get_grid(32) is get_grid(32)
+
+    def test_pickles_as_its_size(self):
+        # a scan task's state carries its Grid to a worker process: only n
+        # travels, and unpickling returns the cached instance
+        g = get_grid(64)
+        assert pickle.loads(pickle.dumps(g)) is g
+        assert len(pickle.dumps(g)) < 200
 
     def test_invalid_sizes(self):
         with pytest.raises(ParameterError, match="even"):
