@@ -14,26 +14,19 @@ individual partial derivatives instead (documented choice).  H^1 norms are
 inhomogeneous: ||f||_{H^1}^2 = ||f||_2^2 + ||Lambda f||_2^2.
 
 Cost of one record: 14 real syntheses (irfft2) by spectral.physical_fields
-from the half spectra of omega and a, and no other transform: w, j, b1,
-b2, three of grad u, three of grad b and four of the second partials of b.
-The rest follows from div u = div b = 0 and j = curl b:
-
-    d2 u2 = -d1 u1,   d2 b2 = -d1 b1,
-    d1d2 b2 = -d1d1 b1,   d2d2 b2 = -d1d2 b1,
-    grad j = (d1d1 b2 - d1d2 b1,  -d1d1 b1 - d2d2 b1).
-
-With the Nyquist-zeroed i*k multipliers these hold exactly only for spectra
-without content on the Nyquist lines, which every state from
-initial_condition, step and load_snapshot satisfies (the 2/3 band excludes
-them).
-
-The syntheses come in three groups, in this order, and each group is
-reduced to its scalars and dropped before the next is synthesized: (w, j);
-(d1 u1, d2 u1, d1 u2); and b with its first and second partials (nine
-planes).  In the last group the second partials of the direction field are
-formed one at a time in reused buffers, and each is reduced to its max as
-soon as it is formed.  So one record holds at most 22 n x n float64 planes
-at once (tracemalloc peak).
+from the half spectra of omega and a, and no other transform.  Every plane
+past w and j is a partial of a potential: u = perp-grad psi and b =
+perp-grad a, so div u = div b = 0 hold by construction.  They come in three
+groups, in this order, and each group is reduced to its scalars and dropped
+before the next is synthesized: (w, j); the Hessian of psi, which is grad
+u; and the nine first to third partials of a.  The last group runs the
+direction-field chain rule on v = (d2 a, d1 a) = (-b1, b2), whose Jacobian
+is the Hessian of a: |v| = |b|, and the partials of vhat are those of bhat
+up to sign, so the max-over-partials norms are bhat's.  grad j = (a_111 +
+a_122, a_112 + a_222) comes from the same planes.  The second partials of
+vhat are formed one at a time in reused buffers, and each is reduced to its
+max as soon as it is formed.  So one record holds at most 19 n x n float64
+planes at once (tracemalloc peak), as many as one step.
 
 The quadratic quantities (energy, the dissipation sums, h2, cross
 helicity) are spectral.half_power_sum Parseval sums over the half power
@@ -165,27 +158,29 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
     h1 = omega_l2**2 + j_l2**2
     h2 = omega_l2**2 + sums["grad_w_sq"] + j_l2**2 + sums["grad_j_sq"]
 
-    u1_1, u1_2, u2_1 = physical_fields(g, halves, "u1_1", "u1_2", "u2_1")
-    # |grad u| over (d1 u1, d2 u1, d1 u2, d2 u2), with d2 u2 = -d1 u1
-    grad_u_linf = lp_norm(g, magnitude(u1_1, u1_1, u1_2, u2_1), np.inf)
-    del u1_1, u1_2, u2_1
+    psi_11, psi_12, psi_22 = physical_fields(
+        g, halves, "psi_11", "psi_12", "psi_22")
+    # u = perp-grad psi: grad u = (-psi_12, -psi_22, psi_11, psi_12)
+    grad_u_linf = lp_norm(g, magnitude(psi_12, psi_12, psi_22, psi_11), np.inf)
+    del psi_11, psi_12, psi_22
 
-    (b1, b2, b1_1, b1_2, b2_1, b1_11, b1_12, b1_22, b2_11) = physical_fields(
-        g, halves, "b1", "b2", "b1_1", "b1_2", "b2_1",
-        "b1_11", "b1_12", "b1_22", "b2_11")
-    b2_2, b2_12, b2_22 = -b1_1, -b1_11, -b1_12  # div b = 0
-    grad_j_mag = magnitude(b2_11 - b1_12, b2_12 - b1_22)
+    # bhat's norms from v = (a_2, a_1) = (-b1, b2): |v| = |b|, and the
+    # partials of vhat are those of bhat up to sign
+    (a_1, a_2, a_11, a_12, a_22, a_111, a_112, a_122, a_222) = physical_fields(
+        g, halves, "a_1", "a_2", "a_11", "a_12", "a_22",
+        "a_111", "a_112", "a_122", "a_222")
+    grad_j_mag = magnitude(a_111 + a_122, a_112 + a_222)  # j = a_11 + a_22
     grad_j_lp = {p: lp_norm(g, grad_j_mag, p) for p in ps}
     del grad_j_mag
 
-    mag = magnitude(b1, b2)
+    mag = magnitude(a_2, a_1)
     b_linf = lp_norm(g, mag, np.inf)
     dbhat, second = _unit_field_derivatives(
-        (b1, b2), mag, [[b1_1, b1_2], [b2_1, b2_2]],
-        [dict(zip(_PAIRS, (b1_11, b1_12, b1_22))),
-         dict(zip(_PAIRS, (b2_11, b2_12, b2_22)))],
+        (a_2, a_1), mag, [[a_12, a_22], [a_11, a_12]],
+        [dict(zip(_PAIRS, (a_112, a_122, a_222))),
+         dict(zip(_PAIRS, (a_111, a_112, a_122)))],
         _regularization(b_linf, eps_bhat))
-    del b1, b2, mag  # the second partials of bhat need none of them
+    del a_1, a_2, mag  # the second partials of vhat need none of them
     bhat_w1inf = max(lp_norm(g, v, np.inf) for row in dbhat for v in row)
     bhat_w2inf = max(lp_norm(g, plane, np.inf) for _, _, plane in second)
 

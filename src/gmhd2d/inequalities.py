@@ -15,7 +15,7 @@ distinct NormTerms of all specs, so a term several inequalities share is
 evaluated once.  L2 terms are Parseval sums over a half power spectrum
 formed once per field.  Terms of one (field, grad, lam) family that differ
 only in p share one pointwise magnitude: the default battery's 22
-distinct terms need four such families, eight real syntheses per field per
+distinct terms need four such families, seven real syntheses per field per
 resolution.  A single spec is checked as check_inequalities((spec,), ...)[0].
 
 Positivity of the fractional-dissipation integral against odd powers and the
@@ -149,12 +149,13 @@ def _norm_table(grid, f_hat, terms) -> dict:
 
     The p = 2 terms are Parseval sums, since the ordered-partials convention
     collapses there to the multiplier norm of |k|^(lam + grad), and those of
-    one field share its power spectrum.  The other terms
-    of one (field, grad, lam) family differ only in p and share one
-    magnitude plane from one physical_fields call; families are taken one
-    at a time, so one family's planes at most are alive at once.  A family
-    whose Lambda^lam spectrum is not finite reads inf, as its p = 2 terms
-    do, with no synthesis (which would turn inf into nan).
+    one field share its power spectrum.  The other terms of one (field,
+    grad, lam) family differ only in p and share one magnitude plane from
+    one physical_fields call; a "b" term of order g is in the "f" family of
+    order g + 1 (b = perp-grad f).  Families are taken one at a time, so one
+    family's planes at most are alive at once.  A family whose Lambda^lam
+    spectrum is not finite reads inf, as its p = 2 terms do, with no
+    synthesis (which would turn inf into nan).
     """
     table, powers, families = {}, {}, {}
     for term in terms:
@@ -163,9 +164,10 @@ def _norm_table(grid, f_hat, terms) -> dict:
                 powers[term.field] = _field_power(grid, f_hat, term.field)
             table[term] = math.sqrt(half_power_sum(
                 grid, powers[term.field], term.lam + term.grad))
-        else:
-            families.setdefault((term.field, term.grad, term.lam),
-                                []).append(term)
+        else:  # b's ordered partials of order g are f's of order g + 1
+            key = (("f", term.grad + 1) if term.field == "b"
+                   else (term.field, term.grad))
+            families.setdefault((*key, term.lam), []).append(term)
     for (field, grad, lam), members in families.items():
         potential = fractional_power(grid, f_hat, lam)  # |k|^0 keeps the mean
         if not np.isfinite(potential).all():
@@ -174,9 +176,9 @@ def _norm_table(grid, f_hat, terms) -> dict:
         # the magnitude of the derivative stack of order grad of X(potential);
         # the ordered partials "a_12" and "a_21" are one synthesis, counted twice
         axes = ["".join(p) for p in itertools.product("12", repeat=grad)]
-        names = {"f": ("a",), "b": ("b1", "b2"), "j": ("j",)}[field]
+        name = {"f": "a", "j": "j"}[field]
         mag = magnitude(*physical_fields(grid, {"a": potential}, *(
-            f"{name}_{ax}" if ax else name for name in names for ax in axes)))
+            f"{name}_{ax}" if ax else name for ax in axes)))
         del potential
         for term in members:
             table[term] = lp_norm(grid, mag, term.p)
@@ -370,9 +372,9 @@ def log_inequality_check(corpus: Corpus | None = None,
     corpus = corpus or Corpus()
 
     def ratio(grid, w_hat, a_hat):
-        *grad_u, w = physical_fields(
-            grid, {"w": w_hat}, "u1_1", "u1_2", "u2_1", "u2_2", "w")
-        lhs = lp_norm(grid, magnitude(*grad_u), np.inf)
+        psi_11, psi_12, psi_22, w = physical_fields(  # grad u: psi's Hessian
+            grid, {"w": w_hat}, "psi_11", "psi_12", "psi_22", "w")
+        lhs = lp_norm(grid, magnitude(psi_12, psi_22, psi_11, psi_12), np.inf)
         w_inf = lp_norm(grid, w, np.inf)
         pw = w_hat.real**2 + w_hat.imag**2
         pj = grid.half_ksq**2 * (a_hat.real**2 + a_hat.imag**2)  # |j_hat|^2

@@ -260,7 +260,7 @@ def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
         base = _spectrum(grid, halves, held, name)
         for idx in axes:
             c = base
-            for axis in idx:
+            for axis in reversed(idx):  # d1 d2 f = d1 (d2 f)
                 c = mult[axis] * c
             planes[name, idx] = to_physical(grid, c)
     return [planes[key] for key in keys]

@@ -173,10 +173,10 @@ class TestComputeRecord:
         with pytest.raises(ParameterError, match="p_list"):
             compute_record(st, Params(n=32), p_list=(0.5,))
 
-    def test_peak_is_at_most_24_planes(self):
+    def test_peak_is_at_most_20_planes(self):
         # the three synthesis groups are reduced one after another, and the
         # second partials of bhat plane by plane, so one record holds at most
-        # 24 n x n float64 planes at once
+        # 20 n x n float64 planes at once (about 19, as many as a step)
         n = 128
         g = get_grid(n)
         st = initial_condition("random_band_limited", g, seed=1, k_max=20)
@@ -187,7 +187,7 @@ class TestComputeRecord:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * n * n * 8
+        assert peak <= 20 * n * n * 8
 
     @staticmethod
     def _scaled_records(s):
@@ -377,16 +377,23 @@ class TestTransformBudget:
             norm_of_term(g, f_hat, term)
         assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
         fft_calls.clear()
-        # the distinct partials only: d1 d2 b_i is synthesized once
+        # grad^2 b is grad^3 of the potential, up to sign: the four distinct
+        # third partials, each synthesized once
         norm_of_term(g, f_hat, NormTerm("b", grad=2, p=4.0))
-        assert fft_calls == {"irfft2": 6}
+        assert fft_calls == {"irfft2": 4}
 
-    def test_battery_is_eight_syntheses_per_field(self, fft_calls):
+    def test_battery_is_seven_syntheses_per_field(self, fft_calls):
         # 22 distinct terms: the L2 ones are Parseval sums, the rest fall in
-        # four (field, grad, lam) families of 1 + 2 + 4 + 1 planes
+        # four (field, grad, lam) families of 1 + 2 + 3 + 1 planes, the sup
+        # of grad b being that of the potential's Hessian
         check_inequalities(DEFAULT_INEQUALITY_SPECS, Corpus(count=1),
                            resolutions=(64,))
-        assert fft_calls == {"irfft2": 8}
+        assert fft_calls == {"irfft2": 7}
+
+    def test_log_check_is_four_syntheses_per_pair(self, fft_calls):
+        # grad u as the stream function's Hessian (three planes), and w
+        log_inequality_check(Corpus(count=3), resolutions=(64,))
+        assert fft_calls == {"irfft2": 4 * 3}
 
     def test_package_makes_no_complex_transform(self, fft_calls, tmp_path):
         # one spectral representation: states, snapshots, records and the

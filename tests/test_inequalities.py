@@ -111,6 +111,22 @@ class TestNormTerm:
             mag = np.sqrt(sum(full_to_physical(g, c) ** 2 for c in stack))
             assert fast == pytest.approx(lp_norm(g, mag, 2.0), rel=1e-10)
 
+    @pytest.mark.parametrize("grad", [0, 1, 2])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("p", [4.0, np.inf])
+    def test_b_terms_match_quadrature_of_b(self, grad, lam, p):
+        # the stack of ordered partials of b1, b2 themselves, from the
+        # full-spectrum oracle, not of the potential the norm table uses
+        g = get_grid(64)
+        f_hat = random_band_limited_field(g, 12, seed=5)
+        b1, b2, _ = field_from_potential(g, full_spectrum(g, f_hat))
+        stack = [fractional_power(g, c, lam) for c in (b1, b2)]
+        for _ in range(grad):
+            stack = [derivative(g, c, ax) for c in stack for ax in (0, 1)]
+        mag = np.sqrt(sum(full_to_physical(g, c) ** 2 for c in stack))
+        assert norm_of_term(g, f_hat, NormTerm("b", grad, lam, p)) == (
+            pytest.approx(lp_norm(g, mag, p), rel=1e-12))
+
 
 class TestInequalitySpec:
     def test_defaults_construct_and_are_distinct(self):
