@@ -13,9 +13,5 @@ Submodules:
 
 __version__ = "0.1.0"
 
-# No name is re-exported: import it from its submodule.  Every submodule loads
-# here, in this order, whatever a caller imports first; with an empty package
-# the cli loads first, and the peak RSS of the stepping benchmark (an n = 256
-# dynamics.run) rises from 55.7 to 56.7 MiB.
-from . import (  # noqa: F401
-    spectral, dynamics, diagnostics, analysis, inequalities, config, cli)
+# No name is re-exported and no submodule is loaded here: import a name from
+# its submodule, so that a command loads only the modules it runs.

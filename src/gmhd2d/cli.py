@@ -13,7 +13,6 @@ import datetime
 import math
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +167,9 @@ def cmd_scan(config: RunConfig, alpha_values, beta_values,
     tasks = [(config, state, a, b) for a in alpha_values for b in beta_values]
     pool_size = min(workers, len(tasks))  # the pool forks them all at once
     if pool_size > 1:
+        # imported here: the pool loads multiprocessing, socket and subprocess
+        # (2 MiB), which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             rows = list(pool.map(_scan_point, tasks))
     else:

@@ -33,8 +33,10 @@ helicity) are spectral.half_power_sum Parseval sums over the half power
 spectra |w_hat|^2 and |a_hat|^2 of the state.  That sum weights only modes
 with nonzero power, so an overflowing |k|^{2s} gives inf on a sum that is
 truly beyond float range and never inf * 0 = nan on an empty mode.
-Every pointwise magnitude (|grad u|, |grad j|, |b|, the floored |b|) is
-spectral.magnitude, which stays finite wherever its components are finite.
+Every pointwise magnitude (|grad j|, |b|, the floored |b|) is
+spectral.magnitude, and the sup of |grad u| is spectral.max_magnitude; both
+stay finite, and nonzero where a component is, wherever the components are
+finite, however far their squares leave the float range.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .spectral import (
     half_power_sum,
     lp_norm,
     magnitude,
+    max_magnitude,
     physical_fields,
     to_spectral,
 )
@@ -161,7 +164,7 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
     psi_11, psi_12, psi_22 = physical_fields(
         g, halves, "psi_11", "psi_12", "psi_22")
     # u = perp-grad psi: grad u = (-psi_12, -psi_22, psi_11, psi_12)
-    grad_u_linf = lp_norm(g, magnitude(psi_12, psi_12, psi_22, psi_11), np.inf)
+    grad_u_linf = max_magnitude(psi_12, psi_12, psi_22, psi_11)
     del psi_11, psi_12, psi_22
 
     # bhat's norms from v = (a_2, a_1) = (-b1, b2): |v| = |b|, and the

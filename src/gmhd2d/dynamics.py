@@ -62,6 +62,7 @@ from .spectral import (
     get_grid,
     lp_norm,
     magnitude,
+    max_magnitude,
     physical_fields,
     random_band_limited_field,
     spectral_l2,
@@ -398,8 +399,8 @@ def structure_identities(state: GmhdState) -> IdentityReport:
                / max(1.0, spectral_l2(g, rhs)))
 
     tiny = np.finfo(float).tiny
-    u_inf = lp_norm(g, magnitude(u1, u2), np.inf)
-    b_inf = lp_norm(g, magnitude(b1, b2), np.inf)
+    u_inf = max_magnitude(u1, u2)
+    b_inf = max_magnitude(b1, b2)
     w_l2, j_l2 = lp_norm(g, w, 2), lp_norm(g, j, 2)
     gw_l2 = lp_norm(g, magnitude(wx, wy), 2)
     gj_l2 = lp_norm(g, magnitude(jx, jy), 2)
@@ -421,9 +422,10 @@ def structure_identities(state: GmhdState) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 def _cfl(grid: Grid, params: Params, u1, u2, b1, b2) -> float:
-    # magnitude stays finite on a huge but finite state, so dt stays positive
-    umax = lp_norm(grid, magnitude(u1, u2), np.inf)
-    bmax = lp_norm(grid, magnitude(b1, b2), np.inf)
+    # max_magnitude stays finite on a huge but finite state, so dt stays
+    # positive
+    umax = max_magnitude(u1, u2)
+    bmax = max_magnitude(b1, b2)
     speed = max(umax + bmax, 1e-8)
     return min(params.cfl * (2.0 * np.pi / grid.n) / speed, params.dt_max)
 

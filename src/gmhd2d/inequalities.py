@@ -39,6 +39,7 @@ from .spectral import (
     half_power_sum,
     lp_norm,
     magnitude,
+    max_magnitude,
     physical_fields,
     random_band_limited_field,
 )
@@ -152,10 +153,12 @@ def _norm_table(grid, f_hat, terms) -> dict:
     one field share its power spectrum.  The other terms of one (field,
     grad, lam) family differ only in p and share one magnitude plane from
     one physical_fields call; a "b" term of order g is in the "f" family of
-    order g + 1 (b = perp-grad f).  Families are taken one at a time, so one
-    family's planes at most are alive at once.  A family whose Lambda^lam
-    spectrum is not finite reads inf, as its p = 2 terms do, with no
-    synthesis (which would turn inf into nan).
+    order g + 1 (b = perp-grad f).  Families are taken one at a time, after
+    the power spectra are dropped, and a family's Lambda^lam spectrum is
+    dropped before its magnitude is formed, so one family's planes at most
+    are alive at once (6 n x n planes at the peak, in the order-2 family).
+    A family whose Lambda^lam spectrum is not finite reads inf, as its p = 2
+    terms do, with no synthesis (which would turn inf into nan).
     """
     table, powers, families = {}, {}, {}
     for term in terms:
@@ -168,6 +171,7 @@ def _norm_table(grid, f_hat, terms) -> dict:
             key = (("f", term.grad + 1) if term.field == "b"
                    else (term.field, term.grad))
             families.setdefault((*key, term.lam), []).append(term)
+    del powers
     for (field, grad, lam), members in families.items():
         potential = fractional_power(grid, f_hat, lam)  # |k|^0 keeps the mean
         if not np.isfinite(potential).all():
@@ -177,9 +181,11 @@ def _norm_table(grid, f_hat, terms) -> dict:
         # the ordered partials "a_12" and "a_21" are one synthesis, counted twice
         axes = ["".join(p) for p in itertools.product("12", repeat=grad)]
         name = {"f": "a", "j": "j"}[field]
-        mag = magnitude(*physical_fields(grid, {"a": potential}, *(
-            f"{name}_{ax}" if ax else name for ax in axes)))
+        planes = physical_fields(grid, {"a": potential}, *(
+            f"{name}_{ax}" if ax else name for ax in axes))
         del potential
+        mag = magnitude(*planes)
+        del planes
         for term in members:
             table[term] = lp_norm(grid, mag, term.p)
         del mag
@@ -372,15 +378,17 @@ def log_inequality_check(corpus: Corpus | None = None,
     corpus = corpus or Corpus()
 
     def ratio(grid, w_hat, a_hat):
-        psi_11, psi_12, psi_22, w = physical_fields(  # grad u: psi's Hessian
-            grid, {"w": w_hat}, "psi_11", "psi_12", "psi_22", "w")
-        lhs = lp_norm(grid, magnitude(psi_12, psi_22, psi_11, psi_12), np.inf)
-        w_inf = lp_norm(grid, w, np.inf)
+        # the Parseval sums first, so no power spectrum lives beside a plane
         pw = w_hat.real**2 + w_hat.imag**2
         pj = grid.half_ksq**2 * (a_hat.real**2 + a_hat.imag**2)  # |j_hat|^2
         u_l2 = math.sqrt(half_power_sum(grid, grid.half_inv_ksq * pw))
         h2_sq = (half_power_sum(grid, pw) + half_power_sum(grid, pw, 2.0)
                  + half_power_sum(grid, pj) + half_power_sum(grid, pj, 2.0))
+        del pw, pj
+        psi_11, psi_12, psi_22, w = physical_fields(  # grad u: psi's Hessian
+            grid, {"w": w_hat}, "psi_11", "psi_12", "psi_22", "w")
+        lhs = max_magnitude(psi_12, psi_22, psi_11, psi_12)
+        w_inf = lp_norm(grid, w, np.inf)
         return lhs / (1.0 + u_l2 + 2.0 * w_inf * (1.0 + math.log1p(h2_sq)))
 
     return _constant_report("velocity_gradient_log_bound", [

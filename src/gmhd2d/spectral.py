@@ -39,7 +39,8 @@ spectrum is formed once per call and released after its partials.
 half_power_sum is the one Parseval sum: every spectral norm of the record,
 the identity residuals and the inequality checks is a weighted sum over a
 half power spectrum.  magnitude is the one pointwise Euclidean norm of point
-values, and lp_norm(grid, v, inf) the one sup norm.
+values, max_magnitude the one sup of it, and lp_norm(grid, v, inf) the one
+sup norm of a plane.
 """
 
 from __future__ import annotations
@@ -59,10 +60,14 @@ __all__ = [
     "fractional_power",
     "half_power_sum",
     "magnitude",
+    "max_magnitude",
     "spectral_l2",
     "lp_norm",
     "random_band_limited_field",
 ]
+
+
+_TINY = np.finfo(float).tiny  # the smallest normal float64
 
 
 class ParameterError(ValueError):
@@ -88,7 +93,7 @@ class Grid:
         half_weight: Parseval weight of each half-spectrum column, (2pi)^2
             for columns 0 and n/2 (they hold both members of their conjugate
             pairs) and 2 (2pi)^2 for the others, whose mirror is absent.
-        x1, x2: physical coordinates, shape (n, n).
+        x1, x2: physical coordinates, read-only views of shape (n, n).
         cell: (2pi/n)^2, the area of one cell, the rectangle-rule weight.
     """
 
@@ -119,8 +124,10 @@ class Grid:
         self.half_dealias = (np.abs(self.k1) <= kcut) & (self.k2 <= kcut)
         self.half_weight = np.full(h, 2.0 * (2.0 * np.pi) ** 2)
         self.half_weight[[0, -1]] = (2.0 * np.pi) ** 2
+        # read-only (n, n) views of one axis: a grid holds no coordinate plane
         x = np.arange(n) * (2.0 * np.pi / n)
-        self.x1, self.x2 = np.meshgrid(x, x, indexing="ij")
+        self.x1 = np.broadcast_to(x[:, None], (n, n))
+        self.x2 = np.broadcast_to(x[None, :], (n, n))
         self.cell = (2.0 * np.pi / self.n) ** 2
 
     def __repr__(self) -> str:
@@ -293,22 +300,59 @@ def half_power_sum(grid: Grid, power: np.ndarray, s: float = 0.0) -> float:
     return float(np.sum(power, axis=0) @ grid.half_weight)
 
 
-def magnitude(*components) -> np.ndarray:
-    """Pointwise Euclidean norm sqrt(sum v^2) of real point values.
-
-    The squares are summed in argument order; a scalar component (e.g. a
-    regularization floor) broadcasts.  If a square overflows, the result is
-    reduce(np.hypot, components) instead, so it stays finite wherever the
-    components are finite.  nan propagates.
-    """
-    with np.errstate(over="ignore"):
+def _squares(components):
+    # the in-order sum of the squares, or None when a square left the normal
+    # range: an overflow (inf), or an underflow where the sum falls below
+    # the smallest normal number at a point with a nonzero component.  The
+    # underflow test costs one min over the sum (fmin: a nan elsewhere does
+    # not hide it) unless that min is that small.
+    with np.errstate(over="ignore", under="ignore"):
         total = np.empty(np.broadcast_shapes(*map(np.shape, components)))
         np.square(components[0], out=total)
         for v in components[1:]:
             total += np.square(v)
-        if np.isinf(total).any():
-            return functools.reduce(np.hypot, components, 0.0)  # 0.0: one is |v|
+    if np.isinf(total).any():
+        return None
+    if np.fmin.reduce(total, axis=None) < _TINY:
+        small = total < _TINY
+        if any(np.any(small & (np.asarray(v) != 0)) for v in components):
+            return None
+    return total
+
+
+def _hypot(components):
+    # the magnitude without squares: finite wherever the components are and
+    # their magnitude is in range, slower than the root of the sum of squares
+    with np.errstate(over="ignore"):
+        return functools.reduce(np.hypot, components, 0.0)  # 0.0: one is |v|
+
+
+def magnitude(*components) -> np.ndarray:
+    """Pointwise Euclidean norm sqrt(sum v^2) of real point values.
+
+    The squares are summed in argument order; a scalar component (e.g. a
+    regularization floor) broadcasts.  If a square overflows, or the sum of
+    squares underflows where a component is nonzero, the result is
+    reduce(np.hypot, components) instead, so it stays finite and nonzero
+    wherever the components are finite and not all zero.  nan propagates.
+    """
+    total = _squares(components)
+    if total is None:
+        return _hypot(components)
     return np.sqrt(total, out=total)
+
+
+def max_magnitude(*components) -> float:
+    """The grid maximum of magnitude(*components), lp_norm of it at p = inf.
+
+    It takes one root, of the maximum of the sums of squares, not one per
+    point: sqrt is correctly rounded and monotone, so the value is the same
+    bit for bit.  magnitude's fallback applies, and nan propagates.
+    """
+    total = _squares(components)
+    if total is None:
+        return float(np.max(_hypot(components)))
+    return float(np.sqrt(np.max(total)))
 
 
 def lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:

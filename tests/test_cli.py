@@ -3,10 +3,15 @@ subcommands, exit codes, and artifact formats."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmhd2d
 from gmhd2d import config
 from gmhd2d.cli import (
     SCAN_CSV_HEADER,
@@ -298,7 +303,8 @@ class TestScanCommand:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr("gmhd2d.cli.ProcessPoolExecutor", SerialPool)
+        # cmd_scan imports the pool class when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         outs, summaries = [], []
         for workers in ("1", "500"):
             out = tmp_path / f"w{workers}"
@@ -312,6 +318,20 @@ class TestScanCommand:
         # the summary keeps the request and adds the pool actually used
         assert {"workers = 1", "pool_size = 1"} <= set(summaries[0])
         assert {"workers = 500", "pool_size = 4"} <= set(summaries[1])
+
+    def test_only_a_pooled_scan_loads_the_pool(self):
+        # run, verify and classify pay nothing for the process pool: a fresh
+        # interpreter that imports the cli has not loaded multiprocessing
+        package_root = str(Path(gmhd2d.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+        code = ("import sys, gmhd2d.cli\n"
+                "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+                " & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_failed_point_is_recorded_not_fatal(self, tmp_path, monkeypatch,
                                                 capsys):

@@ -191,20 +191,24 @@ class TestComputeRecord:
 
     @staticmethod
     def _scaled_records(s):
-        # a large but finite state: squares of its point values overflow
-        # (|b| ~ 1e154 and beyond), its magnitudes do not; any warning
-        # fails the test (filterwarnings = error)
+        # a large or a small state: squares of its point values overflow
+        # (|b| ~ 1e154 and beyond) or underflow (|b| ~ 1e-154 and below),
+        # its magnitudes do not; any warning fails the test
+        # (filterwarnings = error)
         g = get_grid(64)
         st = initial_condition("random_band_limited", g, seed=67, k_max=8)
         big = replace(st, omega_hat=s * st.omega_hat, a_hat=s * st.a_hat)
         return compute_record(st, Params(n=64)), compute_record(big, Params(n=64))
 
-    @pytest.mark.parametrize("s", [1e155, 1e160])
+    @pytest.mark.parametrize("s", [1e155, 1e160, 1e-160, 1e-170])
     def test_grad_u_linf_scales_past_overflowing_squares(self, s):
+        # divided back by s: approx's default abs tolerance would pass any
+        # value near 1e-160
         rec, big = self._scaled_records(s)
-        assert big.grad_u_linf == pytest.approx(s * rec.grad_u_linf, rel=1e-12)
+        assert big.grad_u_linf / s == pytest.approx(rec.grad_u_linf, rel=1e-12)
+        assert big.b_linf / s == pytest.approx(rec.b_linf, rel=1e-12)
 
-    @pytest.mark.parametrize("s", [1e155, 1e160])
+    @pytest.mark.parametrize("s", [1e155, 1e160, 1e-160, 1e-170])
     def test_direction_field_is_scale_invariant(self, s):
         # bhat = b / |b| does not see the scale, and neither does the floor
         rec, big = self._scaled_records(s)

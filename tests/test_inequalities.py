@@ -5,6 +5,8 @@ identity ties the curl bound to an exact ratio of 1, and the quadrature
 path for p != 2 is cross-checked against the spectral p = 2 shortcut.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,25 @@ class TestCheckInequality:
                     rhs *= norm_of_term(g, f_hat, term) ** theta
                 ratios.append(norm_of_term(g, f_hat, extra.lhs) / rhs)
             assert worst == max(ratios)
+
+    def test_norm_table_peak_is_at_most_6_5_planes(self):
+        # the power spectra are dropped before the first synthesis and each
+        # family's spectrum before its magnitude: the order-2 family's three
+        # planes, the sum of squares and one square are the peak
+        n = 256
+        g = get_grid(n)
+        f_hat = random_band_limited_field(g, 16, 1)
+        terms = tuple(dict.fromkeys(
+            t for spec in DEFAULT_INEQUALITY_SPECS
+            for t in (spec.lhs, *(r for r, _ in spec.rhs))))
+        inequalities._norm_table(g, f_hat, terms)  # warm the per-size caches
+        tracemalloc.start()
+        try:
+            inequalities._norm_table(g, f_hat, terms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * n * n * 8
 
     def test_needs_resolutions(self):
         with pytest.raises(ParameterError, match="resolution"):

@@ -38,6 +38,8 @@ def test_no_name_is_exported_twice():
 
 
 def test_package_exposes_only_submodules_and_version():
+    for short in SUBMODULES:  # the package loads none of them itself
+        importlib.import_module(f"gmhd2d.{short}")
     assert {n for n in vars(gmhd2d) if not n.startswith("_")} == set(SUBMODULES)
     assert isinstance(gmhd2d.__version__, str)
 
@@ -53,13 +55,30 @@ def test_version_is_declared_once():
     assert project["version"] == gmhd2d.__version__
 
 
+def _is_magnitude(node):
+    return isinstance(node, ast.Call) and "magnitude" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
 def _magnitude_forms(path):
-    # np.hypot calls, and np.sqrt calls whose argument holds a product or power
+    # np.hypot calls, np.sqrt calls whose argument holds a product or power,
+    # and sups of a magnitude plane: lp_norm(grid, magnitude(...), inf) and
+    # np.max(magnitude(...)) take a root at every point where max_magnitude
+    # takes one
     for node in ast.walk(ast.parse(path.read_text())):
-        func = getattr(node, "func", None)
-        if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "lp_norm" \
+                and len(node.args) == 3 and _is_magnitude(node.args[1]) \
+                and getattr(node.args[2], "attr", None) == "inf":
+            yield f"{path.name}:{node.lineno} lp_norm(magnitude, inf)"
+        if not (isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name) and func.value.id == "np"):
             continue
+        if func.attr in ("max", "amax") and node.args \
+                and _is_magnitude(node.args[0]):
+            yield f"{path.name}:{node.lineno} np.{func.attr}(magnitude)"
         if func.attr == "hypot" or func.attr == "sqrt" and any(
                 isinstance(sub, ast.BinOp) and isinstance(sub.op, (ast.Mult, ast.Pow))
                 for arg in node.args for sub in ast.walk(arg)):
@@ -67,12 +86,23 @@ def _magnitude_forms(path):
 
 
 def test_pointwise_magnitude_has_one_home():
-    # |v| of point values is spectral.magnitude; a hand-rolled np.hypot or
-    # np.sqrt of squares elsewhere is a second form of it
+    # |v| of point values is spectral.magnitude, and its grid maximum
+    # spectral.max_magnitude; a hand-rolled np.hypot or np.sqrt of squares
+    # elsewhere is a second form of the one, a sup of a magnitude plane a
+    # second form of the other
     src = Path(gmhd2d.__file__).parent
     found = [form for path in sorted(src.glob("*.py")) if path.name != "spectral.py"
              for form in _magnitude_forms(path)]
     assert found == []
+
+
+def test_a_sup_of_a_magnitude_plane_is_caught(tmp_path):
+    # the form _cfl took before max_magnitude
+    path = tmp_path / "mod.py"
+    path.write_text("umax = lp_norm(grid, magnitude(u1, u2), np.inf)\n"
+                    "bmax = np.max(magnitude(b1, b2))\n")
+    assert list(_magnitude_forms(path)) == [
+        "mod.py:1 lp_norm(magnitude, inf)", "mod.py:2 np.max(magnitude)"]
 
 
 # Public names that no src module and no acceptance test reads, kept for the

@@ -25,6 +25,7 @@ from gmhd2d.spectral import (
     half_power_sum,
     lp_norm,
     magnitude,
+    max_magnitude,
     physical_fields,
     random_band_limited_field,
     spectral_l2,
@@ -74,6 +75,16 @@ class TestGrid:
         assert g.half_kabs[-1, 4] == np.sqrt(17.0)
         assert g.x1[3, 0] == pytest.approx(3 * 2 * np.pi / 8)
         assert g.x2[0, 3] == pytest.approx(3 * 2 * np.pi / 8)
+
+    def test_coordinates_are_views_of_one_axis(self):
+        # x1, x2 hold no n x n plane: each is a read-only broadcast of the
+        # n grid abscissae, equal to the ij meshgrid of them
+        g = Grid(16)
+        x = np.arange(16) * (2.0 * np.pi / 16)
+        for coord, mesh in zip((g.x1, g.x2), np.meshgrid(x, x, indexing="ij")):
+            assert not coord.flags.owndata and not coord.flags.writeable
+            assert 0 in coord.strides
+            assert np.array_equal(coord, mesh)
 
     def test_dealias_cutoff(self):
         assert Grid(64).dealias_k == 21
@@ -529,7 +540,7 @@ class TestProductsAndNorms:
 
 
 class TestMagnitude:
-    """The one pointwise Euclidean norm and the one sup norm."""
+    """The one pointwise Euclidean norm, its one sup, and the one sup norm."""
 
     @staticmethod
     def planes(count, scale=1.0):
@@ -551,18 +562,50 @@ class TestMagnitude:
         want = functools.reduce(np.hypot, vs) if count > 1 else np.abs(vs[0])
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200])
+    def test_underflowing_squares_fall_back_to_hypot(self, count, scale):
+        # the sum of squares is subnormal or 0 where the components are not
+        vs = self.planes(count, scale)
+        got = magnitude(*vs)
+        assert (got > 0).all()
+        want = functools.reduce(np.hypot, vs) if count > 1 else np.abs(vs[0])
+        assert got.tobytes() == want.tobytes()
+
+    def test_zeros_and_small_components_keep_the_root_of_squares(self):
+        # a point where every component is 0 has an empty sum, not an
+        # underflowed one, and a square that underflows beside a normal one
+        # changes no bit: the result stays the root of the sum of squares
+        v1, v2 = self.planes(2)
+        v1[2, :], v2[2, :], v2[5, 5], v2[3, 3] = 0.0, 0.0, 0.0, 1e-170
+        got = magnitude(v1, v2)
+        assert got.tobytes() == np.sqrt(v1 * v1 + v2 * v2).tobytes()
+        assert not got[2].any()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_max_is_the_sup_norm_of_the_magnitude(self, count, scale):
+        # one root of the largest sum of squares, bit for bit the sup norm
+        # of the plane of roots, fallbacks included
+        vs = self.planes(count, scale)
+        want = lp_norm(get_grid(16), magnitude(*vs), np.inf)
+        assert max_magnitude(*vs) == want
+        vs[0][1, 2] = np.nan
+        assert np.isnan(max_magnitude(*vs))
+
     def test_scalar_component_broadcasts(self):
         (v,) = self.planes(1)
         assert magnitude(v, 3.0).tobytes() == np.sqrt(v * v + 9.0).tobytes()
         assert magnitude(3.0, v).tobytes() == np.sqrt(9.0 + v * v).tobytes()
         assert float(magnitude(3.0, 4.0)) == 5.0
 
-    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
     def test_nan_propagates(self, scale):
         v1, v2 = self.planes(2, scale)
         v1[3, 4] = np.nan
         got = magnitude(v1, v2)
         assert np.isnan(got[3, 4]) and np.isnan(got).sum() == 1
+        assert (got[~np.isnan(got)] > 0).all()  # no fallback lost to the nan
 
     def test_no_runtime_warning(self):
         huge = np.full(4, 1.5e308)  # |(huge, huge)| is beyond float range
@@ -572,6 +615,8 @@ class TestMagnitude:
             magnitude(*self.planes(3, scale=1e200))
             magnitude(*self.planes(3, scale=1e-200))  # squares underflow
             magnitude(np.array([np.nan, np.inf, 1.0]), 1e300)
+            assert max_magnitude(huge, huge) == np.inf
+            max_magnitude(*self.planes(3, scale=1e-200))
 
     def test_sup_norm_is_max_abs_without_forming_it(self):
         g = get_grid(16)
