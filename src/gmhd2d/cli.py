@@ -144,12 +144,12 @@ def _scan_point(task):
                      eps_bhat=config.eps_bhat)
         max_h2 = float(np.max([r.h2 for r in result.records]))
         bkm = result.records[-1].bkm_accum
-        blowup = 1 if result.blew_up else 0
+        blew_up, failed = int(result.blew_up), 0
     except Exception as exc:  # record the failure, keep scanning
-        print(f"scan point alpha={alpha} beta={beta} failed: {exc}",
-              file=sys.stderr)
-        max_h2, bkm, blowup = float("nan"), float("nan"), 1
-    return (alpha, beta, verdict, max_h2, bkm, blowup)
+        print(f"scan point alpha={alpha} beta={beta} failed: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        max_h2, bkm, blew_up, failed = float("nan"), float("nan"), 0, 1
+    return (alpha, beta, verdict, max_h2, bkm, blew_up, failed)
 
 
 def cmd_scan(config: RunConfig, alpha_values, beta_values,
@@ -157,9 +157,11 @@ def cmd_scan(config: RunConfig, alpha_values, beta_values,
     """Run the (alpha, beta) product grid and write scan.csv + summary.txt.
 
     Rows are ordered by (alpha, beta) regardless of worker count, so the CSV
-    content is deterministic.  Per-point failures (including blow-ups) set
-    the blowup flag and the scan continues; the exit status stays 0.  The
-    initial state, the same at every point, is built (and checked) once.
+    content is deterministic.  A point that blows up or raises sets the
+    blowup flag and the scan continues; the exit status stays 0.
+    summary.txt counts the two apart: blow_ups the runs that reported a
+    blow-up, errors the points that raised.  The initial state, the same
+    at every point, is built (and checked) once.
     """
     if workers < 1:
         raise ParameterError("workers must be a positive integer")
@@ -178,9 +180,9 @@ def cmd_scan(config: RunConfig, alpha_values, beta_values,
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     lines = [SCAN_CSV_HEADER]
-    for alpha, beta, verdict, max_h2, bkm, blowup in rows:
+    for alpha, beta, verdict, max_h2, bkm, blew_up, failed in rows:
         lines.append(f"{_fmt(alpha)},{_fmt(beta)},{verdict},"
-                     f"{_fmt(max_h2)},{_fmt(bkm)},{blowup}")
+                     f"{_fmt(max_h2)},{_fmt(bkm)},{blew_up | failed}")
     (out / "scan.csv").write_text("\n".join(lines) + "\n")
 
     verdict_counts = Counter(row[2] for row in rows)
@@ -192,6 +194,7 @@ def cmd_scan(config: RunConfig, alpha_values, beta_values,
         f"workers = {workers}",
         f"pool_size = {pool_size}",
         f"blow_ups = {sum(r[5] for r in rows)}",
+        f"errors = {sum(r[6] for r in rows)}",
     ]
     summary += [f"verdict[{k}] = {v}" for k, v in sorted(verdict_counts.items())]
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
@@ -323,8 +326,9 @@ VERIFY_SUITES = {
 def cmd_verify(suite: str, count: int | None = None, output=None) -> int:
     """Run a named verification suite, write its report CSV, print a summary.
 
-    count, when given, overrides the suite's corpus or state count and must
-    be >= 1.  Returns 0 iff every check passed.
+    count, when given, must be >= 1 and overrides the corpus or state count
+    of the identities, inequalities and positivity suites; gronwall and
+    classifier ignore it.  Returns 0 iff every check passed.
     """
     if suite not in VERIFY_SUITES:
         raise ParameterError(
@@ -390,7 +394,9 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--suite", required=True,
                           help=f"one of: {', '.join(sorted(VERIFY_SUITES))}")
     p_verify.add_argument("--count", type=int, default=None,
-                          help="override corpus/state count")
+                          help="override the corpus/state count of the "
+                               "identities, inequalities and positivity "
+                               "suites (gronwall and classifier ignore it)")
     p_verify.add_argument("--output", default=None,
                           help="report CSV path (default verify_<suite>.csv)")
 

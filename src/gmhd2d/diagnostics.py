@@ -59,7 +59,6 @@ from .spectral import (
 
 __all__ = [
     "DiagnosticsRecord",
-    "DirectionFieldNorms",
     "LpBoundReport",
     "compute_record",
     "energy_balance_residual",
@@ -184,8 +183,7 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
          dict(zip(_PAIRS, (a_111, a_112, a_122)))],
         _regularization(b_linf, eps_bhat))
     del a_1, a_2, mag  # the second partials of vhat need none of them
-    bhat_w1inf = max(lp_norm(g, v, np.inf) for row in dbhat for v in row)
-    bhat_w2inf = max(lp_norm(g, plane, np.inf) for _, _, plane in second)
+    bhat_w1inf, bhat_w2inf = _max_partials(g, dbhat, second)
 
     integrand = omega_linf + j_linf
     if prev is None:
@@ -300,6 +298,7 @@ class LpBoundReport:
     checked_intervals: int
     violations: list  # (t1, t2, excess) triples with excess > 0
     max_excess: float  # most positive lhs - rhs - tol seen (<= 0 when clean)
+    max_ratio: float  # max lhs / rhs over intervals with rhs > 0, else -inf
     passed: bool
 
 
@@ -308,7 +307,8 @@ def lp_vorticity_bound_check(series, p: float) -> LpBoundReport:
 
     Each interval must satisfy ||omega(t2)||_p - ||omega(t1)||_p <= trapezoid
     of |b|_inf*||grad j||_p plus tol = 1e-6*(1 + ||omega||_p); violations are
-    collected rather than raised.
+    collected rather than raised.  max_ratio, the largest lhs/rhs over the
+    intervals with rhs > 0, reports how tight the bound ran.
     """
     if not p >= 2:
         raise ParameterError(f"p must be >= 2, got {p!r}")
@@ -318,7 +318,7 @@ def lp_vorticity_bound_check(series, p: float) -> LpBoundReport:
         raise ParameterError(
             f"p = {p:g} was not in the recorded p_list {sorted(series[0].omega_lp)}")
     violations = []
-    max_excess = -np.inf
+    max_excess = max_ratio = -np.inf
     for r1, r2 in zip(series[:-1], series[1:]):
         lhs = r2.omega_lp[p] - r1.omega_lp[p]
         rhs = 0.5 * (r1.b_linf * r1.grad_j_lp[p]
@@ -326,6 +326,8 @@ def lp_vorticity_bound_check(series, p: float) -> LpBoundReport:
         tol = 1e-6 * (1.0 + max(r1.omega_lp[p], r2.omega_lp[p]))
         excess = lhs - rhs - tol
         max_excess = max(max_excess, excess)
+        if rhs > 0.0:
+            max_ratio = max(max_ratio, lhs / rhs)
         if excess > 0.0:
             violations.append((r1.t, r2.t, excess))
     return LpBoundReport(
@@ -333,6 +335,7 @@ def lp_vorticity_bound_check(series, p: float) -> LpBoundReport:
         checked_intervals=len(series) - 1,
         violations=violations,
         max_excess=float(max_excess),
+        max_ratio=float(max_ratio),
         passed=not violations,
     )
 
@@ -340,23 +343,6 @@ def lp_vorticity_bound_check(series, p: float) -> LpBoundReport:
 # ---------------------------------------------------------------------------
 # unit direction field of b
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DirectionFieldNorms:
-    """Regularized derivative norms of the unit field of b.
-
-    w1inf/w2inf are max-over-partials W^{1,inf}/W^{2,inf} norms of
-    bhat = b / sqrt(|b|^2 + eps^2), min_abs_b is min |b| over the grid and
-    eps the floor used.  regularization_dominated is set when min|b| < eps,
-    i.e. when the floor (not the data) controls the values.
-    """
-
-    w1inf: float
-    w2inf: float
-    min_abs_b: float
-    regularization_dominated: bool
-    eps: float
-
 
 _PAIRS = ((0, 0), (0, 1), (1, 1))
 
@@ -425,25 +411,31 @@ def _second_derivatives(bhat, dbhat, t, r, db, d2b):
             yield jc, (i, k), out
 
 
+def _max_partials(grid, dbhat, second):
+    # the max-over-partials W^{1,inf} and W^{2,inf} norms of bhat
+    return (max(lp_norm(grid, v, np.inf) for row in dbhat for v in row),
+            max(lp_norm(grid, plane, np.inf) for _, _, plane in second))
+
+
 def direction_field_norms(
     grid: Grid,
     b1: np.ndarray,
     b2: np.ndarray,
-    eps: float | None = None,
-) -> DirectionFieldNorms:
-    """Derivative norms of the regularized unit field bhat = b/(|b|^2+eps^2)^{1/2}.
+) -> tuple[float, float]:
+    """Max-over-partials W^{1,inf}/W^{2,inf} norms (w1inf, w2inf) of bhat.
 
-    b1, b2 are differentiated spectrally (2 analyses, 10 syntheses; b need
-    not be divergence free), and the record's chain rule forms the partials
-    of bhat, which is singular where b = 0, reducing each as it is formed.
+    bhat = b/(|b|^2+eps^2)^{1/2} with the record's default floor eps =
+    1e-6 * max|b| (1e-6 for b = 0).  b1, b2 are differentiated spectrally
+    (2 analyses, 10 syntheses; b need not be divergence free), and the
+    record's chain rule forms the partials of bhat, which is singular
+    where b = 0, reducing each as it is formed.
 
     Args:
         grid: grid of the sampled components.
         b1, b2: physical values of the field components.
-        eps: regularization floor; None selects 1e-6 * max|b| (1e-6 for b = 0).
 
     Returns:
-        DirectionFieldNorms.
+        (w1inf, w2inf) as floats.
     """
     b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
     halves = {"b1": to_spectral(grid, b1), "b2": to_spectral(grid, b2)}
@@ -452,17 +444,10 @@ def direction_field_norms(
         grid, halves, c + "_11", c + "_12", c + "_22"))) for c in halves]
     del halves
     mag = magnitude(b1, b2)
-    min_abs_b = float(np.min(mag))
-    eps = _regularization(lp_norm(grid, mag, np.inf), eps)
+    eps = _regularization(lp_norm(grid, mag, np.inf), None)
     dbhat, second = _unit_field_derivatives((b1, b2), mag, db, d2b, eps)
     del mag
-    return DirectionFieldNorms(
-        w1inf=max(lp_norm(grid, v, np.inf) for row in dbhat for v in row),
-        w2inf=max(lp_norm(grid, plane, np.inf) for _, _, plane in second),
-        min_abs_b=min_abs_b,
-        regularization_dominated=min_abs_b < eps,
-        eps=eps,
-    )
+    return _max_partials(grid, dbhat, second)
 
 
 # ---------------------------------------------------------------------------

@@ -305,7 +305,8 @@ def test_criterion_10_lp_growth_bound_audit():
     assert rep.passed
     assert rep.max_excess < 0.0
     _line(10, f"100 intervals audited, max excess {rep.max_excess:.2e} "
-              f"(negative margin, no violations)")
+              f"(negative margin, no violations), max lhs/rhs "
+              f"{rep.max_ratio:.3f}")
 
 
 if __name__ == "__main__":

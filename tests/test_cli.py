@@ -18,6 +18,7 @@ from gmhd2d.cli import (
     VERIFY_SUITES,
     _parse_range,
     classifier_grid_violations,
+    cmd_verify,
     main,
 )
 from gmhd2d.config import (
@@ -27,8 +28,8 @@ from gmhd2d.config import (
     make_initial_state,
     parse_run_config,
 )
-from gmhd2d.diagnostics import read_csv
-from gmhd2d.dynamics import Params, load_snapshot
+from gmhd2d.diagnostics import compute_record, read_csv
+from gmhd2d.dynamics import Params, RunResult, load_snapshot
 from gmhd2d.spectral import ParameterError
 
 BASE_CFG = """\
@@ -349,6 +350,31 @@ class TestScanCommand:
         assert row[2] == "ProvenRegular"  # verdict needs no solve
         assert row[3] == "nan" and row[4] == "nan" and row[5] == "1"
 
+    def test_blow_ups_and_errors_are_counted_apart(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # a serial scan of two points: the one at alpha = 0.5 raises, the
+        # other returns a blown-up run; both set the blowup column
+        out = tmp_path / "mixed_out"
+        cfg = self.scan_cfg(tmp_path, out)
+
+        def half_broken(initial, params, *args, **kwargs):
+            if params.alpha == 0.5:
+                raise ZeroDivisionError("synthetic bug")
+            return RunResult(records=[compute_record(initial, params)],
+                             snapshots=[initial], final_state=initial,
+                             blew_up=True, blow_up_time=initial.t)
+
+        monkeypatch.setattr("gmhd2d.cli.run", half_broken)
+        assert main(["scan", "--config", str(cfg),
+                     "--alpha", "0.5:1.0:0.5", "--beta", "1.0:1.0:1.0"]) == 0
+        err = capsys.readouterr().err
+        assert "ZeroDivisionError: synthetic bug" in err
+        rows = [ln.split(",") for ln in
+                (out / "scan.csv").read_text().splitlines()[1:]]
+        assert [row[5] for row in rows] == ["1", "1"]
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert {"blow_ups = 1", "errors = 1"} <= set(summary)
+
     def test_bad_base_config_exits_one_without_artifacts(self, tmp_path,
                                                          capsys):
         # the initial state does not depend on (alpha, beta): a bad one is
@@ -434,6 +460,13 @@ class TestVerifyCommand:
             _, value, bound, kind, passed = ln.split(",")
             assert kind == "min" and passed == "1"
             assert float(value) >= float(bound) == -1e-10
+
+    def test_gronwall_ignores_count(self, tmp_path, capsys):
+        # the gronwall suite integrates one fixed trajectory: no corpus
+        outs = [tmp_path / "with_count.csv", tmp_path / "default.csv"]
+        assert cmd_verify("gronwall", 3, outs[0]) == 0
+        assert cmd_verify("gronwall", output=outs[1]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_classifier_grid_helper(self):
         mono, coverage = classifier_grid_violations(max_exponent=4.0,

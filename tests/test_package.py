@@ -109,7 +109,8 @@ def test_a_sup_of_a_magnitude_plane_is_caught(tmp_path):
 # reason given.  Every other __all__ name needs a reader.
 UNREAD_BUT_KEPT = {
     "direction_field_norms": "the benchmark times it (perfbench/layers.py), "
-                             "and the record's oracle test uses it",
+                             "and its two sups are the generic-b reference "
+                             "for the record's bhat_w1inf/bhat_w2inf",
     "nonlinear_rhs": "the benchmark's set-up builds the dissipation "
                      "multipliers with it (perfbench/workloads.py)",
     "cfl_dt": "the benchmark times it (perfbench/layers.py)",
