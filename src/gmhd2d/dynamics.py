@@ -16,9 +16,9 @@ current equation
     j_t + u.grad(j) = b.grad(w) + G(grad u, grad b) - kappa Lambda^{2 beta} j,
     G = 2 d1(b1) (d1(u2) + d2(u1)) + 2 d2(u2) (d1(b2) + d2(b1)),
 
-which is *not* integrated here but is validated as an exact identity of the
-potential form by structure_identities, with the other exact facts the
-(w, j) energy bound rests on.
+which is *not* integrated here: structure_identities checks it against the
+solver's own potential tendency, with the other exact facts the (w, j)
+energy bound rests on.
 
 Stepping is integrating-factor RK4: the stiff diagonal dissipation advances
 exactly through exp(-nu |k|^{2 alpha} dt) multipliers while classical RK4
@@ -40,11 +40,12 @@ b.grad j, so with the symmetric stress T = b (x) b - u (x) u
 A tendency therefore costs 7 real transforms: 4 syntheses (u1, u2, b1, b2)
 and 3 analyses (T12, T22 - T11, u2 b1 - u1 b2); an IF-RK4 step costs 28.
 Every product of two fields in the 2/3 band is alias-free inside the band,
-so this equals the advective form up to roundoff.  The state, all four RK4
-stages and the tendency are half spectra; a step ends with the state
-projection, which needs only column 0 (see project_state).  cfl_dt needs
-exactly the stage-1 planes, so run's adaptive loop takes dt from them and an
-advanced step also costs 28 transforms.
+so this equals the advective form up to roundoff; structure_identities
+checks that it does.  The state, all four RK4 stages and the tendency are
+half spectra; a step ends with the state projection, which needs only
+column 0 (see project_state).  cfl_dt needs exactly the stage-1 planes, so
+run's adaptive loop takes dt from them and an advanced step also costs 28
+transforms.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .spectral import (
     physical_fields,
     random_band_limited_field,
     spectral_l2,
-    to_physical,
     to_spectral,
 )
 
@@ -350,8 +350,8 @@ class IdentityReport:
     """Normalized residuals of the exact identities behind the a-priori
     estimates; each vanishes analytically, so roundoff reads ~1e-16."""
 
-    current: float                 # Delta(u.grad a) = u.grad j - b.grad w - G
-    forcing: float                 # curl(b.grad b) = b.grad j
+    current: float                 # solver's -Delta(d_a) = u.grad j - b.grad w - G
+    forcing: float                 # solver's d_omega = b.grad j - u.grad w
     self_transport_omega: float    # int (u.grad w) w dx
     self_transport_current: float  # int (u.grad j) j dx
     lorentz_exchange: float        # int (b.grad j) w dx + int (b.grad w) j dx
@@ -359,13 +359,16 @@ class IdentityReport:
 
 def structure_identities(state: GmhdState) -> IdentityReport:
     """Evaluate the five exact identities of IdentityReport on one state,
-    from one physical_fields call of 17 planes plus 7 real analyses.
+    from one physical_fields call of 16 planes plus 5 real analyses, 3 of
+    them the solver's own _stress_tendency.
 
     current: the current equation follows exactly from the potential
-    equation, so with consistent dealiasing both sides agree to roundoff on
-    band-limited states; ||lhs - rhs||_2 / max(1, ||u.grad j||_2).
-    forcing: the curl of the Lorentz term in velocity form against b.grad j,
-    ||lhs - rhs||_2 / max(1, ||b.grad j||_2).
+    equation, so -Delta(d_a), with d_a = -u.grad a the solver's potential
+    tendency, matches the dealiased u.grad j - b.grad w - G to roundoff on
+    band-limited states; ||lhs - rhs||_2 / max(1, ||rhs||_2).
+    forcing: the solver's stress-form d_omega = curl div(b (x) b - u (x) u)
+    against the dealiased advective b.grad j - u.grad w, normalized the
+    same way.
     The integrals: transport by a divergence-free field creates no L2
     density, and the two magnetic exchange terms cancel pairwise.  The
     integrands are formed pointwise without dealiasing; since 3*dealias_k
@@ -376,27 +379,22 @@ def structure_identities(state: GmhdState) -> IdentityReport:
     """
     g = state.grid
     (u1, u2, b1, b2, w, j, wx, wy, jx, jy,
-     b1_1, b1_2, b2_1, b2_2, u2_1, u1_2, u2_2) = physical_fields(
+     b1_1, b1_2, b2_1, u2_1, u1_2, u2_2) = physical_fields(
         g, state.halves(), "u1", "u2", "b1", "b2", "w", "j", "w_1", "w_2",
-        "j_1", "j_2", "b1_1", "b1_2", "b2_1", "b2_2", "u2_1", "u1_2", "u2_2")
+        "j_1", "j_2", "b1_1", "b1_2", "b2_1", "u2_1", "u1_2", "u2_2")
+    d_w, d_a = _stress_tendency(g, u1, u2, b1, b2)
+    u_grad_w = u1 * wx + u2 * wy
     u_grad_j = u1 * jx + u2 * jy
     b_grad_w = b1 * wx + b2 * wy
     b_grad_j = b1 * jx + b2 * jy
 
-    # u.grad a = u1 b2 - u2 b1, since grad a = (b2, -b1)
-    lhs = -g.half_ksq * _dealiased(g, u1 * b2 - u2 * b1)
-    adv_j = _dealiased(g, u_grad_j)
-    stretch = _dealiased(g, b_grad_w)
-    coupling = _dealiased(  # G(grad u, grad b)
-        g, 2.0 * b1_1 * (u2_1 + u1_2) + 2.0 * u2_2 * (b2_1 + b1_2))
-    current = (spectral_l2(g, lhs - (adv_j - stretch - coupling))
-               / max(1.0, spectral_l2(g, adv_j)))
+    def residual(lhs, rhs_values):
+        rhs = _dealiased(g, rhs_values)
+        return spectral_l2(g, lhs - rhs) / max(1.0, spectral_l2(g, rhs))
 
-    f1 = _dealiased(g, b1 * b1_1 + b2 * b1_2)
-    f2 = _dealiased(g, b1 * b2_1 + b2 * b2_2)
-    rhs = _dealiased(g, b_grad_j)
-    forcing = (spectral_l2(g, g.half_ik1 * f2 - g.half_ik2 * f1 - rhs)
-               / max(1.0, spectral_l2(g, rhs)))
+    coupling = 2.0 * b1_1 * (u2_1 + u1_2) + 2.0 * u2_2 * (b2_1 + b1_2)  # G
+    current = residual(g.half_ksq * d_a, u_grad_j - b_grad_w - coupling)
+    forcing = residual(d_w, b_grad_j - u_grad_w)
 
     tiny = np.finfo(float).tiny
     u_inf = max_magnitude(u1, u2)
@@ -404,7 +402,7 @@ def structure_identities(state: GmhdState) -> IdentityReport:
     w_l2, j_l2 = lp_norm(g, w, 2), lp_norm(g, j, 2)
     gw_l2 = lp_norm(g, magnitude(wx, wy), 2)
     gj_l2 = lp_norm(g, magnitude(jx, jy), 2)
-    i_w = abs(g.cell * float(np.sum((u1 * wx + u2 * wy) * w)))
+    i_w = abs(g.cell * float(np.sum(u_grad_w * w)))
     i_j = abs(g.cell * float(np.sum(u_grad_j * j)))
     pair = g.cell * (float(np.sum(b_grad_j * w)) + float(np.sum(b_grad_w * j)))
     return IdentityReport(
@@ -592,8 +590,7 @@ def save_snapshot(path, state: GmhdState, params: Params) -> None:
     a fields as two n*n row-major f64 blocks.
     """
     g = state.grid
-    w = to_physical(g, state.omega_hat).astype("<f8")
-    a = to_physical(g, state.a_hat).astype("<f8")
+    w, a = (f.astype("<f8") for f in physical_fields(g, state.halves(), "w", "a"))
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<II", SNAPSHOT_VERSION, g.n))

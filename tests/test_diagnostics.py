@@ -362,9 +362,10 @@ class TestTransformBudget:
 
     @pytest.mark.parametrize("check, counts", [
         (lambda st: cfl_dt(st, Params(n=64)), {"irfft2": 4}),
-        # the 17 distinct planes of the five identities, and the 4 + 3
-        # analyses of the current and forcing residuals
-        (structure_identities, {"irfft2": 17, "rfft2": 7}),
+        # the 16 distinct planes of the five identities, the 3 analyses of
+        # the solver's own stress tendency, and one of each residual's
+        # right side
+        (structure_identities, {"irfft2": 16, "rfft2": 5}),
     ], ids=["cfl_dt", "identities"])
     def test_state_checks(self, fft_calls, check, counts):
         g = get_grid(64)
@@ -457,13 +458,16 @@ class TestEnergyBalance:
 
     def test_audit_and_record_share_one_interval_rule(self):
         # criterion 3's audit is the worst per-interval residual the record
-        # already carries, bit for bit, on a uniformly sampled run
-        g = get_grid(64)
-        p = Params(nu=0.1, kappa=0.1, n=64, t_end=0.2)
-        res = run(initial_condition("orszag_tang", g), p, 0.02)
-        assert len(res.records) == 11
-        assert energy_balance_residual(res.records, p) == max(
-            r.energy_residual for r in res.records[1:])
+        # already carries, bit for bit, on any series run returns: a uniform
+        # one, and one whose last interval is short (0, 0.03, 0.06, 0.09, 0.1)
+        for n, t_end, sample_every, records in ((64, 0.2, 0.02, 11),
+                                                (32, 0.1, 0.03, 5)):
+            p = Params(nu=0.1, kappa=0.1, n=n, t_end=t_end)
+            res = run(initial_condition("orszag_tang", get_grid(n)), p,
+                      sample_every)
+            assert len(res.records) == records
+            assert energy_balance_residual(res.records, p) == max(
+                r.energy_residual for r in res.records[1:])
 
     def test_ideal_run_at_huge_exponents_has_no_nan(self):
         # |k|^400 overflows on every occupied mode with |k| >~ 5.9, so the
@@ -484,10 +488,10 @@ class TestEnergyBalance:
 
     def test_cadence_and_length_validation(self):
         res, p = shear_series(cadence=0.25, t_end=0.5)
-        with pytest.raises(ParameterError, match="uniform"):
+        with pytest.raises(ParameterError, match="increasing"):
             energy_balance_residual(res.records + [res.records[-1]], p)
         with pytest.raises(ParameterError, match="at least"):
-            energy_balance_residual(res.records[:2], p)
+            energy_balance_residual(res.records[:1], p)
 
 
 class TestLpBound:
