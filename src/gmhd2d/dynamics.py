@@ -14,7 +14,8 @@ Applying the Laplacian to the potential equation yields the equivalent
 current equation
 
     j_t + u.grad(j) = b.grad(w) + G(grad u, grad b) - kappa Lambda^{2 beta} j,
-    G = 2 d1(b1) (d1(u2) + d2(u1)) + 2 d2(u2) (d1(b2) + d2(b1)),
+    G = 2 d1(b1) (d1(u2) + d2(u1)) + 2 d2(u2) (d1(b2) + d2(b1))
+      = 2 [psi_12 (a_11 - a_22) - a_12 (psi_11 - psi_22)],
 
 which is *not* integrated here: structure_identities checks it against the
 solver's own potential tendency, with the other exact facts the (w, j)
@@ -30,15 +31,17 @@ nu = kappa = 0.
 
 The fields are real, so the stepper, cfl_dt and structure_identities take
 every physical field from the state's k2 >= 0 half spectra through
-spectral.physical_fields.  The tendency is evaluated in stress form: for
-divergence-free u and b, curl(u.grad u) = u.grad w and curl(b.grad b) =
-b.grad j, so with the symmetric stress T = b (x) b - u (x) u
+spectral.physical_fields: u = (-psi_2, psi_1) and b = (-a_2, a_1) are
+signed partials of the potentials (psi_i = d_i psi).  The tendency is
+evaluated in stress form: for divergence-free u and b, curl(u.grad u) =
+u.grad w and curl(b.grad b) = b.grad j, so with the symmetric stress
+T = b (x) b - u (x) u
 
     b.grad(j) - u.grad(w) = curl div T = (d1^2 - d2^2) T12 + d1 d2 (T22 - T11),
-    u.grad(a) = u1 b2 - u2 b1          (grad a = (b2, -b1)).
+    T12 = psi_1 psi_2 - a_1 a_2,       u.grad(a) = psi_1 a_2 - psi_2 a_1.
 
-A tendency therefore costs 7 real transforms: 4 syntheses (u1, u2, b1, b2)
-and 3 analyses (T12, T22 - T11, u2 b1 - u1 b2); an IF-RK4 step costs 28.
+A tendency therefore costs 7 real transforms: 4 syntheses (psi_1, psi_2,
+a_1, a_2) and 3 analyses (T12, T22 - T11, u.grad a); an IF-RK4 step costs 28.
 Every product of two fields in the 2/3 band is alias-free inside the band,
 so this equals the advective form up to roundoff; structure_identities
 checks that it does.  The state, all four RK4 stages and the tendency are
@@ -309,19 +312,19 @@ def _stress_multipliers(n: int):
 
 
 def _stage_planes(grid: Grid, halves: dict) -> list:
-    # the four planes a tendency is built from, and the CFL speed too
-    return physical_fields(grid, halves, "u1", "u2", "b1", "b2")
+    # the tendency's and the CFL speed's planes: u = (-p2, p1), b = (-a2, a1)
+    return physical_fields(grid, halves, "psi_1", "psi_2", "a_1", "a_2")
 
 
-def _stress_tendency(grid: Grid, u1, u2, b1, b2):
-    # 3 real analyses; see the module docstring for the stress identity
+def _stress_tendency(grid: Grid, p1, p2, a1, a2):
+    # 3 real analyses, the signs of u and b folded in; see the module docstring
     m_shear, m_normal = _stress_multipliers(grid.n)
-    dw = to_spectral(grid, b1 * b2 - u1 * u2)
+    dw = to_spectral(grid, p1 * p2 - a1 * a2)
     dw *= m_shear
-    normal = to_spectral(grid, (b2 - b1) * (b2 + b1) - (u2 - u1) * (u2 + u1))
+    normal = to_spectral(grid, (a1 + a2) * (a1 - a2) - (p1 + p2) * (p1 - p2))
     normal *= m_normal
     dw += normal
-    da = _dealiased(grid, u2 * b1 - u1 * b2)  # -u.grad a
+    da = _dealiased(grid, p2 * a1 - p1 * a2)  # -u.grad a
     da[0, 0] = 0.0
     return dw, da
 
@@ -348,7 +351,8 @@ def nonlinear_rhs(state: GmhdState, params: Params) -> Tendency:
 @dataclass(frozen=True)
 class IdentityReport:
     """Normalized residuals of the exact identities behind the a-priori
-    estimates; each vanishes analytically, so roundoff reads ~1e-16."""
+    estimates, u, b and G formed from partials of psi and a; each vanishes
+    analytically, so roundoff reads ~1e-16."""
 
     current: float                 # solver's -Delta(d_a) = u.grad j - b.grad w - G
     forcing: float                 # solver's d_omega = b.grad j - u.grad w
@@ -359,8 +363,8 @@ class IdentityReport:
 
 def structure_identities(state: GmhdState) -> IdentityReport:
     """Evaluate the five exact identities of IdentityReport on one state,
-    from one physical_fields call of 16 planes plus 5 real analyses, 3 of
-    them the solver's own _stress_tendency.
+    from one physical_fields call of 16 planes of w, j, psi and a plus 5
+    real analyses, 3 of them the solver's own _stress_tendency.
 
     current: the current equation follows exactly from the potential
     equation, so -Delta(d_a), with d_a = -u.grad a the solver's potential
@@ -378,27 +382,28 @@ def structure_identities(state: GmhdState) -> IdentityReport:
     when the integrand itself degenerates (steady states).
     """
     g = state.grid
-    (u1, u2, b1, b2, w, j, wx, wy, jx, jy,
-     b1_1, b1_2, b2_1, u2_1, u1_2, u2_2) = physical_fields(
-        g, state.halves(), "u1", "u2", "b1", "b2", "w", "j", "w_1", "w_2",
-        "j_1", "j_2", "b1_1", "b1_2", "b2_1", "u2_1", "u1_2", "u2_2")
-    d_w, d_a = _stress_tendency(g, u1, u2, b1, b2)
-    u_grad_w = u1 * wx + u2 * wy
-    u_grad_j = u1 * jx + u2 * jy
-    b_grad_w = b1 * wx + b2 * wy
-    b_grad_j = b1 * jx + b2 * jy
+    (p1, p2, a1, a2, w, j, wx, wy, jx, jy,
+     a_11, a_12, a_22, p_11, p_12, p_22) = physical_fields(
+        g, state.halves(), "psi_1", "psi_2", "a_1", "a_2", "w", "j", "w_1",
+        "w_2", "j_1", "j_2", "a_11", "a_12", "a_22", "psi_11", "psi_12",
+        "psi_22")
+    d_w, d_a = _stress_tendency(g, p1, p2, a1, a2)
+    u_grad_w = p1 * wy - p2 * wx  # u = (-p2, p1), b = (-a2, a1)
+    u_grad_j = p1 * jy - p2 * jx
+    b_grad_w = a1 * wy - a2 * wx
+    b_grad_j = a1 * jy - a2 * jx
 
     def residual(lhs, rhs_values):
         rhs = _dealiased(g, rhs_values)
         return spectral_l2(g, lhs - rhs) / max(1.0, spectral_l2(g, rhs))
 
-    coupling = 2.0 * b1_1 * (u2_1 + u1_2) + 2.0 * u2_2 * (b2_1 + b1_2)  # G
+    coupling = 2.0 * (p_12 * (a_11 - a_22) - a_12 * (p_11 - p_22))  # G
     current = residual(g.half_ksq * d_a, u_grad_j - b_grad_w - coupling)
     forcing = residual(d_w, b_grad_j - u_grad_w)
 
     tiny = np.finfo(float).tiny
-    u_inf = max_magnitude(u1, u2)
-    b_inf = max_magnitude(b1, b2)
+    u_inf = max_magnitude(p2, p1)
+    b_inf = max_magnitude(a2, a1)
     w_l2, j_l2 = lp_norm(g, w, 2), lp_norm(g, j, 2)
     gw_l2 = lp_norm(g, magnitude(wx, wy), 2)
     gj_l2 = lp_norm(g, magnitude(jx, jy), 2)
@@ -419,11 +424,11 @@ def structure_identities(state: GmhdState) -> IdentityReport:
 # time stepping
 # ---------------------------------------------------------------------------
 
-def _cfl(grid: Grid, params: Params, u1, u2, b1, b2) -> float:
-    # max_magnitude stays finite on a huge but finite state, so dt stays
-    # positive
-    umax = max_magnitude(u1, u2)
-    bmax = max_magnitude(b1, b2)
+def _cfl(grid: Grid, params: Params, p1, p2, a1, a2) -> float:
+    # |u| = |(-p2, p1)|, |b| = |(-a2, a1)|; max_magnitude stays finite on a
+    # huge but finite state, so dt stays positive
+    umax = max_magnitude(p2, p1)
+    bmax = max_magnitude(a2, a1)
     speed = max(umax + bmax, 1e-8)
     return min(params.cfl * (2.0 * np.pi / grid.n) / speed, params.dt_max)
 

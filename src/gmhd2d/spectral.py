@@ -32,7 +32,9 @@ inequality corpus are half spectra.  Column 0 is the one column inside the
 conj(c(k1, 0)); irfft2 sees only its Hermitian part.
 
 physical_fields is the one place that turns half spectra into point values
-of fields and partials, for the solver, the record and every check.  Each
+of fields and partials, for the solver, the record and every check.  It
+derives only psi = -Delta^{-1} w and j = Delta a; every plane of u =
+perp-grad psi and b = perp-grad a is a signed partial of psi or a.  Each
 plane is its own irfft2 call (with a 2 MiB L2, eight n = 256 calls run 1.5x
 faster than one over the stacked planes); for the same reason a field's
 spectrum is formed once per call and released after its partials.
@@ -212,10 +214,6 @@ def fractional_power(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
 # name -> (source, multiplier) of each field physical_fields forms itself
 _DERIVED = {
     "psi": ("w", lambda g, w: -g.half_inv_ksq * w),
-    "u1": ("psi", lambda g, psi: -(g.half_ik2 * psi)),
-    "u2": ("psi", lambda g, psi: g.half_ik1 * psi),
-    "b1": ("a", lambda g, a: -(g.half_ik2 * a)),
-    "b2": ("a", lambda g, a: g.half_ik1 * a),
     "j": ("a", lambda g, a: -g.half_ksq * a),
 }
 
@@ -223,48 +221,39 @@ _DERIVED = {
 @functools.lru_cache(maxsize=64)
 def _field_plan(requests: tuple) -> tuple:
     # the (field, sorted derivative axes) key of every request, and the
-    # distinct keys grouped by field, fields of one source next to each other
+    # distinct keys grouped by field in the order fields are first requested
     keys = []
     for req in requests:
         m = re.fullmatch(r"([A-Za-z0-9]+)(?:_([12]+))?", req)
         if m is None:
             raise ParameterError(
-                f"field request must look like 'b1' or 'b1_12', got {req!r}")
+                f"field request must look like 'a' or 'a_12', got {req!r}")
         keys.append((m[1], tuple(sorted(int(d) - 1 for d in m[2] or ""))))
-    fields = sorted(dict.fromkeys(f for f, _ in keys),
-                    key=lambda f: _DERIVED.get(f, (f,))[0])
     return tuple(keys), tuple(
-        (f, tuple(sorted({i for k, i in keys if k == f}))) for f in fields)
-
-
-def _spectrum(grid, halves, held, name):
-    # not a closure: a recursive closure is a reference cycle, which keeps a
-    # call's spectra alive until the cyclic garbage collector runs
-    if name in halves:
-        return halves[name]
-    if name not in _DERIVED:
-        raise ParameterError(f"no half spectrum for field {name!r}")
-    source, make = _DERIVED[name]
-    if source not in held:
-        held[source] = _spectrum(grid, halves, held, source)
-    return make(grid, held[source])
+        (f, tuple(sorted({i for k, i in keys if k == f})))
+        for f in dict.fromkeys(f for f, _ in keys))
 
 
 def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
     """Point values of fields and partials, one per request, in order.
 
-    halves maps names to k2 >= 0 half spectra, taken as given; from "w" and
-    "a" this forms psi = -Delta^{-1} w, u1, u2 (u = perp-grad psi), b1, b2
-    (b = perp-grad a) and j = Delta a.  "b1_12" (= "b1_21") requests d1 d2 b1;
-    each distinct plane is one irfft2 call.
+    halves maps names to k2 >= 0 half spectra, taken as given; from "w" it
+    forms psi = -Delta^{-1} w and from "a" j = Delta a, so u = perp-grad psi
+    = (-psi_2, psi_1) and b = perp-grad a = (-a_2, a_1) are signed partials
+    of the potentials.  "a_12" (= "a_21") requests d1 d2 a; each distinct
+    plane is one irfft2 call.
     """
     keys, groups = _field_plan(requests)
     mult = (grid.half_ik1, grid.half_ik2)
-    planes, held = {}, {}  # held: the source spectrum (psi) of adjacent fields
+    planes = {}
     for name, axes in groups:
-        if _DERIVED.get(name, (None,))[0] not in held:
-            held.clear()
-        base = _spectrum(grid, halves, held, name)
+        source, make = _DERIVED.get(name, (None, None))
+        if name in halves:
+            base = halves[name]
+        elif source in halves:
+            base = make(grid, halves[source])
+        else:
+            raise ParameterError(f"no half spectrum for field {name!r}")
         for idx in axes:
             c = base
             for axis in reversed(idx):  # d1 d2 f = d1 (d2 f)

@@ -317,8 +317,9 @@ class TestTransformBudget:
 
     def test_direction_field_is_two_analyses_and_ten_syntheses(self, fft_calls):
         g = get_grid(64)
-        b1, b2 = physical_fields(g, {"a": random_band_limited_field(g, 8, 1)},
-                                 "b1", "b2")
+        a2, a1 = physical_fields(g, {"a": random_band_limited_field(g, 8, 1)},
+                                 "a_2", "a_1")
+        b1, b2 = -a2, a1
         fft_calls.clear()
         direction_field_norms(g, b1, b2)
         assert fft_calls == {"rfft2": 2, "irfft2": 10}
@@ -648,8 +649,9 @@ class TestDirectionField:
         # record, so no call holds all six of them at once
         n = 128
         g = get_grid(n)
-        b1, b2 = physical_fields(g, {"a": random_band_limited_field(g, 20, 1)},
-                                 "b1", "b2")
+        a2, a1 = physical_fields(g, {"a": random_band_limited_field(g, 20, 1)},
+                                 "a_2", "a_1")
+        b1, b2 = -a2, a1
         direction_field_norms(g, b1, b2)  # warm the per-size caches
         tracemalloc.start()
         try:

@@ -287,9 +287,10 @@ class TestNonlinearRhs:
             return out
 
         for st in states:
-            u1, u2, b1, b2, wx, wy, jx, jy, ax, ay = physical_fields(
-                g, st.halves(), "u1", "u2", "b1", "b2", "w_1", "w_2", "j_1",
-                "j_2", "a_1", "a_2")
+            p1, p2, ax, ay, wx, wy, jx, jy = physical_fields(
+                g, st.halves(), "psi_1", "psi_2", "a_1", "a_2", "w_1", "w_2",
+                "j_1", "j_2")
+            (u1, u2), (b1, b2) = (-p2, p1), (-ay, ax)
             lorentz = band(b1 * jx + b2 * jy)
             transport = band(u1 * wx + u2 * wy)
             advect_a = band(u1 * ax + u2 * ay)
@@ -434,8 +435,10 @@ class TestCflandStep:
         st = initial_condition("random_band_limited", g, seed=1, k_max=8,
                                amplitude=1e200)
         p = Params(nu=0.0, kappa=0.0, n=32, t_end=0.1)
-        u1, u2, b1, b2 = physical_fields(g, st.halves(), "u1", "u2", "b1", "b2")
-        speed = float(np.max(np.hypot(u1, u2))) + float(np.max(np.hypot(b1, b2)))
+        # u = (-psi_2, psi_1), b = (-a_2, a_1)
+        p1, p2, a1, a2 = physical_fields(g, st.halves(), "psi_1", "psi_2",
+                                         "a_1", "a_2")
+        speed = float(np.max(np.hypot(p2, p1))) + float(np.max(np.hypot(a2, a1)))
         assert np.isfinite(speed) and speed > 1e200
         assert cfl_dt(st, p) == p.cfl * (2.0 * np.pi / 32) / speed > 0.0
         res = run(st, p, sample_every=0.05)

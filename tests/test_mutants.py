@@ -15,11 +15,12 @@ from gmhd2d.cli import cmd_verify
 _SOLVER = dynamics._stress_tendency
 
 
-def _lorentz_doubled(grid, u1, u2, b1, b2):
-    # the b (x) b stress counted twice: add the tendency of b alone
-    dw, da = _SOLVER(grid, u1, u2, b1, b2)
-    zero = np.zeros_like(u1)
-    return dw + _SOLVER(grid, zero, zero, b1, b2)[0], da
+def _lorentz_doubled(grid, p1, p2, a1, a2):
+    # the b (x) b stress counted twice: add the tendency of b alone, with
+    # the psi partials zeroed (u = 0)
+    dw, da = _SOLVER(grid, p1, p2, a1, a2)
+    zero = np.zeros_like(p1)
+    return dw + _SOLVER(grid, zero, zero, a1, a2)[0], da
 
 
 def _advection_flipped(grid, *planes):

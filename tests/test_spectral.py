@@ -245,6 +245,10 @@ class TestPhysicalFields:
     """The half-spectrum field evaluator against full-spectrum oracles."""
 
     SUFFIXES = ("", "_1", "_2", "_11", "_12", "_21", "_22")
+    # u = perp-grad psi and b = perp-grad a as signed partials of the
+    # potentials: component -> (sign, potential, axis)
+    PERP = {"u1": (-1.0, "psi", "2"), "u2": (1.0, "psi", "1"),
+            "b1": (-1.0, "a", "2"), "b2": (1.0, "a", "1")}
 
     @staticmethod
     def oracle_spectra(g, w_half, a_half):
@@ -260,22 +264,27 @@ class TestPhysicalFields:
             wh = random_band_limited_field(g, g.dealias_k, seed=21)
             ah = random_band_limited_field(g, g.dealias_k, seed=22)
             spectra = self.oracle_spectra(g, wh, ah)
-            requests = [name + s for name in spectra for s in self.SUFFIXES]
-            planes = physical_fields(g, {"w": wh, "a": ah}, *requests)
-            for req, plane in zip(requests, planes):
-                name, _, digits = req.partition("_")
+            # (request, sign, oracle field, derivative digits)
+            checks = [(name + s, 1.0, name, s[1:])
+                      for name in ("w", "a", "psi", "j") for s in self.SUFFIXES]
+            checks += [(f"{pot}_{axis}{s[1:]}", sign, name, s[1:])
+                       for name, (sign, pot, axis) in self.PERP.items()
+                       for s in self.SUFFIXES]
+            planes = physical_fields(g, {"w": wh, "a": ah},
+                                     *(req for req, *_ in checks))
+            for (req, sign, name, digits), plane in zip(checks, planes):
                 c = spectra[name]
                 for d in digits:
                     c = derivative(g, c, int(d) - 1)
                 want = full_to_physical(g, c)
-                err = np.max(np.abs(plane - want)) / np.max(np.abs(want))
-                assert err < 1e-12, (n, req, err)
+                err = np.max(np.abs(sign * plane - want)) / np.max(np.abs(want))
+                assert err < 1e-12, (n, req, name, digits, err)
 
     def test_mixed_partials_and_request_order(self):
         g = get_grid(32)
         halves = {"w": random_band_limited_field(g, 8, seed=23),
                   "a": random_band_limited_field(g, 8, seed=24)}
-        requests = ["b1_12", "u2", "j_2", "b1_21", "w_11", "u1_1", "b1"]
+        requests = ["a_212", "psi_1", "j_2", "a_221", "w_11", "psi_21", "a_2"]
         forward = physical_fields(g, halves, *requests)
         np.testing.assert_array_equal(forward[0], forward[3])
         backward = physical_fields(g, halves, *requests[::-1])
@@ -286,8 +295,8 @@ class TestPhysicalFields:
                                           plane)
 
     def test_given_spectra_are_taken_as_they_are(self):
-        # a name present in halves is not derived again, so b1 may be any
-        # field, not only -d2 a
+        # a name present in halves is taken as given, as direction_field_norms
+        # passes b1 and b2 of any field
         g = get_grid(32)
         c = random_band_limited_field(g, 8, seed=25)
         (b1_2,) = physical_fields(g, {"b1": c}, "b1_2")
@@ -305,7 +314,7 @@ class TestPhysicalFields:
         gc.collect()
         gc.disable()
         try:
-            physical_fields(g, halves, "u1", "u2_12", "b1", "j_1", "w")
+            physical_fields(g, halves, "psi_2", "psi_112", "a_2", "j_1", "w")
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -318,6 +327,10 @@ class TestPhysicalFields:
                 physical_fields(g, halves, bad)
         with pytest.raises(ParameterError, match="no half spectrum"):
             physical_fields(g, halves, "u1")
+        # u and b are partials of the potentials, never derived fields
+        both = {"w": halves["a"], "a": halves["a"]}
+        with pytest.raises(ParameterError, match="no half spectrum"):
+            physical_fields(g, both, "u1")
 
 
 class TestMultipliers:
