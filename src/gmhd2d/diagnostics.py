@@ -23,18 +23,23 @@ u; and the nine first to third partials of a.  The last group runs the
 direction-field chain rule on v = (d2 a, d1 a) = (-b1, b2), whose Jacobian
 is the Hessian of a: |v| = |b|, and the partials of vhat are those of bhat
 up to sign, so the max-over-partials norms are bhat's.  grad j = (a_111 +
-a_122, a_112 + a_222) comes from the same planes.  The second partials of
-vhat are formed one at a time in reused buffers, and each is reduced to its
-max as soon as it is formed.  So one record holds at most 19 n x n float64
-planes at once (tracemalloc peak), as many as one step.
+a_122, a_112 + a_222) comes from the same planes.  The chain rule runs over
+row blocks of 8192 points: a block's partials of vhat are formed, reduced
+to their sups and dropped before the next block, and its second partials
+are formed one at a time in reused buffers.  So one record holds the nine
+partials of a and about one block of its own: 13 n x n float64 planes at
+once at n = 256 and 15 at n = 128 (tracemalloc peak), against 14 for one
+step.  Up to n = 90 one block covers the grid, and a record holds 19.2
+planes at n = 64.
 
 The quadratic quantities (energy, the dissipation sums, h2, cross
 helicity) are spectral.half_power_sum Parseval sums over the half power
 spectra |w_hat|^2 and |a_hat|^2 of the state.  That sum weights only modes
 with nonzero power, so an overflowing |k|^{2s} gives inf on a sum that is
 truly beyond float range and never inf * 0 = nan on an empty mode.
-Every pointwise magnitude (|grad j|, |b|, the floored |b|) is
-spectral.magnitude, and the sup of |grad u| is spectral.max_magnitude; both
+Every pointwise magnitude (|grad j|, a block's |b| and floored |b|) is
+spectral.magnitude, and the sups of |grad u| and |b| are
+spectral.max_magnitude; both
 stay finite, and nonzero where a component is, wherever the components are
 finite, however far their squares leave the float range.
 """
@@ -175,15 +180,14 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
     grad_j_lp = {p: lp_norm(g, grad_j_mag, p) for p in ps}
     del grad_j_mag
 
-    mag = magnitude(a_2, a_1)
-    b_linf = lp_norm(g, mag, np.inf)
-    dbhat, second = _unit_field_derivatives(
-        (a_2, a_1), mag, [[a_12, a_22], [a_11, a_12]],
+    b_linf = max_magnitude(a_2, a_1)
+    v = [a_2, a_1]
+    del a_1, a_2  # v is emptied before the last block's second partials
+    bhat_w1inf, bhat_w2inf = _direction_sups(
+        g, v, [[a_12, a_22], [a_11, a_12]],
         [dict(zip(_PAIRS, (a_112, a_122, a_222))),
          dict(zip(_PAIRS, (a_111, a_112, a_122)))],
         _regularization(b_linf, eps_bhat))
-    del a_1, a_2, mag  # the second partials of vhat need none of them
-    bhat_w1inf, bhat_w2inf = _max_partials(g, dbhat, second)
 
     integrand = omega_linf + j_linf
     if prev is None:
@@ -360,11 +364,12 @@ def _regularization(bmax: float, eps: float | None) -> float:
     return _check_eps(eps)
 
 
-def _unit_field_derivatives(b, mag, db, d2b, eps):
+def _unit_field_derivatives(b, mag, db, d2b, eps, rows=slice(None)):
     """Chain rule for bhat = b / rho, rho = (|b|^2 + eps^2)^{1/2}, pointwise.
 
-    b = (b1, b2) and mag = |b| are physical values, db[j][i] = d_i b_j and
-    d2b[j][(i, k)] = d_i d_k b_j for i <= k.  With r = 1/rho and
+    b = (b1, b2) are physical values, db[j][i] = d_i b_j and d2b[j][(i, k)]
+    = d_i d_k b_j for i <= k, and the chain rule runs on their rows `rows`
+    (all of them by default), where mag = |b|.  With r = 1/rho and
     t_i = bhat . d_i b (= d_i rho):
 
         d_i bhat_j     = (d_i b_j - bhat_j t_i) r
@@ -381,39 +386,65 @@ def _unit_field_derivatives(b, mag, db, d2b, eps):
     second-order stage.
     """
     r = 1.0 / magnitude(mag, eps)
-    bhat = [b[0] * r, b[1] * r]
-    t = [bhat[0] * db[0][i] + bhat[1] * db[1][i] for i in (0, 1)]
+    bhat = [b[0][rows] * r, b[1][rows] * r]
+    t = [bhat[0] * db[0][i][rows] + bhat[1] * db[1][i][rows] for i in (0, 1)]
     dbhat = [[np.multiply(bhat[jc], t[i]) for i in (0, 1)] for jc in (0, 1)]
     for jc in (0, 1):
         for i in (0, 1):
             d = dbhat[jc][i]
-            np.subtract(db[jc][i], d, out=d)
+            np.subtract(db[jc][i][rows], d, out=d)
             d *= r
-    return dbhat, _second_derivatives(bhat, dbhat, t, r, db, d2b)
+    return dbhat, _second_derivatives(bhat, dbhat, t, r, db, d2b, rows)
 
 
-def _second_derivatives(bhat, dbhat, t, r, db, d2b):
+def _second_derivatives(bhat, dbhat, t, r, db, d2b, rows):
     # the second-order half of _unit_field_derivatives, term by term in the
     # order of its formulas, in three reused buffers
     tik, tmp, out = (np.empty_like(r) for _ in range(3))
     for i, k in _PAIRS:
-        np.multiply(dbhat[0][k], db[0][i], out=tik)
-        tik += np.multiply(dbhat[1][k], db[1][i], out=tmp)
-        tik += np.multiply(bhat[0], d2b[0][(i, k)], out=tmp)
-        tik += np.multiply(bhat[1], d2b[1][(i, k)], out=tmp)
+        np.multiply(dbhat[0][k], db[0][i][rows], out=tik)
+        tik += np.multiply(dbhat[1][k], db[1][i][rows], out=tmp)
+        tik += np.multiply(bhat[0], d2b[0][(i, k)][rows], out=tmp)
+        tik += np.multiply(bhat[1], d2b[1][(i, k)][rows], out=tmp)
         for jc in (0, 1):
             np.multiply(dbhat[jc][k], t[i], out=out)
-            np.subtract(d2b[jc][(i, k)], out, out=out)
+            np.subtract(d2b[jc][(i, k)][rows], out, out=out)
             out -= np.multiply(dbhat[jc][i], t[k], out=tmp)
             out -= np.multiply(bhat[jc], tik, out=tmp)
             out *= r
             yield jc, (i, k), out
 
 
-def _max_partials(grid, dbhat, second):
-    # the max-over-partials W^{1,inf} and W^{2,inf} norms of bhat
-    return (max(lp_norm(grid, v, np.inf) for row in dbhat for v in row),
-            max(lp_norm(grid, plane, np.inf) for _, _, plane in second))
+_BLOCK_POINTS = 8192  # points per row block of _direction_sups
+
+
+def _direction_sups(grid, b, db, d2b, eps):
+    """The max-over-partials W^{1,inf} and W^{2,inf} norms of bhat.
+
+    Runs _unit_field_derivatives on the planes b, db, d2b over row blocks
+    of about _BLOCK_POINTS points: a block's partials are formed, reduced
+    to their sups and dropped before the next block, so the stage holds the
+    given planes and about one block of its own.  b is a list [b1, b2],
+    emptied once the last block's first partials are formed, so planes
+    held nowhere else are out of its second-order stage.  Each partial's
+    sup is the maximum of its block sups (np.maximum: nan propagates as in
+    lp_norm), and the norms are the maxima of those in the order of a
+    whole-plane run, exactly.  magnitude's hypot fallback is decided per
+    block.
+    """
+    rows = max(1, _BLOCK_POINTS // grid.n)
+    sups = np.full(10, -np.inf)  # the four first partials, then the six second
+    for start in range(0, grid.n, rows):
+        blk = slice(start, start + rows)
+        dbhat, second = _unit_field_derivatives(
+            b, magnitude(b[0][blk], b[1][blk]), db, d2b, eps, blk)
+        if start + rows >= grid.n:
+            b.clear()
+        first = [lp_norm(grid, v, np.inf) for row in dbhat for v in row]
+        del dbhat  # the second partials hold what they read
+        np.maximum(sups, first + [lp_norm(grid, plane, np.inf)
+                                  for _, _, plane in second], out=sups)
+    return max(sups[:4].tolist()), max(sups[4:].tolist())
 
 
 def direction_field_norms(
@@ -442,11 +473,8 @@ def direction_field_norms(
     d2b = [dict(zip(_PAIRS, physical_fields(
         grid, halves, c + "_11", c + "_12", c + "_22"))) for c in halves]
     del halves
-    mag = magnitude(b1, b2)
-    eps = _regularization(lp_norm(grid, mag, np.inf), None)
-    dbhat, second = _unit_field_derivatives((b1, b2), mag, db, d2b, eps)
-    del mag
-    return _max_partials(grid, dbhat, second)
+    eps = _regularization(max_magnitude(b1, b2), None)
+    return _direction_sups(grid, [b1, b2], db, d2b, eps)
 
 
 # ---------------------------------------------------------------------------

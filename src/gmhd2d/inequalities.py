@@ -156,7 +156,8 @@ def _norm_table(grid, f_hat, terms) -> dict:
     order g + 1 (b = perp-grad f).  Families are taken one at a time, after
     the power spectra are dropped, and a family's Lambda^lam spectrum is
     dropped before its magnitude is formed, so one family's planes at most
-    are alive at once (6 n x n planes at the peak, in the order-2 family).
+    are alive at once (5 n x n planes at the peak, in the order-2 family).
+    At lam = 0, Lambda^lam is the identity and f_hat is synthesized as given.
     A family whose Lambda^lam spectrum is not finite reads inf, as its p = 2
     terms do, with no synthesis (which would turn inf into nan).
     """
@@ -173,7 +174,7 @@ def _norm_table(grid, f_hat, terms) -> dict:
             families.setdefault((*key, term.lam), []).append(term)
     del powers
     for (field, grad, lam), members in families.items():
-        potential = fractional_power(grid, f_hat, lam)  # |k|^0 keeps the mean
+        potential = f_hat if lam == 0.0 else fractional_power(grid, f_hat, lam)
         if not np.isfinite(potential).all():
             table.update(dict.fromkeys(members, math.inf))
             continue

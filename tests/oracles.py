@@ -12,12 +12,14 @@ are independent of the half-spectrum code paths, which is what makes them
 useful as oracles.  random_band_limited_field_loop is the per-mode loop the
 package's vectorized corpus draw replaced.  norm_of_term is no oracle: it
 reads one NormTerm off the package's own norm table, for tests that need a
-single norm.
+single norm.  Nor is traced_peak_planes: it measures the memory peak of a
+call, for the tests that pin how many planes a layer holds at once.
 """
 
 from __future__ import annotations
 
 import functools
+import tracemalloc
 import types
 import warnings
 
@@ -262,3 +264,19 @@ def random_band_limited_field_loop(
 def norm_of_term(grid: Grid, f_hat: np.ndarray, term) -> float:
     """One NormTerm on the potential with half spectrum f_hat."""
     return _norm_table(grid, f_hat, (term,))[term]
+
+
+def traced_peak_planes(call, n: int) -> float:
+    """The tracemalloc peak of call() in n x n float64 planes.
+
+    One untraced call warms the per-size caches first, so the peak counts
+    only what the call itself holds at once.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (n * n * 8)

@@ -6,7 +6,6 @@ audits against the closed-form decaying shear, and the unit-field derivatives
 against sympy symbolic differentiation away from the zero set of |b|.
 """
 
-import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
 
@@ -23,7 +22,9 @@ from gmhd2d.diagnostics import (
     lp_vorticity_bound_check,
     read_csv,
     write_csv,
+    _BLOCK_POINTS,
     _PAIRS,
+    _direction_sups,
     _unit_field_derivatives,
 )
 from gmhd2d.dynamics import (
@@ -51,6 +52,7 @@ from gmhd2d.spectral import (
     get_grid,
     lp_norm,
     magnitude,
+    max_magnitude,
     physical_fields,
     random_band_limited_field,
     to_physical,
@@ -65,6 +67,7 @@ from oracles import (
     full_to_spectral,
     homogeneous_sobolev_norm,
     norm_of_term,
+    traced_peak_planes,
 )
 
 
@@ -174,21 +177,58 @@ class TestComputeRecord:
         with pytest.raises(ParameterError, match="p_list"):
             compute_record(st, Params(n=32), p_list=(0.5,))
 
-    def test_peak_is_at_most_20_planes(self):
+    @pytest.mark.parametrize("n, planes", [(64, 19.5), (128, 17), (256, 14)])
+    def test_peak_planes(self, n, planes):
         # the three synthesis groups are reduced one after another, and the
-        # second partials of bhat plane by plane, so one record holds at most
-        # 20 n x n float64 planes at once (about 19, as many as a step)
-        n = 128
+        # bhat chain rule runs in row blocks of 8192 points, so one record
+        # holds the nine partials of a and about one block of its own (13
+        # planes at n = 256, 15 at n = 128).  n = 64 is one block, where a_1
+        # and a_2 are dropped before the second partials: 19.2, no more
         g = get_grid(n)
         st = initial_condition("random_band_limited", g, seed=1, k_max=20)
-        compute_record(st, Params(n=n))  # warm the per-size caches
-        tracemalloc.start()
-        try:
-            compute_record(st, Params(n=n))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 20 * n * n * 8
+        assert traced_peak_planes(
+            lambda: compute_record(st, Params(n=n)), n) <= planes
+
+    def test_row_blocks_meet_at_their_boundaries(self):
+        # x1 -> x1 + pi (the spectra times (-1)^k1) rolls every plane by
+        # n/2 rows, four of the 32-row blocks at n = 256, so every sup lands
+        # in another block
+        n = 256
+        g = get_grid(n)
+        st = initial_condition("random_band_limited", g, seed=3, k_max=20)
+        sign = np.where(g.k1 % 2 == 0, 1.0, -1.0)
+        shifted = replace(st, omega_hat=sign * st.omega_hat,
+                          a_hat=sign * st.a_hat)
+        rec, moved = compute_record(st, Params(n=n)), compute_record(
+            shifted, Params(n=n))
+        for name in ("bhat_w1inf", "bhat_w2inf", "b_linf"):
+            assert getattr(moved, name) == pytest.approx(
+                getattr(rec, name), rel=1e-9)
+
+    def test_every_row_block_is_read(self):
+        # the record's planes rolled by whole blocks carry the sups through
+        # every block in turn; each blocked pass must give the sups of one
+        # whole-plane chain rule bit for bit, so a skipped block shows
+        n = 256
+        g = get_grid(n)
+        st = initial_condition("random_band_limited", g, seed=3, k_max=20)
+        planes = physical_fields(g, st.halves(), "a_2", "a_1", "a_11", "a_12",
+                                 "a_22", "a_111", "a_112", "a_122", "a_222")
+
+        def layout(a_2, a_1, a_11, a_12, a_22, a_111, a_112, a_122, a_222):
+            return ([a_2, a_1], [[a_12, a_22], [a_11, a_12]],
+                    [dict(zip(_PAIRS, (a_112, a_122, a_222))),
+                     dict(zip(_PAIRS, (a_111, a_112, a_122)))])
+
+        b, db, d2b = layout(*planes)
+        eps = 1e-6 * max_magnitude(*b)
+        dbhat, second = _unit_field_derivatives(b, magnitude(*b), db, d2b, eps)
+        whole = (max(np.max(np.abs(v)) for row in dbhat for v in row),
+                 max(np.max(np.abs(plane)) for _, _, plane in second))
+        rows = _BLOCK_POINTS // n
+        for shift in range(0, n, rows):
+            rolled = layout(*(np.roll(v, shift, axis=0) for v in planes))
+            assert _direction_sups(g, *rolled, eps) == whole
 
     @staticmethod
     def _scaled_records(s):
@@ -644,22 +684,16 @@ class TestDirectionField:
         assert scaled[0] == pytest.approx(base[0], rel=1e-12)
         assert scaled[1] == pytest.approx(base[1], rel=1e-9)
 
-    def test_peak_is_at_most_26_planes(self):
-        # the second partials of bhat are reduced plane by plane, as in the
-        # record, so no call holds all six of them at once
+    def test_peak_is_at_most_17_planes(self):
+        # the record's row-blocked chain rule: the ten partials of b and
+        # about one 64-row block of its own (16 planes at n = 128)
         n = 128
         g = get_grid(n)
         a2, a1 = physical_fields(g, {"a": random_band_limited_field(g, 20, 1)},
                                  "a_2", "a_1")
         b1, b2 = -a2, a1
-        direction_field_norms(g, b1, b2)  # warm the per-size caches
-        tracemalloc.start()
-        try:
-            direction_field_norms(g, b1, b2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 26 * n * n * 8
+        assert traced_peak_planes(
+            lambda: direction_field_norms(g, b1, b2), n) <= 17
 
 
 class TestCsv:

@@ -46,6 +46,7 @@ from oracles import (
     full_to_physical,
     full_to_spectral,
     gradient_coupling,
+    traced_peak_planes,
 )
 
 
@@ -530,6 +531,16 @@ class TestCflandStep:
         assert info.value.state is st
         assert info.value.time == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_step_peak_is_at_most_15_planes(self, n):
+        # k1 is scaled and k3 folded into k2 as the stages go, the stage
+        # spectra are dropped once synthesized and the stress products are
+        # formed in place: a step holds about 14 n x n planes at once
+        g = get_grid(n)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=20)
+        p = Params(n=n)
+        assert traced_peak_planes(lambda: step(st, p, 1e-3), n) <= 15
+
 
 class TestRun:
     """Trajectory driver: sampling, closed-form decay, blow-up handling."""
@@ -681,6 +692,16 @@ class TestRun:
         assert rN.energy == pytest.approx(r0.energy, rel=1e-9)
         assert rN.cross_helicity == pytest.approx(r0.cross_helicity, abs=1e-9 * r0.energy)
         assert rN.a_l2 == pytest.approx(r0.a_l2, rel=1e-9)
+
+    def test_run_peak_is_at_most_17_planes(self):
+        # three CFL-capped steps and two records at n = 256: the step's
+        # planes plus the state and the records' scalars (about 16)
+        n = 256
+        g = get_grid(n)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=20)
+        p = Params(nu=0.0, kappa=0.0, n=n, t_end=3e-3, dt_max=1e-3)
+        assert traced_peak_planes(lambda: run(st, p, sample_every=3e-3),
+                                  n) <= 17
 
 
 class TestSnapshotIO:

@@ -5,8 +5,6 @@ identity ties the curl bound to an exact ratio of 1, and the quadrature
 path for p != 2 is cross-checked against the spectral p = 2 shortcut.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -35,6 +33,7 @@ from oracles import (
     full_spectrum,
     full_to_physical,
     norm_of_term,
+    traced_peak_planes,
 )
 
 
@@ -263,14 +262,8 @@ class TestCheckInequality:
         terms = tuple(dict.fromkeys(
             t for spec in DEFAULT_INEQUALITY_SPECS
             for t in (spec.lhs, *(r for r, _ in spec.rhs))))
-        inequalities._norm_table(g, f_hat, terms)  # warm the per-size caches
-        tracemalloc.start()
-        try:
-            inequalities._norm_table(g, f_hat, terms)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6.5 * n * n * 8
+        assert traced_peak_planes(
+            lambda: inequalities._norm_table(g, f_hat, terms), n) <= 6.5
 
     def test_needs_resolutions(self):
         with pytest.raises(ParameterError, match="resolution"):
