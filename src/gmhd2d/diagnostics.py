@@ -47,10 +47,10 @@ finite, however far their squares leave the float range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import GmhdState, Params
 from .spectral import (
     Grid,
     ParameterError,
@@ -61,6 +61,9 @@ from .spectral import (
     physical_fields,
     to_spectral,
 )
+
+if TYPE_CHECKING:
+    from .dynamics import GmhdState, Params
 
 __all__ = [
     "DiagnosticsRecord",
@@ -142,8 +145,8 @@ def compute_record(
     for p in ps:
         if not p >= 1:
             raise ParameterError(f"p_list entries must be >= 1, got {p}")
-    if eps_bhat is not None:
-        _check_eps(eps_bhat)
+    if eps_bhat is not None and not (np.isfinite(eps_bhat) and eps_bhat > 0.0):
+        raise ParameterError(f"eps must be positive and finite, got {eps_bhat!r}")
     # near blow-up the fields overflow; record inf/nan quietly rather than warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _compute_record(state, params, ps, eps_bhat, prev, e0)
@@ -350,26 +353,20 @@ def lp_vorticity_bound_check(series, p: float) -> LpBoundReport:
 _PAIRS = ((0, 0), (0, 1), (1, 1))
 
 
-def _check_eps(eps) -> float:
-    # the direction-field floor must be positive and finite
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ParameterError(f"eps must be positive and finite, got {eps!r}")
+def _regularization(bmax: float, eps: float | None) -> float:
+    # the direction-field floor: eps as given, or 1e-6 * max|b| (1e-6 for
+    # b = 0), unchecked: an overflowed max|b| gives non-finite b-hat sups
+    if eps is None:
+        eps = 1e-6 * bmax if bmax > 0.0 else 1e-6
     return float(eps)
 
 
-def _regularization(bmax: float, eps: float | None) -> float:
-    # the direction-field floor: eps as given, or 1e-6 * max|b| (1e-6 for b = 0)
-    if eps is None:
-        eps = 1e-6 * bmax if bmax > 0.0 else 1e-6
-    return _check_eps(eps)
-
-
-def _unit_field_derivatives(b, mag, db, d2b, eps, rows=slice(None)):
+def _unit_field_derivatives(b, mag, db, d2b, eps, rows):
     """Chain rule for bhat = b / rho, rho = (|b|^2 + eps^2)^{1/2}, pointwise.
 
     b = (b1, b2) are physical values, db[j][i] = d_i b_j and d2b[j][(i, k)]
     = d_i d_k b_j for i <= k, and the chain rule runs on their rows `rows`
-    (all of them by default), where mag = |b|.  With r = 1/rho and
+    (a slice), where mag = |b|.  With r = 1/rho and
     t_i = bhat . d_i b (= d_i rho):
 
         d_i bhat_j     = (d_i b_j - bhat_j t_i) r

@@ -68,6 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import compute_record
 from .spectral import (
     Grid,
     ParameterError,
@@ -211,7 +212,8 @@ class BlowUpSignal(RuntimeError):
     """Non-finite values appeared during a step.
 
     Attributes:
-        time: time at which the failure was detected (end of the bad step).
+        time: end of the bad step, or its start if its CFL bound was not
+            positive.
         state: last finite state, from before the failing step.
     """
 
@@ -472,19 +474,22 @@ def step(state: GmhdState, params: Params, dt: float) -> GmhdState:
     written back in w, gives the staged updates below.  Pure linear decay is
     reproduced exactly.  Raises BlowUpSignal when non-finite values appear.
     """
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
     return _advance(state, params, dt, cfl=False)
 
 
 def _advance(state: GmhdState, params: Params, dt: float, cfl: bool) -> GmhdState:
-    # the one IF-RK4 step; with cfl set, dt is first capped at the CFL bound
-    # of the stage-1 planes the step needs anyway (28 transforms, not 32)
+    # the one IF-RK4 step and the one place that calls a blow-up; with cfl
+    # set, dt is first capped at the CFL bound of the stage-1 planes (28
+    # transforms, not 32), which inf or nan planes make 0 or nan
     g = state.grid
     with np.errstate(over="ignore", invalid="ignore"):
         planes = _stage_planes(g, state.halves())
         if cfl:
             dt = min(_cfl(g, params, *planes), dt)
-        if not (np.isfinite(dt) and dt > 0.0):
-            raise ParameterError(f"dt must be positive and finite, got {dt!r}")
+            if not dt > 0.0:
+                raise BlowUpSignal(state.t, state)
         k1w, k1a = _stress_tendency(g, *planes)
     del planes  # not held through stages 2-4
 
@@ -554,8 +559,6 @@ def run(
     blew_up = True; the result is deterministic given (initial, params).
     A non-finite initial state is bad input (ParameterError), not a blow-up.
     """
-    from .diagnostics import compute_record  # deferred: diagnostics imports Params
-
     for name in ("omega_hat", "a_hat", "t"):
         if not np.isfinite(getattr(initial, name)).all():
             raise ParameterError(f"initial state {name} is not finite")

@@ -345,14 +345,12 @@ def max_magnitude(*components) -> float:
 
 
 def lp_norm(grid: Grid, values: np.ndarray, p: float) -> float:
-    """L^p norm of point values by the rectangle rule; p = inf is the max.
+    """L^p norm of real point values by the rectangle rule; p = inf is the max.
 
     The rule is exact when |values|^p is a trigonometric polynomial of degree
     below n (e.g. even integer p and band-limited input of degree < n/p).
     """
     values = np.asarray(values)
-    if np.iscomplexobj(values):
-        values = np.abs(values)
     if not p >= 1:  # also rejects nan
         raise ParameterError(f"p must satisfy 1 <= p <= inf, got {p!r}")
     if np.isinf(p):  # max |v| without forming |v|

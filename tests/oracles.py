@@ -13,7 +13,9 @@ useful as oracles.  random_band_limited_field_loop is the per-mode loop the
 package's vectorized corpus draw replaced.  norm_of_term is no oracle: it
 reads one NormTerm off the package's own norm table, for tests that need a
 single norm.  Nor is traced_peak_planes: it measures the memory peak of a
-call, for the tests that pin how many planes a layer holds at once.
+call, for the tests that pin how many planes a layer holds at once.  Nor is
+overflowing_state: a finite state whose point values overflow, for the
+tests that hold such a state to be a blow-up, not bad input.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import warnings
 
 import numpy as np
 
+from gmhd2d.dynamics import GmhdState, project_state
 from gmhd2d.inequalities import _norm_table
-from gmhd2d.spectral import Grid, ParameterError
+from gmhd2d.spectral import Grid, ParameterError, get_grid
 
 
 @functools.lru_cache(maxsize=None)
@@ -280,3 +283,18 @@ def traced_peak_planes(call, n: int) -> float:
     finally:
         tracemalloc.stop()
     return peak / (n * n * 8)
+
+
+def overflowing_state(n: int = 32) -> GmhdState:
+    """A finite spectral state whose |b| and derivative planes overflow.
+
+    Three modes of a_hat at |a_hat| = 1e308 and omega = 0: every
+    coefficient is finite, but max|b| is inf and the second partials of a
+    hold nan.
+    """
+    grid = get_grid(n)
+    a_hat = np.zeros((n, grid.half_cols), dtype=complex)
+    for k in ((1, 0), (2, 0), (0, 1)):
+        a_hat[k] = 1e308
+    return project_state(GmhdState(grid=grid, omega_hat=np.zeros_like(a_hat),
+                                   a_hat=a_hat))

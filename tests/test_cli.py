@@ -46,6 +46,15 @@ output_dir = {out}
 """
 
 
+def overflow_cfg(out, amplitude):
+    # a random state of this L2 amplitude: finite, but at 1e308 its point
+    # values overflow
+    return (f"params.n = 32\nparams.t_end = 0.01\n"
+            f"initial.kind = random_band_limited\ninitial.seed = 1\n"
+            f"initial.k_max = 8\ninitial.amplitude = {amplitude}\n"
+            f"sample_every = 0.01\noutput_dir = {out}\n")
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -244,6 +253,21 @@ class TestRunCommand:
         _, rows = read_csv(out / "diagnostics.csv")
         assert len(rows) >= 1
 
+    @pytest.mark.parametrize("amplitude", ["1e307", "1e308"])
+    def test_overflowing_initial_state_is_a_blow_up(self, tmp_path, amplitude):
+        # finite spectra whose planes overflow: a blow-up with every
+        # artifact written, not an error about a key the config never set
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, overflow_cfg(out, amplitude))
+        assert main(["run", "--config", str(cfg)]) == 2
+        summary = set((out / "summary.txt").read_text().splitlines())
+        assert {"blow_up = yes", "records = 1"} <= summary
+        if amplitude == "1e308":  # its stage-1 planes already overflow
+            assert "blow_up_time = 0" in summary
+        for name in ("snapshot_initial.bin", "diagnostics.csv",
+                     "snapshot_final.bin"):
+            assert (out / name).exists()
+
 
 class TestScanCommand:
     def scan_cfg(self, tmp_path, out):
@@ -374,6 +398,16 @@ class TestScanCommand:
         assert [row[5] for row in rows] == ["1", "1"]
         summary = (out / "summary.txt").read_text().splitlines()
         assert {"blow_ups = 1", "errors = 1"} <= set(summary)
+
+    def test_overflowing_initial_state_is_a_blow_up_not_an_error(
+            self, tmp_path, capsys):
+        out = tmp_path / "overflow_out"
+        cfg = write_cfg(tmp_path, overflow_cfg(out, "1e308"), "scan.cfg")
+        assert main(["scan", "--config", str(cfg),
+                     "--alpha", "1.0:1.0:1.0", "--beta", "1.0:1.0:1.0"]) == 0
+        assert "failed" not in capsys.readouterr().err
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert {"blow_ups = 1", "errors = 0"} <= set(summary)
 
     def test_bad_base_config_exits_one_without_artifacts(self, tmp_path,
                                                          capsys):

@@ -67,6 +67,7 @@ from oracles import (
     full_to_spectral,
     homogeneous_sobolev_norm,
     norm_of_term,
+    overflowing_state,
     traced_peak_planes,
 )
 
@@ -222,7 +223,8 @@ class TestComputeRecord:
 
         b, db, d2b = layout(*planes)
         eps = 1e-6 * max_magnitude(*b)
-        dbhat, second = _unit_field_derivatives(b, magnitude(*b), db, d2b, eps)
+        dbhat, second = _unit_field_derivatives(
+            b, magnitude(*b), db, d2b, eps, slice(None))
         whole = (max(np.max(np.abs(v)) for row in dbhat for v in row),
                  max(np.max(np.abs(plane)) for _, _, plane in second))
         rows = _BLOCK_POINTS // n
@@ -255,6 +257,17 @@ class TestComputeRecord:
         rec, big = self._scaled_records(s)
         assert big.bhat_w1inf == pytest.approx(rec.bhat_w1inf, rel=1e-9)
         assert big.bhat_w2inf == pytest.approx(rec.bhat_w2inf, rel=1e-9)
+
+    def test_overflowing_b_records_non_finite_bhat(self):
+        # |b| overflows on a finite state: the b-hat floor 1e-6 * max|b| is
+        # not finite either, and the record carries inf/nan b-hat columns
+        # like its other columns near blow-up, with no error and no warning
+        st = overflowing_state()
+        assert np.isfinite(st.a_hat).all()
+        rec = compute_record(st, Params(n=32))
+        assert rec.b_linf == np.inf
+        assert not np.isfinite(rec.bhat_w1inf)
+        assert not np.isfinite(rec.bhat_w2inf)
 
     @staticmethod
     def _oracle(st, params, ps, prev=None, e0=None):
@@ -652,7 +665,8 @@ class TestDirectionField:
         d2b = [dict(zip(_PAIRS, physical_fields(
             g, halves, c + "_11", c + "_12", c + "_22"))) for c in halves]
         mag = magnitude(b1, b2)
-        dbhat, second = _unit_field_derivatives((b1, b2), mag, db, d2b, 1e-6)
+        dbhat, second = _unit_field_derivatives(
+            (b1, b2), mag, db, d2b, 1e-6, slice(None))
         # every streamed plane is one reused buffer: keep a copy of each
         d2bhat = {(jc, ik): plane.copy() for jc, ik, plane in second}
         assert sorted(d2bhat) == sorted((jc, ik) for jc in (0, 1) for ik in _PAIRS)

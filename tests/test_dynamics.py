@@ -46,6 +46,7 @@ from oracles import (
     full_to_physical,
     full_to_spectral,
     gradient_coupling,
+    overflowing_state,
     traced_peak_planes,
 )
 
@@ -591,6 +592,17 @@ class TestRun:
         assert len(res.records) >= 1
         assert np.all(np.isfinite(res.final_state.omega_hat))
 
+    def test_overflowing_initial_planes_blow_up_at_t0(self):
+        # finite spectra whose planes overflow are not bad input: the first
+        # record is taken, and the CFL bound of inf/nan speeds ends the run
+        # as a blow-up at the initial time
+        st = overflowing_state()
+        res = run(st, Params(n=32, t_end=0.01), sample_every=0.01)
+        assert res.blew_up
+        assert res.blow_up_time == st.t == 0.0
+        assert len(res.records) == 1
+        assert res.final_state is st
+
     def test_validation(self):
         g = get_grid(32)
         st = initial_condition("shear", g)
@@ -674,12 +686,14 @@ class TestRun:
         assert res.final_state.t == s.t
 
     def test_zero_cfl_step_raises_instead_of_stalling(self, monkeypatch):
-        # an infinite CFL speed gives dt = cfl dx / inf = 0: run must reject
-        # it as step does, not loop without advancing t
+        # an infinite CFL speed gives dt = cfl dx / inf = 0: run must end in
+        # a blow-up at the state's time, not loop without advancing t
         monkeypatch.setattr(dynamics, "_cfl", lambda grid, params, *planes: 0.0)
         st = initial_condition("orszag_tang", get_grid(32))
-        with pytest.raises(ParameterError, match="dt"):
-            run(st, Params(n=32, t_end=0.1), sample_every=0.05)
+        res = run(st, Params(n=32, t_end=0.1), sample_every=0.05)
+        assert res.blew_up
+        assert res.blow_up_time == 0.0
+        assert len(res.records) == 1
 
     def test_ideal_invariants_short_run(self):
         # nu = kappa = 0: energy, cross helicity, and ||a||^2 conserved by the

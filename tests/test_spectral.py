@@ -639,8 +639,6 @@ class TestMagnitude:
         v = random_values(16, seed=42)
         v[5, 6] = np.nan
         assert np.isnan(lp_norm(g, v, np.inf))
-        z = random_values(16, seed=43) + 1j * random_values(16, seed=44)
-        assert lp_norm(g, z, np.inf) == float(np.max(np.abs(z)))
 
 
 class TestHalfPowerSum:
