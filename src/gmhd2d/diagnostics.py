@@ -13,10 +13,11 @@ the W^{1,inf}/W^{2,inf} norms of the direction field take the maximum over
 individual partial derivatives instead (documented choice).  H^1 norms are
 inhomogeneous: ||f||_{H^1}^2 = ||f||_2^2 + ||Lambda f||_2^2.
 
-Cost of one record: 14 real syntheses (irfft2) by spectral.physical_fields
-from the half spectra of omega and a, and no other transform.  Every plane
-past w and j is a partial of a potential: u = perp-grad psi and b =
-perp-grad a, so div u = div b = 0 hold by construction.  They come in three
+Cost of one record: 14 real syntheses by spectral.physical_fields from the
+half spectra of omega and a, each over the 2/3 band's columns, and no
+other transform.  Every plane past w and j is a partial of a potential:
+u = perp-grad psi and b = perp-grad a, so div u = div b = 0 hold by
+construction.  They come in three
 groups, in this order, and each group is reduced to its scalars and dropped
 before the next is synthesized: (w, j); the Hessian of psi, which is grad
 u; and the nine first to third partials of a.  The last group runs the

@@ -44,11 +44,15 @@ A tendency therefore costs 7 real transforms: 4 syntheses (psi_1, psi_2,
 a_1, a_2) and 3 analyses (T12, T22 - T11, u.grad a); an IF-RK4 step costs 28.
 Every product of two fields in the 2/3 band is alias-free inside the band,
 so this equals the advective form up to roundoff; structure_identities
-checks that it does.  The state, all four RK4 stages and the tendency are
-half spectra; a step ends with the state projection, which needs only
-column 0 (see project_state).  cfl_dt needs exactly the stage-1 planes, so
-run's adaptive loop takes dt from them and an advanced step also costs 28
-transforms.
+checks that it does.  The state is a half spectrum, zero past column
+dealias_k; a step takes its band's dealias_k + 1 columns and keeps all four
+RK4 stages and every tendency on them, so each of its 28 transforms runs
+its complex pass over those columns only (spectral's band transforms).
+Only the update is widened to a half spectrum, for the state projection,
+which needs only column 0 (see project_state).  nonlinear_rhs and
+structure_identities widen the tendency the same way.  cfl_dt needs exactly
+the stage-1 planes, so run's adaptive loop takes dt from them and an
+advanced step also costs 28 transforms.
 
 A step folds its update as the stages go.  After stage 2, k1 is scaled by
 exp(L dt) in place; once stage 4's input is formed, k3 is added into k2 and
@@ -72,6 +76,7 @@ from .diagnostics import compute_record
 from .spectral import (
     Grid,
     ParameterError,
+    _analysis,
     get_grid,
     lp_norm,
     magnitude,
@@ -170,10 +175,15 @@ class GmhdState:
 def _project(grid: Grid, c: np.ndarray) -> np.ndarray:
     # the state invariant on one half spectrum: column 0 is the one column
     # inside the 2/3 band holding both members of its conjugate pairs, so it
-    # alone needs the Hermitian part
+    # alone needs the Hermitian part.  The mean halves the sum, which is
+    # exact on subnormal members, unless the sum overflows; there each
+    # member is halved first, so a finite pair stays finite
     out = c * grid.half_dealias
     col = out[:, 0]
-    out[:, 0] = 0.5 * (col + np.conj(np.roll(col[::-1], 1)))  # c(-k1, 0)
+    flip = np.conj(np.roll(col[::-1], 1))  # c(-k1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = 0.5 * (col + flip)
+    out[:, 0] = np.where(np.isfinite(mean), mean, 0.5 * col + 0.5 * flip)
     out[0, 0] = 0.0
     return out
 
@@ -302,20 +312,32 @@ def _linear_multipliers(n: int, nu: float, alpha: float, kappa: float, beta: flo
     return lw, la
 
 
+def _widen(grid: Grid, band: np.ndarray) -> np.ndarray:
+    # the half spectrum whose leading columns are `band` and the rest zero
+    out = np.zeros((grid.n, grid.half_cols), dtype=complex)
+    out[:, :band.shape[1]] = band
+    return out
+
+
 def _dealiased(grid: Grid, values: np.ndarray) -> np.ndarray:
-    # half spectrum of a pointwise product, projected onto the 2/3 band
-    out = to_spectral(grid, values)
-    out *= grid.half_dealias
+    # the band columns of the half spectrum of a pointwise product,
+    # projected onto the 2/3 band
+    band = grid.dealias_k + 1
+    out = _analysis(values, band)
+    out *= grid.half_dealias[:, :band]
     return out
 
 
 @functools.lru_cache(maxsize=8)
 def _stress_multipliers(n: int):
-    # real half-grid symbols of d1^2 - d2^2 and d1 d2, the 2/3 mask folded in
+    # real symbols of d1^2 - d2^2 and d1 d2 on the band columns of the half
+    # grid, the 2/3 mask folded in
     g = get_grid(n)
-    k1, k2 = g.k1.astype(float), g.k2.astype(float)
-    m_shear = (k2 * k2 - k1 * k1) * g.half_dealias
-    m_normal = -(k1 * k2) * g.half_dealias
+    band = g.dealias_k + 1
+    k1, k2 = g.k1.astype(float), g.k2[:, :band].astype(float)
+    mask = g.half_dealias[:, :band]
+    m_shear = (k2 * k2 - k1 * k1) * mask
+    m_normal = -(k1 * k2) * mask
     m_shear.setflags(write=False)
     m_normal.setflags(write=False)
     return m_shear, m_normal
@@ -328,11 +350,13 @@ def _stage_planes(grid: Grid, halves: dict) -> list:
 
 def _stress_tendency(grid: Grid, p1, p2, a1, a2):
     # 3 real analyses, the signs of u and b folded in; see the module docstring
-    # each product plane is formed in place, so at most two are alive at once
+    # each product plane is formed in place, so at most two are alive at once.
+    # The tendency is returned on the band's dealias_k + 1 columns
     m_shear, m_normal = _stress_multipliers(grid.n)
+    band = grid.dealias_k + 1
     t = p1 * p2
     t -= a1 * a2
-    dw = to_spectral(grid, t)
+    dw = _analysis(t, band)
     dw *= m_shear
     t = a1 + a2
     t *= a1 - a2
@@ -340,7 +364,7 @@ def _stress_tendency(grid: Grid, p1, p2, a1, a2):
     s *= p1 - p2
     t -= s
     del s
-    normal = to_spectral(grid, t)
+    normal = _analysis(t, band)
     normal *= m_normal
     dw += normal
     del normal
@@ -352,9 +376,10 @@ def _stress_tendency(grid: Grid, p1, p2, a1, a2):
 
 
 def _tendency(grid: Grid, stage: list):
-    # 7 real transforms per evaluation: 4 syntheses, 3 analyses.  stage is
-    # [w, a], emptied once both are synthesized: spectra held nowhere else
-    # are not held through the products
+    # 7 real transforms per evaluation: 4 syntheses, 3 analyses, each with
+    # its complex pass over the band columns only.  stage is [w, a] (half
+    # spectra or their band columns), emptied once both are synthesized:
+    # spectra held nowhere else are not held through the products
     planes = _stage_planes(grid, {"w": stage[0], "a": stage[1]})
     stage.clear()
     return _stress_tendency(grid, *planes)
@@ -365,6 +390,7 @@ def nonlinear_rhs(state: GmhdState, params: Params) -> Tendency:
     d_a = -u.grad a, with the dissipation multipliers attached."""
     g = state.grid
     dw, da = _tendency(g, [state.omega_hat, state.a_hat])
+    dw, da = _widen(g, dw), _widen(g, da)
     lw, la = _linear_multipliers(g.n, params.nu, params.alpha,
                                  params.kappa, params.beta)
     return Tendency(d_omega=dw, d_a=da, lin_omega=lw, lin_a=la)
@@ -413,7 +439,7 @@ def structure_identities(state: GmhdState) -> IdentityReport:
         g, state.halves(), "psi_1", "psi_2", "a_1", "a_2", "w", "j", "w_1",
         "w_2", "j_1", "j_2", "a_11", "a_12", "a_22", "psi_11", "psi_12",
         "psi_22")
-    d_w, d_a = _stress_tendency(g, p1, p2, a1, a2)
+    d_w, d_a = _stress_tendency(g, p1, p2, a1, a2)  # band columns
     u_grad_w = p1 * wy - p2 * wx  # u = (-p2, p1), b = (-a2, a1)
     u_grad_j = p1 * jy - p2 * jx
     b_grad_w = a1 * wy - a2 * wx
@@ -421,10 +447,12 @@ def structure_identities(state: GmhdState) -> IdentityReport:
 
     def residual(lhs, rhs_values):
         rhs = _dealiased(g, rhs_values)
-        return spectral_l2(g, lhs - rhs) / max(1.0, spectral_l2(g, rhs))
+        return (spectral_l2(g, _widen(g, lhs - rhs))
+                / max(1.0, spectral_l2(g, _widen(g, rhs))))
 
     coupling = 2.0 * (p_12 * (a_11 - a_22) - a_12 * (p_11 - p_22))  # G
-    current = residual(g.half_ksq * d_a, u_grad_j - b_grad_w - coupling)
+    current = residual(g.half_ksq[:, :d_a.shape[1]] * d_a,
+                       u_grad_j - b_grad_w - coupling)
     forcing = residual(d_w, b_grad_j - u_grad_w)
 
     tiny = np.finfo(float).tiny
@@ -482,10 +510,14 @@ def step(state: GmhdState, params: Params, dt: float) -> GmhdState:
 def _advance(state: GmhdState, params: Params, dt: float, cfl: bool) -> GmhdState:
     # the one IF-RK4 step and the one place that calls a blow-up; with cfl
     # set, dt is first capped at the CFL bound of the stage-1 planes (28
-    # transforms, not 32), which inf or nan planes make 0 or nan
+    # transforms, not 32), which inf or nan planes make 0 or nan.  The
+    # stages live on the band's columns, where the state is nonzero; only
+    # the update is widened to a half spectrum, for the projection
     g = state.grid
+    band = g.dealias_k + 1
+    w0, a0 = state.omega_hat[:, :band], state.a_hat[:, :band]
     with np.errstate(over="ignore", invalid="ignore"):
-        planes = _stage_planes(g, state.halves())
+        planes = _stage_planes(g, {"w": w0, "a": a0})
         if cfl:
             dt = min(_cfl(g, params, *planes), dt)
             if not dt > 0.0:
@@ -495,11 +527,10 @@ def _advance(state: GmhdState, params: Params, dt: float, cfl: bool) -> GmhdStat
 
     lw, la = _linear_multipliers(g.n, params.nu, params.alpha,
                                  params.kappa, params.beta)
-    ew2 = np.exp(0.5 * dt * lw)
-    ea2 = np.exp(0.5 * dt * la)
+    ew2 = np.exp(0.5 * dt * lw[:, :band])
+    ea2 = np.exp(0.5 * dt * la[:, :band])
     ew1 = ew2 * ew2
     ea1 = ea2 * ea2
-    w0, a0 = state.omega_hat, state.a_hat
 
     with np.errstate(over="ignore", invalid="ignore"):
         k2w, k2a = _tendency(g, [ew2 * (w0 + 0.5 * dt * k1w),
@@ -515,8 +546,8 @@ def _advance(state: GmhdState, params: Params, dt: float, cfl: bool) -> GmhdStat
         k4w, k4a = _tendency(g, stage)
         wn = ew1 * w0 + (dt / 6.0) * (k1w + 2.0 * ew2 * k2w + k4w)
         an = ea1 * a0 + (dt / 6.0) * (k1a + 2.0 * ea2 * k2a + k4a)
-        wn = _project(g, wn)
-        an = _project(g, an)
+        wn = _project(g, _widen(g, wn))
+        an = _project(g, _widen(g, an))
 
     if not (np.all(np.isfinite(wn)) and np.all(np.isfinite(an))):
         raise BlowUpSignal(state.t + dt, state)

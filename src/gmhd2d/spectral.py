@@ -29,15 +29,28 @@ here: to_spectral and to_physical are the real transform pair, the Grid's
 multipliers live on the half grid, and the state, every tendency and the
 inequality corpus are half spectra.  Column 0 is the one column inside the
 2/3 band that holds both members of its conjugate pairs, c(-k1, 0) =
-conj(c(k1, 0)); irfft2 sees only its Hermitian part.
+conj(c(k1, 0)); a synthesis sees only its Hermitian part.
+
+Every transform is two passes.  A synthesis runs the complex pass along
+axis 0 over the leading `cols` columns only, into the grid's (n, n/2+1)
+buffer whose other columns stay zero, and then one np.fft.irfftn pass along
+axis 1; an analysis runs one np.fft.rfftn pass along axis 1 and then the
+complex pass over the leading `cols` columns only.  With all columns the two
+passes are irfft2 / rfft2 bit for bit.  Inside the 2/3 band only the first
+K + 1 columns can be nonzero, so a band-limited plane skips the complex
+pass over the other n/2 - K columns and a dealiased product does not
+compute them (FFT pruning, Markel 1971); each 2-D transform still makes
+exactly one rfftn or irfftn call.
 
 physical_fields is the one place that turns half spectra into point values
 of fields and partials, for the solver, the record and every check.  It
 derives only psi = -Delta^{-1} w and j = Delta a; every plane of u =
-perp-grad psi and b = perp-grad a is a signed partial of psi or a.  Each
-plane is its own irfft2 call (with a 2 MiB L2, eight n = 256 calls run 1.5x
-faster than one over the stacked planes); for the same reason a field's
-spectrum is formed once per call and released after its partials.
+perp-grad psi and b = perp-grad a is a signed partial of psi or a.  A field
+whose given spectrum is zero past column K is synthesized over the band's
+K + 1 columns, any other over all of them.  Each plane is its own
+synthesis (with a 2 MiB L2, eight n = 256 calls run 1.5x faster than one
+over the stacked planes); for the same reason a field's spectrum is formed
+once per call and released after its partials.
 half_power_sum is the one Parseval sum: every spectral norm of the record,
 the identity residuals and the inequality checks is a weighted sum over a
 half power spectrum.  magnitude is the one pointwise Euclidean norm of point
@@ -131,6 +144,7 @@ class Grid:
         self.x1 = np.broadcast_to(x[:, None], (n, n))
         self.x2 = np.broadcast_to(x[None, :], (n, n))
         self.cell = (2.0 * np.pi / self.n) ** 2
+        self._padded = {}  # column count -> synthesis buffer, see _synthesis
 
     def __repr__(self) -> str:
         return f"Grid(n={self.n})"
@@ -157,8 +171,27 @@ def get_grid(n: int) -> Grid:
 # transforms
 # ---------------------------------------------------------------------------
 
-# The transforms are looked up as np.fft.<name> at call time, so a wrapper
-# installed on numpy.fft (e.g. a call counter) sees them.
+# The counted pass of every transform is looked up as np.fft.<name> at call
+# time, so a wrapper installed on numpy.fft (e.g. a call counter) sees it.
+
+def _synthesis(grid: Grid, half: np.ndarray, cols: int) -> np.ndarray:
+    # point values of a half spectrum whose columns from cols on are zero
+    # (only its leading cols columns are read): the complex pass fills the
+    # leading columns of a zero-padded buffer, the real pass reads all of
+    # it.  Every synthesis on the grid reuses that buffer, so two threads
+    # must not synthesize on one grid at once
+    pad = grid._padded.get(cols)
+    if pad is None:
+        pad = grid._padded[cols] = np.zeros((grid.n, grid.half_cols), complex)
+    np.fft.ifft(half[:, :cols], axis=0, norm="forward", out=pad[:, :cols])
+    return np.fft.irfftn(pad, s=(grid.n,), axes=(1,), norm="forward")
+
+
+def _analysis(values: np.ndarray, cols: int) -> np.ndarray:
+    # the leading cols columns of the half spectrum of real point values
+    rows = np.fft.rfftn(values, axes=(1,), norm="forward")
+    return np.fft.fft(rows[:, :cols], axis=0, norm="forward")
+
 
 def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
     """k2 >= 0 half spectrum of a real field of point values."""
@@ -166,7 +199,7 @@ def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
     if values.shape != (grid.n, grid.n):
         raise ParameterError(
             f"field shape {values.shape} does not match grid n={grid.n}")
-    return np.fft.rfft2(values, norm="forward")
+    return _analysis(values, grid.half_cols)
 
 
 def to_physical(grid: Grid, half: np.ndarray) -> np.ndarray:
@@ -178,7 +211,7 @@ def to_physical(grid: Grid, half: np.ndarray) -> np.ndarray:
     if half.shape != (grid.n, grid.half_cols):
         raise ParameterError(
             f"half-spectrum shape {half.shape} does not match grid n={grid.n}")
-    return np.fft.irfft2(half, s=(grid.n, grid.n), norm="forward")
+    return _synthesis(grid, half, grid.half_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +244,11 @@ def fractional_power(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-# name -> (source, multiplier) of each field physical_fields forms itself
+# name -> (source, multiplier) of each field physical_fields forms itself,
+# on the leading columns a source spectrum has
 _DERIVED = {
-    "psi": ("w", lambda g, w: -g.half_inv_ksq * w),
-    "j": ("a", lambda g, a: -g.half_ksq * a),
+    "psi": ("w", lambda g, w: -g.half_inv_ksq[:, :w.shape[1]] * w),
+    "j": ("a", lambda g, a: -g.half_ksq[:, :a.shape[1]] * a),
 }
 
 
@@ -234,31 +268,46 @@ def _field_plan(requests: tuple) -> tuple:
         for f in dict.fromkeys(f for f, _ in keys))
 
 
+def _band_columns(grid: Grid, half: np.ndarray) -> np.ndarray:
+    # half itself if it is the band's leading dealias_k + 1 columns, else
+    # the view of them when a half spectrum is zero past the band, else all
+    band = grid.dealias_k + 1
+    if half.shape == (grid.n, band):
+        return half
+    if half.shape != (grid.n, grid.half_cols):
+        raise ParameterError(
+            f"half-spectrum shape {half.shape} does not match grid n={grid.n}")
+    return half if half[:, band:].any() else half[:, :band]
+
+
 def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
     """Point values of fields and partials, one per request, in order.
 
-    halves maps names to k2 >= 0 half spectra, taken as given; from "w" it
-    forms psi = -Delta^{-1} w and from "a" j = Delta a, so u = perp-grad psi
-    = (-psi_2, psi_1) and b = perp-grad a = (-a_2, a_1) are signed partials
+    halves maps names to k2 >= 0 half spectra, taken as given, or to their
+    leading dealias_k + 1 columns when the rest are zero; from "w" it forms
+    psi = -Delta^{-1} w and from "a" j = Delta a, so u = perp-grad psi =
+    (-psi_2, psi_1) and b = perp-grad a = (-a_2, a_1) are signed partials
     of the potentials.  "a_12" (= "a_21") requests d1 d2 a; each distinct
-    plane is one irfft2 call.
+    plane is one synthesis, over the band's columns when the given
+    spectrum is zero past them.
     """
     keys, groups = _field_plan(requests)
-    mult = (grid.half_ik1, grid.half_ik2)
     planes = {}
     for name, axes in groups:
         source, make = _DERIVED.get(name, (None, None))
         if name in halves:
-            base = halves[name]
+            base = _band_columns(grid, halves[name])
         elif source in halves:
-            base = make(grid, halves[source])
+            base = make(grid, _band_columns(grid, halves[source]))
         else:
             raise ParameterError(f"no half spectrum for field {name!r}")
+        cols = base.shape[1]
+        mult = (grid.half_ik1, grid.half_ik2[:, :cols])
         for idx in axes:
             c = base
             for axis in reversed(idx):  # d1 d2 f = d1 (d2 f)
                 c = mult[axis] * c
-            planes[name, idx] = to_physical(grid, c)
+            planes[name, idx] = _synthesis(grid, c, cols)
     return [planes[key] for key in keys]
 
 

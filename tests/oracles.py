@@ -16,6 +16,9 @@ single norm.  Nor is traced_peak_planes: it measures the memory peak of a
 call, for the tests that pin how many planes a layer holds at once.  Nor is
 overflowing_state: a finite state whose point values overflow, for the
 tests that hold such a state to be a blow-up, not bad input.
+unpruned_advance is the IF-RK4 step with every transform one irfft2 or
+rfft2 call over all half-spectrum columns, the reference the package's
+band-column stepper must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import warnings
 
 import numpy as np
 
-from gmhd2d.dynamics import GmhdState, project_state
+from gmhd2d import dynamics
+from gmhd2d.dynamics import BlowUpSignal, GmhdState, project_state
 from gmhd2d.inequalities import _norm_table
 from gmhd2d.spectral import Grid, ParameterError, get_grid
 
@@ -298,3 +302,67 @@ def overflowing_state(n: int = 32) -> GmhdState:
         a_hat[k] = 1e308
     return project_state(GmhdState(grid=grid, omega_hat=np.zeros_like(a_hat),
                                    a_hat=a_hat))
+
+
+def unpruned_advance(state: GmhdState, params, dt: float, cfl: bool) -> GmhdState:
+    """dynamics._advance with every transform over all columns.
+
+    The same operations in the same order as the package's step, on full
+    half spectra, with each synthesis one irfft2 and each analysis one
+    rfft2 call; the CFL bound, the multipliers and the projection are the
+    package's own.
+    """
+    g = state.grid
+    mask = g.half_dealias
+    k1, k2 = g.k1.astype(float), g.k2.astype(float)
+    m_shear = (k2 * k2 - k1 * k1) * mask
+    m_normal = -(k1 * k2) * mask
+
+    def planes(w, a):  # psi_1, psi_2, a_1, a_2
+        psi = -g.half_inv_ksq * w
+        return [np.fft.irfft2(m * c, s=(g.n, g.n), norm="forward")
+                for c in (psi, a) for m in (g.half_ik1, g.half_ik2)]
+
+    def tendency(p1, p2, a1, a2):
+        t = p1 * p2
+        t -= a1 * a2
+        dw = np.fft.rfft2(t, norm="forward") * m_shear
+        t = a1 + a2
+        t *= a1 - a2
+        s = p1 + p2
+        s *= p1 - p2
+        t -= s
+        dw += np.fft.rfft2(t, norm="forward") * m_normal
+        t = p2 * a1
+        t -= p1 * a2
+        da = np.fft.rfft2(t, norm="forward") * mask
+        da[0, 0] = 0.0
+        return dw, da
+
+    w0, a0 = state.omega_hat, state.a_hat
+    with np.errstate(over="ignore", invalid="ignore"):
+        stage = planes(w0, a0)
+        if cfl:
+            dt = min(dynamics._cfl(g, params, *stage), dt)
+            if not dt > 0.0:
+                raise BlowUpSignal(state.t, state)
+        k1w, k1a = tendency(*stage)
+        lw, la = dynamics._linear_multipliers(g.n, params.nu, params.alpha,
+                                              params.kappa, params.beta)
+        ew2 = np.exp(0.5 * dt * lw)
+        ea2 = np.exp(0.5 * dt * la)
+        ew1 = ew2 * ew2
+        ea1 = ea2 * ea2
+        k2w, k2a = tendency(*planes(ew2 * (w0 + 0.5 * dt * k1w),
+                                    ea2 * (a0 + 0.5 * dt * k1a)))
+        k3w, k3a = tendency(*planes(ew2 * w0 + 0.5 * dt * k2w,
+                                    ea2 * a0 + 0.5 * dt * k2a))
+        k4w, k4a = tendency(*planes(ew1 * w0 + dt * ew2 * k3w,
+                                    ea1 * a0 + dt * ea2 * k3a))
+        wn = ew1 * w0 + (dt / 6.0) * (ew1 * k1w + 2.0 * ew2 * (k2w + k3w) + k4w)
+        an = ea1 * a0 + (dt / 6.0) * (ea1 * k1a + 2.0 * ea2 * (k2a + k3a) + k4a)
+        wn = dynamics._project(g, wn)
+        an = dynamics._project(g, an)
+    if not (np.all(np.isfinite(wn)) and np.all(np.isfinite(an))):
+        raise BlowUpSignal(state.t + dt, state)
+    return GmhdState(grid=g, omega_hat=wn, a_hat=an, t=state.t + dt)

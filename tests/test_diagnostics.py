@@ -350,12 +350,19 @@ class TestComputeRecord:
 
 
 class TestTransformBudget:
-    """The transform counts the benchmark reports, pinned exactly."""
+    """The transform counts the benchmark reports, pinned exactly.
+
+    Every 2-D transform of the package is one counted real pass, rfftn or
+    irfftn along axis 1, and a complex pass along axis 0 over the columns it
+    needs, which is not counted.  A full complex transform (fft2, ifft2,
+    fftn, ifftn) would form a whole complex spectrum; none is made.
+    """
 
     @pytest.fixture
     def fft_calls(self, monkeypatch):
         calls = Counter()
-        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+        for name in ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2",
+                     "rfftn", "irfftn"):
             def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -366,7 +373,7 @@ class TestTransformBudget:
         g = get_grid(64)
         st = initial_condition("random_band_limited", g, seed=1, k_max=8)
         compute_record(st, Params(n=64))
-        assert fft_calls == {"irfft2": 14}
+        assert fft_calls == {"irfftn": 14}
 
     def test_direction_field_is_two_analyses_and_ten_syntheses(self, fft_calls):
         g = get_grid(64)
@@ -375,7 +382,7 @@ class TestTransformBudget:
         b1, b2 = -a2, a1
         fft_calls.clear()
         direction_field_norms(g, b1, b2)
-        assert fft_calls == {"rfft2": 2, "irfft2": 10}
+        assert fft_calls == {"rfftn": 2, "irfftn": 10}
 
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_bad_eps_is_rejected_before_any_transform(self, fft_calls, eps):
@@ -389,13 +396,13 @@ class TestTransformBudget:
         g = get_grid(64)
         st = initial_condition("random_band_limited", g, seed=1, k_max=8)
         step(st, Params(n=64), 1e-3)
-        assert fft_calls == {"irfft2": 16, "rfft2": 12}
+        assert fft_calls == {"irfftn": 16, "rfftn": 12}
 
     def test_tendency_is_seven_real_transforms(self, fft_calls):
         g = get_grid(64)
         st = initial_condition("random_band_limited", g, seed=1, k_max=8)
         nonlinear_rhs(st, Params(n=64))
-        assert fft_calls == {"irfft2": 4, "rfft2": 3}
+        assert fft_calls == {"irfftn": 4, "rfftn": 3}
 
     def test_adaptive_run_takes_dt_from_stage_one(self, fft_calls):
         # k CFL-limited steps cost 28 k transforms and each record 14: the
@@ -412,14 +419,14 @@ class TestTransformBudget:
                 steps += 1
             s = replace(s, t=t_target)
         assert steps > 4 and len(res.records) == 3
-        assert counts == {"irfft2": 16 * steps + 14 * 3, "rfft2": 12 * steps}
+        assert counts == {"irfftn": 16 * steps + 14 * 3, "rfftn": 12 * steps}
 
     @pytest.mark.parametrize("check, counts", [
-        (lambda st: cfl_dt(st, Params(n=64)), {"irfft2": 4}),
+        (lambda st: cfl_dt(st, Params(n=64)), {"irfftn": 4}),
         # the 16 distinct planes of the five identities, the 3 analyses of
         # the solver's own stress tendency, and one of each residual's
         # right side
-        (structure_identities, {"irfft2": 16, "rfft2": 5}),
+        (structure_identities, {"irfftn": 16, "rfftn": 5}),
     ], ids=["cfl_dt", "identities"])
     def test_state_checks(self, fft_calls, check, counts):
         g = get_grid(64)
@@ -435,12 +442,13 @@ class TestTransformBudget:
                  for t in [spec.lhs] + [term for term, _ in spec.rhs]}
         for term in terms:
             norm_of_term(g, f_hat, term)
-        assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
+        assert all(fft_calls[name] == 0
+                   for name in ("fft2", "ifft2", "fftn", "ifftn"))
         fft_calls.clear()
         # grad^2 b is grad^3 of the potential, up to sign: the four distinct
         # third partials, each synthesized once
         norm_of_term(g, f_hat, NormTerm("b", grad=2, p=4.0))
-        assert fft_calls == {"irfft2": 4}
+        assert fft_calls == {"irfftn": 4}
 
     def test_battery_is_seven_syntheses_per_field(self, fft_calls):
         # 22 distinct terms: the L2 ones are Parseval sums, the rest fall in
@@ -448,12 +456,12 @@ class TestTransformBudget:
         # of grad b being that of the potential's Hessian
         check_inequalities(DEFAULT_INEQUALITY_SPECS, Corpus(count=1),
                            resolutions=(64,))
-        assert fft_calls == {"irfft2": 7}
+        assert fft_calls == {"irfftn": 7}
 
     def test_log_check_is_four_syntheses_per_pair(self, fft_calls):
         # grad u as the stream function's Hessian (three planes), and w
         log_inequality_check(Corpus(count=3), resolutions=(64,))
-        assert fft_calls == {"irfft2": 4 * 3}
+        assert fft_calls == {"irfftn": 4 * 3}
 
     def test_package_makes_no_complex_transform(self, fft_calls, tmp_path):
         # one spectral representation: states, snapshots, records and the
@@ -473,8 +481,9 @@ class TestTransformBudget:
         structure_identities(st)
         b1, b2 = to_physical(g, st.a_hat), to_physical(g, st.omega_hat)
         direction_field_norms(g, b1, b2)
-        assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
-        assert fft_calls["rfft2"] > 0 and fft_calls["irfft2"] > 0
+        assert all(fft_calls[name] == 0
+                   for name in ("fft2", "ifft2", "fftn", "ifftn"))
+        assert fft_calls["rfftn"] > 0 and fft_calls["irfftn"] > 0
 
     def test_positivity_is_one_pass_per_field(self, fft_calls):
         # w once per field and Lambda^alpha w once per (field, alpha),
@@ -483,14 +492,15 @@ class TestTransformBudget:
         reports = check_positivity(alphas, (2, 4, 6),
                                    Corpus(count=3).fields(64))
         assert len(reports) == 9
-        assert fft_calls == {"irfft2": 3 * (1 + len(alphas))}
+        assert fft_calls == {"irfftn": 3 * (1 + len(alphas))}
 
     def test_corpus_checks_make_no_complex_transform(self, fft_calls):
         corpus = Corpus(count=2)
         check_positivity((1.0,), (4,), corpus.fields(64))
         log_inequality_check(corpus, resolutions=(64,))
-        assert fft_calls["fft2"] == fft_calls["ifft2"] == 0
-        assert fft_calls["irfft2"] > 0
+        assert all(fft_calls[name] == 0
+                   for name in ("fft2", "ifft2", "fftn", "ifftn"))
+        assert fft_calls["irfftn"] > 0
 
 
 class TestEnergyBalance:

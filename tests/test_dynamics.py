@@ -48,6 +48,7 @@ from oracles import (
     gradient_coupling,
     overflowing_state,
     traced_peak_planes,
+    unpruned_advance,
 )
 
 
@@ -185,6 +186,18 @@ class TestInitialConditions:
         full = np.zeros((16, 16), complex)
         with pytest.raises(ParameterError, match="half spectrum shape"):
             project_state(GmhdState(grid=g, omega_hat=full, a_hat=full))
+
+    def test_projection_keeps_huge_and_subnormal_pairs_exact(self):
+        # c(1, 0) = c(-1, 0) = 1e308: the pair's sum overflows, its mean
+        # does not.  c(2, 0) = c(-2, 0) = 3 * 2**-1074: halving each
+        # subnormal member first would round it
+        g = get_grid(32)
+        a_hat = np.zeros((32, g.half_cols), complex)
+        a_hat[1, 0] = a_hat[-1, 0] = 1e308
+        a_hat[2, 0] = a_hat[-2, 0] = 3 * 5e-324
+        st = project_state(GmhdState(grid=g, omega_hat=np.zeros_like(a_hat),
+                                     a_hat=a_hat))
+        np.testing.assert_array_equal(st.a_hat, a_hat)
 
 
 class TestNonlinearRhs:
@@ -684,6 +697,28 @@ class TestRun:
         np.testing.assert_array_equal(res.final_state.omega_hat, s.omega_hat)
         np.testing.assert_array_equal(res.final_state.a_hat, s.a_hat)
         assert res.final_state.t == s.t
+
+    @pytest.mark.parametrize("fixed_dt", [None, 0.007],
+                             ids=["adaptive", "fixed_dt"])
+    def test_band_columns_equal_unpruned_reference(self, monkeypatch,
+                                                   fixed_dt):
+        # the stages on the band's columns are the full-column step bit for
+        # bit: the state, every record and every snapshot
+        g = get_grid(64)
+        st = initial_condition("random_band_limited", g, seed=1, k_max=12)
+        p = Params(nu=0.05, kappa=0.05, alpha=1.5, beta=0.5, n=64,
+                   t_end=0.05, dt_max=1.0)
+        band = run(st, p, sample_every=0.02, fixed_dt=fixed_dt,
+                   snapshot_every=0.02)
+        monkeypatch.setattr(dynamics, "_advance", unpruned_advance)
+        ref = run(st, p, sample_every=0.02, fixed_dt=fixed_dt,
+                  snapshot_every=0.02)
+        assert len(band.snapshots) == len(ref.snapshots) == 4
+        assert band.records == ref.records
+        for ours, theirs in zip(band.snapshots, ref.snapshots):
+            assert ours.t == theirs.t
+            np.testing.assert_array_equal(ours.omega_hat, theirs.omega_hat)
+            np.testing.assert_array_equal(ours.a_hat, theirs.a_hat)
 
     def test_zero_cfl_step_raises_instead_of_stalling(self, monkeypatch):
         # an infinite CFL speed gives dt = cfl dx / inf = 0: run must end in

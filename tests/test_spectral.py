@@ -190,6 +190,85 @@ class TestTransforms:
             to_physical(g, np.zeros((16, 16), complex))  # a full spectrum
 
 
+class TestBandTransforms:
+    """The two-pass transforms against numpy's 2-D real pair, bit for bit:
+    over all columns on any input, and over the 2/3 band's leading K + 1
+    columns on input that is zero past them.  At n = 66 and 90, 3K >= n
+    lowers K by one."""
+
+    SIZES = (8, 64, 66, 90, 128, 256)
+
+    @staticmethod
+    def half(g, seed, band_limited=True):
+        rng = np.random.default_rng(seed)
+        shape = (g.n, g.half_cols)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if band_limited:
+            c[:, g.dealias_k + 1:] = 0.0
+        return c
+
+    @staticmethod
+    def irfft2(g, c):
+        return np.fft.irfft2(c, s=(g.n, g.n), norm="forward")
+
+    def test_cutoffs(self):
+        assert {n: get_grid(n).dealias_k for n in self.SIZES} == {
+            8: 2, 64: 21, 66: 21, 90: 29, 128: 42, 256: 85}
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_all_columns_are_the_2d_pair(self, n):
+        g = get_grid(n)
+        c = self.half(g, seed=n, band_limited=False)
+        vals = random_values(n, seed=n + 1)
+        np.testing.assert_array_equal(to_physical(g, c), self.irfft2(g, c))
+        np.testing.assert_array_equal(to_spectral(g, vals),
+                                      np.fft.rfft2(vals, norm="forward"))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_band_synthesis_is_irfft2(self, n):
+        g = get_grid(n)
+        band = g.dealias_k + 1
+        c = self.half(g, seed=n)
+        want = self.irfft2(g, c)
+        np.testing.assert_array_equal(spectral._synthesis(g, c, band), want)
+        # the band columns alone, as the stepper's stages pass them
+        np.testing.assert_array_equal(
+            spectral._synthesis(g, np.ascontiguousarray(c[:, :band]), band),
+            want)
+        (w, w_2) = physical_fields(g, {"w": c}, "w", "w_2")
+        np.testing.assert_array_equal(w, want)
+        np.testing.assert_array_equal(w_2, self.irfft2(g, g.half_ik2 * c))
+        # a synthesis over all columns in between leaves the padding zero
+        to_physical(g, self.half(g, seed=n + 2, band_limited=False))
+        np.testing.assert_array_equal(spectral._synthesis(g, c, band), want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_band_analysis_is_masked_rfft2(self, n):
+        g = get_grid(n)
+        band = g.dealias_k + 1
+        vals = random_values(n, seed=n + 3)
+        full = np.fft.rfft2(vals, norm="forward")
+        out = spectral._analysis(vals, band)
+        assert out.shape == (n, band) and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, full[:, :band])
+        np.testing.assert_array_equal(out * g.half_dealias[:, :band],
+                                      (full * g.half_dealias)[:, :band])
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_one_coefficient_past_the_band_takes_all_columns(self, n):
+        g = get_grid(n)
+        c = self.half(g, seed=n + 4)
+        c[1, g.dealias_k + 1] = 1e-3
+        (w, w_1) = physical_fields(g, {"w": c}, "w", "w_1")
+        np.testing.assert_array_equal(w, self.irfft2(g, c))
+        np.testing.assert_array_equal(w_1, self.irfft2(g, g.half_ik1 * c))
+
+    def test_rejects_other_column_counts(self):
+        g = get_grid(16)
+        with pytest.raises(ParameterError, match="shape"):
+            physical_fields(g, {"w": np.zeros((16, 4), complex)}, "w")
+
+
 class TestHalfSpectrum:
     """The half grid and real transforms against the oracles' full-spectrum
     forms, and the oracles' half -> full expansion."""
