@@ -1,8 +1,8 @@
 """Pseudo-spectral lab for 2D generalized MHD with fractional dissipation.
 
 Submodules:
-    spectral      grids, the one real transform pair, half-spectrum fields
-                  and the one Parseval sum (every spectrum is a half spectrum)
+    spectral      grids, the one real transform pair, half- and band-spectrum
+                  fields and the one Parseval sum (the state is a band spectrum)
     dynamics      the (omega, a) solver: tendencies, IF-RK4 stepping, runs
     diagnostics   per-state records, conservation audits, CSV round trip
     analysis      regime classifier, exponent algebra, Gronwall audit

@@ -14,7 +14,7 @@ individual partial derivatives instead (documented choice).  H^1 norms are
 inhomogeneous: ||f||_{H^1}^2 = ||f||_2^2 + ||Lambda f||_2^2.
 
 Cost of one record: 14 real syntheses by spectral.physical_fields from the
-half spectra of omega and a, each over the 2/3 band's columns, and no
+band spectra of omega and a, each over the 2/3 band's columns, and no
 other transform.  Every plane past w and j is a partial of a potential:
 u = perp-grad psi and b = perp-grad a, so div u = div b = 0 hold by
 construction.  They come in three
@@ -34,7 +34,7 @@ step.  Up to n = 90 one block covers the grid, and a record holds 19.2
 planes at n = 64.
 
 The quadratic quantities (energy, the dissipation sums, h2, cross
-helicity) are spectral.half_power_sum Parseval sums over the half power
+helicity) are spectral.half_power_sum Parseval sums over the band power
 spectra |w_hat|^2 and |a_hat|^2 of the state.  That sum weights only modes
 with nonzero power, so an overflowing |k|^{2s} gives inf on a sum that is
 truly beyond float range and never inf * 0 = nan on an empty mode.
@@ -233,9 +233,10 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
 
 
 def _spectral_sums(grid: Grid, wh: np.ndarray, ah: np.ndarray, params: Params) -> dict:
-    # the quadratic record quantities as Parseval sums over half power spectra
-    ksq, inv = grid.half_ksq, grid.half_inv_ksq
-    kd2 = grid.half_ik1.imag**2 + grid.half_ik2.imag**2  # |perp-grad|^2
+    # the quadratic record quantities as Parseval sums over band power spectra
+    cols = wh.shape[1]
+    ksq, inv = grid.half_ksq[:, :cols], grid.half_inv_ksq[:, :cols]
+    kd2 = grid.half_ik1.imag**2 + grid.half_ik2.imag[:, :cols]**2  # |perp-grad|^2
     pw = wh.real**2 + wh.imag**2
     pa = ah.real**2 + ah.imag**2
     pu = kd2 * inv * inv * pw   # |u1_hat|^2 + |u2_hat|^2

@@ -30,7 +30,7 @@ conserves energy, cross helicity and the potential's L2 norm exactly when
 nu = kappa = 0.
 
 The fields are real, so the stepper, cfl_dt and structure_identities take
-every physical field from the state's k2 >= 0 half spectra through
+every physical field from the state's band spectra through
 spectral.physical_fields: u = (-psi_2, psi_1) and b = (-a_2, a_1) are
 signed partials of the potentials (psi_i = d_i psi).  The tendency is
 evaluated in stress form: for divergence-free u and b, curl(u.grad u) =
@@ -44,15 +44,13 @@ A tendency therefore costs 7 real transforms: 4 syntheses (psi_1, psi_2,
 a_1, a_2) and 3 analyses (T12, T22 - T11, u.grad a); an IF-RK4 step costs 28.
 Every product of two fields in the 2/3 band is alias-free inside the band,
 so this equals the advective form up to roundoff; structure_identities
-checks that it does.  The state is a half spectrum, zero past column
-dealias_k; a step takes its band's dealias_k + 1 columns and keeps all four
-RK4 stages and every tendency on them, so each of its 28 transforms runs
-its complex pass over those columns only (spectral's band transforms).
-Only the update is widened to a half spectrum, for the state projection,
-which needs only column 0 (see project_state).  nonlinear_rhs and
-structure_identities widen the tendency the same way.  cfl_dt needs exactly
-the stage-1 planes, so run's adaptive loop takes dt from them and an
-advanced step also costs 28 transforms.
+checks that it does.  The state, all four RK4 stages, every tendency and
+the dissipation multipliers hold the band spectrum: the first dealias_k + 1
+columns of the k2 >= 0 half spectrum, past which the 2/3 band is zero.  So
+each of a step's 28 transforms runs its complex pass over those columns
+only (spectral's band transforms).  cfl_dt needs exactly the stage-1
+planes, so run's adaptive loop takes dt from them and an advanced step
+also costs 28 transforms.
 
 A step folds its update as the stages go.  After stage 2, k1 is scaled by
 exp(L dt) in place; once stage 4's input is formed, k3 is added into k2 and
@@ -155,11 +153,12 @@ class Params:
 class GmhdState:
     """Spectral state (omega_hat, a_hat) at time t.
 
-    omega_hat and a_hat are the k2 >= 0 half spectra (shape n x (n/2+1), see
-    spectral) of the real fields omega and a.  Invariant: both are zero-mean
-    and supported inside the grid's 2/3 dealias band, and column 0 is
-    Hermitian, c(-k1, 0) = conj(c(k1, 0)).  initial_condition, step and
-    load_snapshot enforce this; hand-built states should call project_state.
+    omega_hat and a_hat are the band spectra (shape n x (dealias_k + 1),
+    the first columns of the k2 >= 0 half spectrum, see spectral) of the
+    real fields omega and a.  Invariant: both are zero-mean and supported
+    inside the grid's 2/3 dealias band, and column 0 is Hermitian, c(-k1, 0)
+    = conj(c(k1, 0)).  initial_condition, step and load_snapshot enforce
+    this; hand-built states should call project_state.
     """
 
     grid: Grid
@@ -168,17 +167,17 @@ class GmhdState:
     t: float = 0.0
 
     def halves(self) -> dict:
-        """The half spectra under the names spectral.physical_fields uses."""
+        """The band spectra under the names spectral.physical_fields uses."""
         return {"w": self.omega_hat, "a": self.a_hat}
 
 
 def _project(grid: Grid, c: np.ndarray) -> np.ndarray:
-    # the state invariant on one half spectrum: column 0 is the one column
+    # the state invariant on one band spectrum: column 0 is the one column
     # inside the 2/3 band holding both members of its conjugate pairs, so it
     # alone needs the Hermitian part.  The mean halves the sum, which is
     # exact on subnormal members, unless the sum overflows; there each
     # member is halved first, so a finite pair stays finite
-    out = c * grid.half_dealias
+    out = c * grid.half_dealias[:, :grid.dealias_k + 1]
     col = out[:, 0]
     flip = np.conj(np.roll(col[::-1], 1))  # c(-k1, 0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -190,17 +189,19 @@ def _project(grid: Grid, c: np.ndarray) -> np.ndarray:
 
 def project_state(state: GmhdState) -> GmhdState:
     """Re-impose the state invariant (zero-mean, dealiased, column 0
-    Hermitian) on half spectra of shape n x (n/2+1)."""
+    Hermitian) on half spectra of shape n x (n/2+1) or band spectra of
+    shape n x (dealias_k + 1); the result holds band spectra."""
     g = state.grid
-    shape = (g.n, g.half_cols)
+    band = g.dealias_k + 1
 
     def proj(c):
         c = np.asarray(c, dtype=complex)
-        if c.shape != shape:
+        if c.shape not in ((g.n, band), (g.n, g.half_cols)):
             raise ParameterError(
-                f"state spectrum shape {c.shape} is not the half spectrum "
-                f"shape {shape} of grid n={g.n}")
-        return _project(g, c)
+                f"state spectrum shape {c.shape} is neither the band shape "
+                f"{(g.n, band)} nor the half spectrum shape "
+                f"{(g.n, g.half_cols)} of grid n={g.n}")
+        return _project(g, c[:, :band])
 
     return dataclasses.replace(state, omega_hat=proj(state.omega_hat),
                                a_hat=proj(state.a_hat))
@@ -210,7 +211,7 @@ def project_state(state: GmhdState) -> GmhdState:
 class Tendency:
     """Tendency split into a dealiased nonlinear part and the exactly
     diagonal dissipation multipliers -nu |k|^{2 alpha}, -kappa |k|^{2 beta},
-    all on the k2 >= 0 half grid."""
+    all band spectra of the state's shape, n x (dealias_k + 1)."""
 
     d_omega: np.ndarray
     d_a: np.ndarray
@@ -222,8 +223,8 @@ class BlowUpSignal(RuntimeError):
     """Non-finite values appeared during a step.
 
     Attributes:
-        time: end of the bad step, or its start if its CFL bound was not
-            positive.
+        time: start of the bad step if its stage-1 tendency is not finite
+            or its CFL bound not positive, else its end.
         state: last finite state, from before the failing step.
     """
 
@@ -264,7 +265,6 @@ def initial_condition(
     """
     if kind == "shear":
         kind, mode = "single_mode", (0, 1)
-    z = np.zeros((grid.n, grid.half_cols), dtype=complex)
     if kind == "orszag_tang":
         w = to_spectral(grid, np.cos(grid.x1) + np.cos(grid.x2))
         a = to_spectral(grid, -np.cos(grid.x2) - 0.5 * np.cos(2.0 * grid.x1))
@@ -281,7 +281,7 @@ def initial_condition(
                 f"single_mode wavevector must be nonzero with entries of "
                 f"magnitude <= {grid.dealias_k}, got {mode!r}")
         w = to_spectral(grid, np.cos(k1 * grid.x1 + k2 * grid.x2))
-        a = z
+        a = np.zeros_like(w)
     else:
         raise ParameterError(
             f"unknown initial-condition kind {kind!r}; expected one of {INITIAL_KINDS}")
@@ -305,18 +305,12 @@ def _decay_rates(kabs: np.ndarray, coeff: float, order: float) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _linear_multipliers(n: int, nu: float, alpha: float, kappa: float, beta: float):
     g = get_grid(n)
-    lw = _decay_rates(g.half_kabs, nu, 2.0 * alpha)
-    la = _decay_rates(g.half_kabs, kappa, 2.0 * beta)
+    kabs = g.half_kabs[:, :g.dealias_k + 1]
+    lw = _decay_rates(kabs, nu, 2.0 * alpha)
+    la = _decay_rates(kabs, kappa, 2.0 * beta)
     lw.setflags(write=False)
     la.setflags(write=False)
     return lw, la
-
-
-def _widen(grid: Grid, band: np.ndarray) -> np.ndarray:
-    # the half spectrum whose leading columns are `band` and the rest zero
-    out = np.zeros((grid.n, grid.half_cols), dtype=complex)
-    out[:, :band.shape[1]] = band
-    return out
 
 
 def _dealiased(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -350,8 +344,7 @@ def _stage_planes(grid: Grid, halves: dict) -> list:
 
 def _stress_tendency(grid: Grid, p1, p2, a1, a2):
     # 3 real analyses, the signs of u and b folded in; see the module docstring
-    # each product plane is formed in place, so at most two are alive at once.
-    # The tendency is returned on the band's dealias_k + 1 columns
+    # each product plane is formed in place, so at most two are alive at once
     m_shear, m_normal = _stress_multipliers(grid.n)
     band = grid.dealias_k + 1
     t = p1 * p2
@@ -377,8 +370,8 @@ def _stress_tendency(grid: Grid, p1, p2, a1, a2):
 
 def _tendency(grid: Grid, stage: list):
     # 7 real transforms per evaluation: 4 syntheses, 3 analyses, each with
-    # its complex pass over the band columns only.  stage is [w, a] (half
-    # spectra or their band columns), emptied once both are synthesized:
+    # its complex pass over the band columns only.  stage is [w, a] (band
+    # spectra), emptied once both are synthesized:
     # spectra held nowhere else are not held through the products
     planes = _stage_planes(grid, {"w": stage[0], "a": stage[1]})
     stage.clear()
@@ -390,7 +383,6 @@ def nonlinear_rhs(state: GmhdState, params: Params) -> Tendency:
     d_a = -u.grad a, with the dissipation multipliers attached."""
     g = state.grid
     dw, da = _tendency(g, [state.omega_hat, state.a_hat])
-    dw, da = _widen(g, dw), _widen(g, da)
     lw, la = _linear_multipliers(g.n, params.nu, params.alpha,
                                  params.kappa, params.beta)
     return Tendency(d_omega=dw, d_a=da, lin_omega=lw, lin_a=la)
@@ -439,7 +431,7 @@ def structure_identities(state: GmhdState) -> IdentityReport:
         g, state.halves(), "psi_1", "psi_2", "a_1", "a_2", "w", "j", "w_1",
         "w_2", "j_1", "j_2", "a_11", "a_12", "a_22", "psi_11", "psi_12",
         "psi_22")
-    d_w, d_a = _stress_tendency(g, p1, p2, a1, a2)  # band columns
+    d_w, d_a = _stress_tendency(g, p1, p2, a1, a2)
     u_grad_w = p1 * wy - p2 * wx  # u = (-p2, p1), b = (-a2, a1)
     u_grad_j = p1 * jy - p2 * jx
     b_grad_w = a1 * wy - a2 * wx
@@ -447,8 +439,7 @@ def structure_identities(state: GmhdState) -> IdentityReport:
 
     def residual(lhs, rhs_values):
         rhs = _dealiased(g, rhs_values)
-        return (spectral_l2(g, _widen(g, lhs - rhs))
-                / max(1.0, spectral_l2(g, _widen(g, rhs))))
+        return spectral_l2(g, lhs - rhs) / max(1.0, spectral_l2(g, rhs))
 
     coupling = 2.0 * (p_12 * (a_11 - a_22) - a_12 * (p_11 - p_22))  # G
     current = residual(g.half_ksq[:, :d_a.shape[1]] * d_a,
@@ -510,25 +501,24 @@ def step(state: GmhdState, params: Params, dt: float) -> GmhdState:
 def _advance(state: GmhdState, params: Params, dt: float, cfl: bool) -> GmhdState:
     # the one IF-RK4 step and the one place that calls a blow-up; with cfl
     # set, dt is first capped at the CFL bound of the stage-1 planes (28
-    # transforms, not 32), which inf or nan planes make 0 or nan.  The
-    # stages live on the band's columns, where the state is nonzero; only
-    # the update is widened to a half spectrum, for the projection
+    # transforms, not 32), which inf or nan planes make 0 or nan.  A stage-1
+    # tendency that is not finite ends the run at the step's start on
+    # either path, before three more tendencies are spent on it
     g = state.grid
-    band = g.dealias_k + 1
-    w0, a0 = state.omega_hat[:, :band], state.a_hat[:, :band]
+    w0, a0 = state.omega_hat, state.a_hat
     with np.errstate(over="ignore", invalid="ignore"):
-        planes = _stage_planes(g, {"w": w0, "a": a0})
+        planes = _stage_planes(g, state.halves())
         if cfl:
             dt = min(_cfl(g, params, *planes), dt)
-            if not dt > 0.0:
-                raise BlowUpSignal(state.t, state)
         k1w, k1a = _stress_tendency(g, *planes)
     del planes  # not held through stages 2-4
+    if not (dt > 0.0 and np.isfinite(k1w).all() and np.isfinite(k1a).all()):
+        raise BlowUpSignal(state.t, state)
 
     lw, la = _linear_multipliers(g.n, params.nu, params.alpha,
                                  params.kappa, params.beta)
-    ew2 = np.exp(0.5 * dt * lw[:, :band])
-    ea2 = np.exp(0.5 * dt * la[:, :band])
+    ew2 = np.exp(0.5 * dt * lw)
+    ea2 = np.exp(0.5 * dt * la)
     ew1 = ew2 * ew2
     ea1 = ea2 * ea2
 
@@ -546,8 +536,8 @@ def _advance(state: GmhdState, params: Params, dt: float, cfl: bool) -> GmhdStat
         k4w, k4a = _tendency(g, stage)
         wn = ew1 * w0 + (dt / 6.0) * (k1w + 2.0 * ew2 * k2w + k4w)
         an = ea1 * a0 + (dt / 6.0) * (k1a + 2.0 * ea2 * k2a + k4a)
-        wn = _project(g, _widen(g, wn))
-        an = _project(g, _widen(g, an))
+        wn = _project(g, wn)
+        an = _project(g, an)
 
     if not (np.all(np.isfinite(wn)) and np.all(np.isfinite(an))):
         raise BlowUpSignal(state.t + dt, state)

@@ -24,38 +24,40 @@ modes can fold back into the retained band.
 
 A real field is fixed by its k2 >= 0 half spectrum, the n-by-(n/2+1) array
 coeffs[:, :n//2+1] that numpy's real transforms (rfft2 / irfft2) work on at
-about half the cost of the complex ones, and that is the one representation
-here: to_spectral and to_physical are the real transform pair, the Grid's
-multipliers live on the half grid, and the state, every tendency and the
-inequality corpus are half spectra.  Column 0 is the one column inside the
-2/3 band that holds both members of its conjugate pairs, c(-k1, 0) =
-conj(c(k1, 0)); a synthesis sees only its Hermitian part.
+about half the cost of the complex ones.  Inside the 2/3 band only its
+first K + 1 columns can be nonzero, and those columns alone are the band
+spectrum, the one representation of the state and of every tendency; the
+inequality corpus and to_spectral's output are full half spectra.  Every
+function here takes either width and reads it off the array: the Grid's
+multipliers live on the half grid and are sliced to the input's columns.
+Column 0 is the one column inside the 2/3 band that holds both members of
+its conjugate pairs, c(-k1, 0) = conj(c(k1, 0)); a synthesis sees only its
+Hermitian part.
 
 Every transform is two passes.  A synthesis runs the complex pass along
-axis 0 over the leading `cols` columns only, into the grid's (n, n/2+1)
-buffer whose other columns stay zero, and then one np.fft.irfftn pass along
-axis 1; an analysis runs one np.fft.rfftn pass along axis 1 and then the
-complex pass over the leading `cols` columns only.  With all columns the two
-passes are irfft2 / rfft2 bit for bit.  Inside the 2/3 band only the first
-K + 1 columns can be nonzero, so a band-limited plane skips the complex
+axis 0 over the columns it is given, into the grid's (n, n/2+1) buffer
+whose other columns stay zero, and then one np.fft.irfftn pass along axis
+1; an analysis runs one np.fft.rfftn pass along axis 1 and then the complex
+pass over the leading `cols` columns only.  With all columns the two
+passes are irfft2 / rfft2 bit for bit.  A band spectrum skips the complex
 pass over the other n/2 - K columns and a dealiased product does not
 compute them (FFT pruning, Markel 1971); each 2-D transform still makes
 exactly one rfftn or irfftn call.
 
-physical_fields is the one place that turns half spectra into point values
+physical_fields is the one place that turns spectra into point values
 of fields and partials, for the solver, the record and every check.  It
 derives only psi = -Delta^{-1} w and j = Delta a; every plane of u =
-perp-grad psi and b = perp-grad a is a signed partial of psi or a.  A field
-whose given spectrum is zero past column K is synthesized over the band's
-K + 1 columns, any other over all of them.  Each plane is its own
+perp-grad psi and b = perp-grad a is a signed partial of psi or a, and is
+synthesized over the columns its spectrum has.  Each plane is its own
 synthesis (with a 2 MiB L2, eight n = 256 calls run 1.5x faster than one
 over the stacked planes); for the same reason a field's spectrum is formed
 once per call and released after its partials.
+
 half_power_sum is the one Parseval sum: every spectral norm of the record,
 the identity residuals and the inequality checks is a weighted sum over a
-half power spectrum.  magnitude is the one pointwise Euclidean norm of point
-values, max_magnitude the one sup of it, and lp_norm(grid, v, inf) the one
-sup norm of a plane.
+half or band power spectrum.  magnitude is the one pointwise Euclidean
+norm of point values, max_magnitude the one sup of it, and lp_norm(grid, v,
+inf) the one sup norm of a plane.
 """
 
 from __future__ import annotations
@@ -174,16 +176,16 @@ def get_grid(n: int) -> Grid:
 # The counted pass of every transform is looked up as np.fft.<name> at call
 # time, so a wrapper installed on numpy.fft (e.g. a call counter) sees it.
 
-def _synthesis(grid: Grid, half: np.ndarray, cols: int) -> np.ndarray:
-    # point values of a half spectrum whose columns from cols on are zero
-    # (only its leading cols columns are read): the complex pass fills the
+def _synthesis(grid: Grid, half: np.ndarray) -> np.ndarray:
+    # point values of a half or band spectrum: the complex pass fills the
     # leading columns of a zero-padded buffer, the real pass reads all of
-    # it.  Every synthesis on the grid reuses that buffer, so two threads
-    # must not synthesize on one grid at once
+    # it.  Every synthesis of that width on the grid reuses that buffer, so
+    # two threads must not synthesize on one grid at once
+    cols = half.shape[1]
     pad = grid._padded.get(cols)
     if pad is None:
         pad = grid._padded[cols] = np.zeros((grid.n, grid.half_cols), complex)
-    np.fft.ifft(half[:, :cols], axis=0, norm="forward", out=pad[:, :cols])
+    np.fft.ifft(half, axis=0, norm="forward", out=pad[:, :cols])
     return np.fft.irfftn(pad, s=(grid.n,), axes=(1,), norm="forward")
 
 
@@ -191,6 +193,14 @@ def _analysis(values: np.ndarray, cols: int) -> np.ndarray:
     # the leading cols columns of the half spectrum of real point values
     rows = np.fft.rfftn(values, axes=(1,), norm="forward")
     return np.fft.fft(rows[:, :cols], axis=0, norm="forward")
+
+
+def _checked(grid: Grid, half: np.ndarray) -> np.ndarray:
+    # half itself, if it has the band's dealias_k + 1 columns or all of them
+    if half.shape not in ((grid.n, grid.dealias_k + 1), (grid.n, grid.half_cols)):
+        raise ParameterError(
+            f"half-spectrum shape {half.shape} does not match grid n={grid.n}")
+    return half
 
 
 def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -203,15 +213,14 @@ def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def to_physical(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Point values of the real field with k2 >= 0 half spectrum `half`.
+    """Point values of the real field with k2 >= 0 half spectrum `half`, or
+    with band spectrum `half` (its first dealias_k + 1 columns, the rest
+    zero), synthesized over the columns given.
 
     Column 0 and the Nyquist column hold both members of each conjugate
     pair; only their Hermitian part contributes.
     """
-    if half.shape != (grid.n, grid.half_cols):
-        raise ParameterError(
-            f"half-spectrum shape {half.shape} does not match grid n={grid.n}")
-    return _synthesis(grid, half, grid.half_cols)
+    return _synthesis(grid, _checked(grid, half))
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +232,12 @@ def fractional_power(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
 
     Args:
         grid: the Grid the coefficients live on.
-        coeffs: k2 >= 0 half spectrum.
+        coeffs: k2 >= 0 half spectrum or band spectrum.
         s: exponent, finite and >= 0.  s = 0 is the identity (mean kept);
             any s > 0 annihilates the mean mode.
 
     Returns:
-        Half spectrum of Lambda^s applied to the field.  As in
+        Spectrum of the same width of Lambda^s applied to the field.  As in
         half_power_sum, |k|^s weights only nonzero coefficients, and the real
         and imaginary parts separately, so a weight beyond float range gives
         inf where a part is nonzero and 0 elsewhere, never inf * 0 = nan.
@@ -237,7 +246,7 @@ def fractional_power(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
         raise ParameterError(f"fractional exponent must be finite and >= 0, got {s}")
     coeffs = np.asarray(coeffs, dtype=complex)
     with np.errstate(over="ignore"):  # overflow on empty modes is unused
-        weight = grid.half_kabs**s  # 0**0 == 1, so s = 0 keeps the mean
+        weight = grid.half_kabs[:, :coeffs.shape[1]]**s  # 0**0 == 1: mean kept
     out = np.zeros_like(coeffs)
     for part, dest in ((coeffs.real, out.real), (coeffs.imag, out.imag)):
         np.multiply(weight, part, out=dest, where=part != 0)
@@ -268,37 +277,23 @@ def _field_plan(requests: tuple) -> tuple:
         for f in dict.fromkeys(f for f, _ in keys))
 
 
-def _band_columns(grid: Grid, half: np.ndarray) -> np.ndarray:
-    # half itself if it is the band's leading dealias_k + 1 columns, else
-    # the view of them when a half spectrum is zero past the band, else all
-    band = grid.dealias_k + 1
-    if half.shape == (grid.n, band):
-        return half
-    if half.shape != (grid.n, grid.half_cols):
-        raise ParameterError(
-            f"half-spectrum shape {half.shape} does not match grid n={grid.n}")
-    return half if half[:, band:].any() else half[:, :band]
-
-
 def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
     """Point values of fields and partials, one per request, in order.
 
-    halves maps names to k2 >= 0 half spectra, taken as given, or to their
-    leading dealias_k + 1 columns when the rest are zero; from "w" it forms
-    psi = -Delta^{-1} w and from "a" j = Delta a, so u = perp-grad psi =
-    (-psi_2, psi_1) and b = perp-grad a = (-a_2, a_1) are signed partials
+    halves maps names to k2 >= 0 half spectra or band spectra; from "w" it
+    forms psi = -Delta^{-1} w and from "a" j = Delta a, so u = perp-grad psi
+    = (-psi_2, psi_1) and b = perp-grad a = (-a_2, a_1) are signed partials
     of the potentials.  "a_12" (= "a_21") requests d1 d2 a; each distinct
-    plane is one synthesis, over the band's columns when the given
-    spectrum is zero past them.
+    plane is one synthesis, over the columns its spectrum has.
     """
     keys, groups = _field_plan(requests)
     planes = {}
     for name, axes in groups:
         source, make = _DERIVED.get(name, (None, None))
         if name in halves:
-            base = _band_columns(grid, halves[name])
+            base = _checked(grid, halves[name])
         elif source in halves:
-            base = make(grid, _band_columns(grid, halves[source]))
+            base = make(grid, _checked(grid, halves[source]))
         else:
             raise ParameterError(f"no half spectrum for field {name!r}")
         cols = base.shape[1]
@@ -307,7 +302,7 @@ def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
             c = base
             for axis in reversed(idx):  # d1 d2 f = d1 (d2 f)
                 c = mult[axis] * c
-            planes[name, idx] = _synthesis(grid, c, cols)
+            planes[name, idx] = _synthesis(grid, c)
     return [planes[key] for key in keys]
 
 
@@ -316,26 +311,32 @@ def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
 # ---------------------------------------------------------------------------
 
 def spectral_l2(grid: Grid, half: np.ndarray) -> float:
-    """L2 norm over [0, 2pi)^2 of the real field with k2 >= 0 half spectrum
-    `half` (Parseval)."""
+    """L2 norm over [0, 2pi)^2 of the real field with k2 >= 0 half or band
+    spectrum `half` (Parseval)."""
     return float(np.sqrt(half_power_sum(grid, half.real**2 + half.imag**2)))
 
 
 def half_power_sum(grid: Grid, power: np.ndarray, s: float = 0.0) -> float:
     """Parseval sum (2pi)^2 sum_k |k|^{2s} P(k) over the whole spectrum.
 
-    power holds P on the k2 >= 0 half spectrum (P = |fhat|^2 gives
+    power holds P on the k2 >= 0 half or band spectrum (P = |fhat|^2 gives
     ||Lambda^s f||_2^2, mean kept at s = 0).  |k|^{2s} weights only modes
-    with P != 0, so a sum beyond float range reads inf, never nan.
+    with P != 0, so a sum beyond float range reads inf, never nan.  The
+    column sums are padded with zeros to all n/2 + 1 columns before the dot
+    with the column weights, so a band spectrum gives the bits of its
+    zero-padded half spectrum (a shorter dot can round differently).
     """
     if not 0.0 <= s < np.inf:
         raise ParameterError(f"Sobolev order must be finite and >= 0, got {s!r}")
+    cols = power.shape[1]
     if s != 0.0:
         with np.errstate(over="ignore"):  # overflow on empty modes is unused
-            weight = grid.half_ksq ** s
+            weight = grid.half_ksq[:, :cols] ** s
         power = np.multiply(weight, power, out=np.zeros_like(power),
                             where=power != 0)
-    return float(np.sum(power, axis=0) @ grid.half_weight)
+    sums = np.zeros(grid.half_cols)
+    np.sum(power, axis=0, out=sums[:cols])
+    return float(sums @ grid.half_weight)
 
 
 def _squares(components):

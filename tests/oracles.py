@@ -2,12 +2,15 @@
 
 The package stores and transforms only k2 >= 0 half spectra (rfft2 /
 irfft2: gmhd2d.spectral.to_spectral, to_physical, physical_fields,
-half_power_sum).  These are the plain full n-by-n coefficient-array forms of
-the same operators, built on the complex transforms and on full-grid
-multipliers of their own: the transform pair, Fourier-multiplier
-derivatives, the Biot-Savart and potential maps, the dealiased product, the
-gradient coupling of the current equation, the Hermitian projection and
-defect, the half -> full expansion and the homogeneous Sobolev norm.  They
+half_power_sum), and holds the state and every tendency as band spectra,
+the first dealias_k + 1 columns of a half spectrum; widen zero-pads a band
+spectrum back to a half spectrum.  These are the plain full n-by-n
+coefficient-array forms of the same operators, built on the complex
+transforms and on full-grid multipliers of their own: the transform pair,
+Fourier-multiplier derivatives, the Biot-Savart and potential maps, the
+dealiased product, the gradient coupling of the current equation, the
+Hermitian projection and defect, the half -> full expansion and the
+homogeneous Sobolev norm.  They
 are independent of the half-spectrum code paths, which is what makes them
 useful as oracles.  random_band_limited_field_loop is the per-mode loop the
 package's vectorized corpus draw replaced.  norm_of_term is no oracle: it
@@ -16,9 +19,9 @@ single norm.  Nor is traced_peak_planes: it measures the memory peak of a
 call, for the tests that pin how many planes a layer holds at once.  Nor is
 overflowing_state: a finite state whose point values overflow, for the
 tests that hold such a state to be a blow-up, not bad input.
-unpruned_advance is the IF-RK4 step with every transform one irfft2 or
-rfft2 call over all half-spectrum columns, the reference the package's
-band-column stepper must equal bit for bit.
+unpruned_advance is the IF-RK4 step on widened half spectra with every
+transform one irfft2 or rfft2 call over all columns, the reference the
+package's band-spectrum stepper must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -84,14 +87,23 @@ def hermitian_defect(coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(coeffs - hermitian_part(coeffs)))
 
 
+def widen(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """The half spectrum of a band or half spectrum: a band spectrum's
+    columns followed by zeros, a half spectrum itself."""
+    out = np.zeros((grid.n, grid.half_cols), dtype=complex)
+    out[:, :half.shape[1]] = half
+    return out
+
+
 def full_spectrum(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Full n-by-n coefficient array of the real field with half spectrum
-    `half`.
+    (or band spectrum) `half`.
 
     Columns 1..n/2-1 are mirrored through c(-k) = conj(c(k)); column 0 and
     the Nyquist column are replaced by their Hermitian part, so the result is
     exactly Hermitian: c(-k) == conj(c(k)) bit for bit.
     """
+    half = widen(grid, half)
     n, m = grid.n, grid.n // 2
     rows = -np.arange(n) % n
     full = np.empty((n, n), dtype=complex)
@@ -307,12 +319,13 @@ def overflowing_state(n: int = 32) -> GmhdState:
 def unpruned_advance(state: GmhdState, params, dt: float, cfl: bool) -> GmhdState:
     """dynamics._advance with every transform over all columns.
 
-    The same operations in the same order as the package's step, on full
-    half spectra, with each synthesis one irfft2 and each analysis one
-    rfft2 call; the CFL bound, the multipliers and the projection are the
-    package's own.
+    The same operations in the same order as the package's step, on the
+    widened half spectra, with each synthesis one irfft2 and each analysis
+    one rfft2 call; the CFL bound, the decay rates and the projection are
+    the package's own, and the result holds band spectra.
     """
     g = state.grid
+    band = g.dealias_k + 1
     mask = g.half_dealias
     k1, k2 = g.k1.astype(float), g.k2.astype(float)
     m_shear = (k2 * k2 - k1 * k1) * mask
@@ -339,16 +352,16 @@ def unpruned_advance(state: GmhdState, params, dt: float, cfl: bool) -> GmhdStat
         da[0, 0] = 0.0
         return dw, da
 
-    w0, a0 = state.omega_hat, state.a_hat
+    w0, a0 = widen(g, state.omega_hat), widen(g, state.a_hat)
     with np.errstate(over="ignore", invalid="ignore"):
         stage = planes(w0, a0)
         if cfl:
             dt = min(dynamics._cfl(g, params, *stage), dt)
-            if not dt > 0.0:
-                raise BlowUpSignal(state.t, state)
         k1w, k1a = tendency(*stage)
-        lw, la = dynamics._linear_multipliers(g.n, params.nu, params.alpha,
-                                              params.kappa, params.beta)
+        if not (dt > 0.0 and np.isfinite(k1w).all() and np.isfinite(k1a).all()):
+            raise BlowUpSignal(state.t, state)
+        lw = dynamics._decay_rates(g.half_kabs, params.nu, 2.0 * params.alpha)
+        la = dynamics._decay_rates(g.half_kabs, params.kappa, 2.0 * params.beta)
         ew2 = np.exp(0.5 * dt * lw)
         ea2 = np.exp(0.5 * dt * la)
         ew1 = ew2 * ew2
@@ -361,8 +374,8 @@ def unpruned_advance(state: GmhdState, params, dt: float, cfl: bool) -> GmhdStat
                                     ea1 * a0 + dt * ea2 * k3a))
         wn = ew1 * w0 + (dt / 6.0) * (ew1 * k1w + 2.0 * ew2 * (k2w + k3w) + k4w)
         an = ea1 * a0 + (dt / 6.0) * (ea1 * k1a + 2.0 * ea2 * (k2a + k3a) + k4a)
-        wn = dynamics._project(g, wn)
-        an = dynamics._project(g, an)
+        wn = dynamics._project(g, wn[:, :band])
+        an = dynamics._project(g, an[:, :band])
     if not (np.all(np.isfinite(wn)) and np.all(np.isfinite(an))):
         raise BlowUpSignal(state.t + dt, state)
     return GmhdState(grid=g, omega_hat=wn, a_hat=an, t=state.t + dt)

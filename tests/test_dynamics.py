@@ -49,6 +49,7 @@ from oracles import (
     overflowing_state,
     traced_peak_planes,
     unpruned_advance,
+    widen,
 )
 
 
@@ -169,11 +170,12 @@ class TestInitialConditions:
                                       "shear", "single_mode"])
     def test_state_is_half_spectrum_of_real_fields(self, kind):
         # what the benchmark's traced run reads: to_physical of a stored
-        # spectrum is the real n x n field the full spectrum describes
+        # band spectrum (the half spectrum's first dealias_k + 1 columns) is
+        # the real n x n field the full spectrum describes
         g = get_grid(32)
         st = initial_condition(kind, g, seed=4, k_max=8)
         for c in (st.omega_hat, st.a_hat):
-            assert c.shape == (32, g.half_cols)
+            assert c.shape == (32, g.dealias_k + 1)
             assert_column_zero_hermitian(c)
             values = to_physical(g, c)
             assert values.shape == (32, 32) and values.dtype == np.float64
@@ -197,7 +199,41 @@ class TestInitialConditions:
         a_hat[2, 0] = a_hat[-2, 0] = 3 * 5e-324
         st = project_state(GmhdState(grid=g, omega_hat=np.zeros_like(a_hat),
                                      a_hat=a_hat))
-        np.testing.assert_array_equal(st.a_hat, a_hat)
+        np.testing.assert_array_equal(st.a_hat, a_hat[:, :g.dealias_k + 1])
+
+    @pytest.mark.parametrize("n", [32, 66, 90, 128])
+    def test_project_state_of_either_width_gives_the_same_band(self, n):
+        # a half spectrum with noise past the band, and its first dealias_k
+        # + 1 columns: the same band spectrum, bit for bit
+        g = get_grid(n)
+        band = g.dealias_k + 1
+        rng = np.random.default_rng(n)
+        halves = [rng.standard_normal((n, g.half_cols))
+                  + 1j * rng.standard_normal((n, g.half_cols)) for _ in range(2)]
+        whole = project_state(GmhdState(grid=g, omega_hat=halves[0],
+                                        a_hat=halves[1]))
+        part = project_state(GmhdState(
+            grid=g, omega_hat=np.ascontiguousarray(halves[0][:, :band]),
+            a_hat=np.ascontiguousarray(halves[1][:, :band])))
+        for got, want in ((whole.omega_hat, part.omega_hat),
+                          (whole.a_hat, part.a_hat)):
+            assert got.shape == want.shape == (n, band)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [32, 66, 128])
+    def test_band_state_synthesizes_as_its_widened_state(self, n):
+        # to_physical and physical_fields over the band's columns give the
+        # bits of the zero-padded half spectrum synthesized over all columns
+        g = get_grid(n)
+        st = TestNonlinearRhs.broadband_state(n, seed=5)
+        wide = {"w": widen(g, st.omega_hat), "a": widen(g, st.a_hat)}
+        for name, c in st.halves().items():
+            assert to_physical(g, c).tobytes() == to_physical(
+                g, wide[name]).tobytes()
+        requests = ("psi_1", "psi_2", "a_1", "a_2", "w", "j", "a_12")
+        for got, want in zip(physical_fields(g, st.halves(), *requests),
+                             physical_fields(g, wide, *requests)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestNonlinearRhs:
@@ -284,7 +320,7 @@ class TestNonlinearRhs:
             ten = nonlinear_rhs(st, Params(n=n))
             dw, da = self.oracle_tendency(st.grid, st.omega_hat, st.a_hat)
             for got, want in ((ten.d_omega, dw), (ten.d_a, da)):
-                assert got.shape == (n, st.grid.half_cols)
+                assert got.shape == (n, st.grid.dealias_k + 1)
                 assert (np.linalg.norm(full_spectrum(st.grid, got) - want)
                         <= 1e-13 * np.linalg.norm(want))
 
@@ -297,7 +333,7 @@ class TestNonlinearRhs:
         states.append(initial_condition("orszag_tang", g))
 
         def band(values):
-            out = to_spectral(g, values) * g.half_dealias
+            out = (to_spectral(g, values) * g.half_dealias)[:, :g.dealias_k + 1]
             out[0, 0] = 0.0
             return out
 
@@ -321,10 +357,10 @@ class TestNonlinearRhs:
         out = step(st, Params(nu=0.05, kappa=0.05, alpha=1.5, beta=0.5, n=n),
                    1e-3)
         for c in (out.omega_hat, out.a_hat):
-            assert c.shape == (n, g.half_cols)
+            assert c.shape == (n, g.dealias_k + 1)
             assert_column_zero_hermitian(c)
             assert c[0, 0] == 0.0
-            assert not np.any(c[~g.half_dealias])
+            assert not np.any(c[~g.half_dealias[:, :g.dealias_k + 1]])
             assert np.linalg.norm(c) > 0.0
 
     def test_linear_part_is_diagonal_multiplier(self):
@@ -332,9 +368,21 @@ class TestNonlinearRhs:
         st = initial_condition("shear", g)
         p = Params(nu=0.7, alpha=0.6, kappa=0.3, beta=1.4, n=32)
         ten = nonlinear_rhs(st, p)
-        np.testing.assert_allclose(ten.lin_omega, -0.7 * g.half_kabs**1.2,
-                                   atol=1e-15)
-        np.testing.assert_allclose(ten.lin_a, -0.3 * g.half_kabs**2.8, atol=1e-15)
+        kabs = g.half_kabs[:, :g.dealias_k + 1]
+        np.testing.assert_allclose(ten.lin_omega, -0.7 * kabs**1.2, atol=1e-15)
+        np.testing.assert_allclose(ten.lin_a, -0.3 * kabs**2.8, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [8, 32, 66, 90, 128])
+    def test_state_and_tendency_hold_band_spectra(self, n):
+        # every array of the state and of a Tendency is n x (dealias_k + 1)
+        g = get_grid(n)
+        band = (n, g.dealias_k + 1)
+        st = initial_condition("orszag_tang", g)
+        ten = nonlinear_rhs(st, Params(nu=0.1, kappa=0.2, alpha=0.7, n=n))
+        out = step(st, Params(n=n), 1e-3)
+        for c in (st.omega_hat, st.a_hat, out.omega_hat, out.a_hat,
+                  ten.d_omega, ten.d_a, ten.lin_omega, ten.lin_a):
+            assert c.shape == band
 
 
 class TestGradientCoupling:
@@ -531,19 +579,36 @@ class TestCflandStep:
             ten = nonlinear_rhs(st, p)
             out = step(st, p, 1e-3)
         with np.errstate(over="ignore"):
-            expected = -(g.half_kabs ** 400.0)
+            expected = -(g.half_kabs[:, :g.dealias_k + 1] ** 400.0)
         assert np.isinf(expected).sum() > g.n  # |k| >~ 5.9 overflows
         np.testing.assert_array_equal(ten.lin_omega, expected)
         assert np.all(np.isfinite(out.omega_hat))
 
     def test_blow_up_signal(self):
+        # the stage-1 tendency overflows, so the step ends at its start
         g = get_grid(32)
         st = initial_condition("random_band_limited", g, seed=1, k_max=8,
                                amplitude=1e200)
         with pytest.raises(BlowUpSignal) as info:
             step(st, Params(nu=0.0, kappa=0.0, n=32), 0.01)
         assert info.value.state is st
-        assert info.value.time == pytest.approx(0.01)
+        assert info.value.time == 0.0
+
+    @pytest.mark.parametrize("make", [
+        overflowing_state,
+        lambda: initial_condition("random_band_limited", get_grid(32), seed=1,
+                                  k_max=8, amplitude=1e200)],
+        ids=["overflowing_state", "amplitude_1e200"])
+    def test_both_stepping_paths_report_the_same_blow_up_time(self, make):
+        # adaptive and fixed dt both stop at the state whose stage-1
+        # tendency is not finite, before spending a step on it
+        st = make()
+        p = Params(nu=0.0, kappa=0.0, n=32, t_end=0.01)
+        adaptive = run(st, p, sample_every=0.01)
+        fixed = run(st, p, sample_every=0.01, fixed_dt=0.002)
+        for res in (adaptive, fixed):
+            assert res.blew_up and res.final_state is st
+            assert res.blow_up_time == 0.0
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_step_peak_is_at_most_15_planes(self, n):

@@ -48,6 +48,7 @@ from oracles import (
     laplacian,
     random_band_limited_draw_loop,
     random_band_limited_field_loop,
+    widen,
 )
 
 
@@ -192,9 +193,9 @@ class TestTransforms:
 
 class TestBandTransforms:
     """The two-pass transforms against numpy's 2-D real pair, bit for bit:
-    over all columns on any input, and over the 2/3 band's leading K + 1
-    columns on input that is zero past them.  At n = 66 and 90, 3K >= n
-    lowers K by one."""
+    over all columns of a half spectrum, and over the 2/3 band's leading
+    K + 1 columns of a band spectrum as over its zero-padded half spectrum.
+    At n = 66 and 90, 3K >= n lowers K by one."""
 
     SIZES = (8, 64, 66, 90, 128, 256)
 
@@ -229,18 +230,20 @@ class TestBandTransforms:
         g = get_grid(n)
         band = g.dealias_k + 1
         c = self.half(g, seed=n)
+        c_band = np.ascontiguousarray(c[:, :band])
         want = self.irfft2(g, c)
-        np.testing.assert_array_equal(spectral._synthesis(g, c, band), want)
-        # the band columns alone, as the stepper's stages pass them
-        np.testing.assert_array_equal(
-            spectral._synthesis(g, np.ascontiguousarray(c[:, :band]), band),
-            want)
-        (w, w_2) = physical_fields(g, {"w": c}, "w", "w_2")
-        np.testing.assert_array_equal(w, want)
-        np.testing.assert_array_equal(w_2, self.irfft2(g, g.half_ik2 * c))
+        # the band columns alone, as the state and the stages hold them, and
+        # the zero-padded half spectrum over all its columns
+        np.testing.assert_array_equal(spectral._synthesis(g, c_band), want)
+        np.testing.assert_array_equal(spectral._synthesis(g, c), want)
+        np.testing.assert_array_equal(to_physical(g, c_band), want)
+        for given in (c, c_band):
+            (w, w_2) = physical_fields(g, {"w": given}, "w", "w_2")
+            np.testing.assert_array_equal(w, want)
+            np.testing.assert_array_equal(w_2, self.irfft2(g, g.half_ik2 * c))
         # a synthesis over all columns in between leaves the padding zero
         to_physical(g, self.half(g, seed=n + 2, band_limited=False))
-        np.testing.assert_array_equal(spectral._synthesis(g, c, band), want)
+        np.testing.assert_array_equal(spectral._synthesis(g, c_band), want)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_band_analysis_is_masked_rfft2(self, n):
@@ -747,6 +750,27 @@ class TestHalfPowerSum:
         assert got == pytest.approx(
             homogeneous_sobolev_norm(g, exact, 250.0) ** 2, rel=1e-12)
         assert got == pytest.approx(2.0**500 * 2 * np.pi**2, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [32, 64, 66, 90, 128, 256, 512])
+    def test_band_input_gives_the_bits_of_its_widened_input(self, n):
+        # the column sums are padded to all n/2 + 1 columns before the dot
+        # with the column weights; a dot over the band's entries alone
+        # rounds some of these sums differently in the last bit
+        g = get_grid(n)
+        band = g.dealias_k + 1
+        rng = np.random.default_rng(n)
+        for scale in np.logspace(-4, 4, 40):
+            c = scale * (rng.standard_normal((n, band))
+                         + 1j * rng.standard_normal((n, band)))
+            wide = widen(g, c)
+            assert spectral_l2(g, c) == spectral_l2(g, wide)
+            power = c.real**2 + c.imag**2
+            wide_power = wide.real**2 + wide.imag**2
+            for s in (0.0, 0.5, 1.0, 2.0):
+                assert half_power_sum(g, power, s) == half_power_sum(
+                    g, wide_power, s)
+        np.testing.assert_array_equal(fractional_power(g, c, 0.7),
+                                      fractional_power(g, wide, 0.7)[:, :band])
 
     def test_rejects_bad_order(self):
         g = get_grid(16)
