@@ -10,8 +10,13 @@ tests/oracles.py are checked here too, since the other tests lean on them.
 
 import functools
 import gc
+import os
 import pickle
+import subprocess
+import sys
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -851,6 +856,89 @@ class TestRandomFields:
             random_band_limited_field(g, 0, seed=1)
         with pytest.raises(ParameterError, match="k_max"):
             random_band_limited_field(g, g.dealias_k + 1, seed=1)
+
+
+def _on_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+class _Mallopt:
+    # stands in for ctypes.CDLL(None).mallopt: records its calls
+    def __init__(self, accepts):
+        self.calls, self.accepts = [], accepts
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.accepts
+
+
+class TestAllocatorPolicy:
+    """The heap thresholds that importing spectral sets (glibc only)."""
+
+    STEPS = """
+import resource, sys
+from gmhd2d.dynamics import Params, initial_condition, step
+from gmhd2d.spectral import get_grid
+n = int(sys.argv[1])
+params = Params(n=n, nu=0.0, kappa=0.0)
+state = initial_condition("random_band_limited", get_grid(n), 1, k_max=16)
+for _ in range(2):
+    state = step(state, params, 1e-3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    state = step(state, params, 1e-3)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+    @pytest.mark.skipif(not _on_glibc(), reason="the policy is set on glibc only")
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_warm_steps_fault_in_less_than_a_plane(self, n):
+        # a fresh interpreter, so pytest's own heap history does not count;
+        # with glibc's default thresholds five warm steps of the stepping
+        # workload's state fault about 800 pages at n = 128 and 4,200 at
+        # n = 256, many times the 32 and 128 pages of one plane
+        package_root = str(Path(spectral.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", self.STEPS, str(n)],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < n * n * 8 // 4096
+
+    @pytest.mark.parametrize("accepts, calls", [
+        (1, [(-3, 32 << 20), (-1, 256 << 20)]),
+        # a rejected mmap threshold leaves the trim threshold alone: set
+        # alone, it would switch off the dynamic mmap threshold and map
+        # every plane of 128 KiB or more on its own
+        (0, [(-3, 32 << 20)])])
+    def test_sets_mmap_threshold_then_trim_threshold(self, monkeypatch,
+                                                     accepts, calls):
+        import ctypes
+
+        mallopt = _Mallopt(accepts)
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36",
+                            raising=False)
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        spectral._keep_freed_heap()
+        assert mallopt.calls == calls
+
+    def test_other_c_libraries_are_left_alone(self, monkeypatch):
+        import ctypes
+
+        def not_glibc(name):
+            raise ValueError("unrecognized configuration name")
+
+        def no_cdll(name):
+            raise AssertionError("loaded the C library off glibc")
+
+        monkeypatch.setattr(os, "confstr", not_glibc, raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+        assert spectral._keep_freed_heap() is None
 
 
 if __name__ == "__main__":
