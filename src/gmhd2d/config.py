@@ -80,8 +80,8 @@ def _parse_int(key, value):
 
 def _parse_positive(key, value):
     out = _parse_float(key, value)
-    if not out > 0.0:
-        raise ParameterError(f"{key} must be positive")
+    if not (math.isfinite(out) and out > 0.0):
+        raise ParameterError(f"{key} must be positive and finite")
     return out
 
 

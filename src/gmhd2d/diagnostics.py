@@ -234,9 +234,8 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
 
 def _spectral_sums(grid: Grid, wh: np.ndarray, ah: np.ndarray, params: Params) -> dict:
     # the quadratic record quantities as Parseval sums over band power spectra
-    cols = wh.shape[1]
-    ksq, inv = grid.half_ksq[:, :cols], grid.half_inv_ksq[:, :cols]
-    kd2 = grid.half_ik1.imag**2 + grid.half_ik2.imag[:, :cols]**2  # |perp-grad|^2
+    ksq, inv = grid.half_ksq, grid.half_inv_ksq
+    kd2 = grid.half_ik1.imag**2 + grid.half_ik2.imag**2  # |perp-grad|^2
     pw = wh.real**2 + wh.imag**2
     pa = ah.real**2 + ah.imag**2
     pu = kd2 * inv * inv * pw   # |u1_hat|^2 + |u2_hat|^2
@@ -455,9 +454,11 @@ def direction_field_norms(
 
     bhat = b/(|b|^2+eps^2)^{1/2} with the record's default floor eps =
     1e-6 * max|b| (1e-6 for b = 0).  b1, b2 are differentiated spectrally
-    (2 analyses, 10 syntheses; b need not be divergence free), and the
-    record's chain rule forms the partials of bhat, which is singular
-    where b = 0, reducing each as it is formed.
+    from their band spectra (2 analyses, 10 syntheses; b need not be
+    divergence free), so the partials are exact when b has no coefficient
+    with |k2| > dealias_k, as a state's b has not; the record's chain rule
+    forms the partials of bhat, which is singular where b = 0, reducing each
+    as it is formed.
 
     Args:
         grid: grid of the sampled components.

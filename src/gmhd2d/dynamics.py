@@ -75,6 +75,7 @@ from .spectral import (
     Grid,
     ParameterError,
     _analysis,
+    _checked,
     get_grid,
     lp_norm,
     magnitude,
@@ -177,7 +178,7 @@ def _project(grid: Grid, c: np.ndarray) -> np.ndarray:
     # alone needs the Hermitian part.  The mean halves the sum, which is
     # exact on subnormal members, unless the sum overflows; there each
     # member is halved first, so a finite pair stays finite
-    out = c * grid.half_dealias[:, :grid.dealias_k + 1]
+    out = c * grid.half_dealias
     col = out[:, 0]
     flip = np.conj(np.roll(col[::-1], 1))  # c(-k1, 0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -189,19 +190,11 @@ def _project(grid: Grid, c: np.ndarray) -> np.ndarray:
 
 def project_state(state: GmhdState) -> GmhdState:
     """Re-impose the state invariant (zero-mean, dealiased, column 0
-    Hermitian) on half spectra of shape n x (n/2+1) or band spectra of
-    shape n x (dealias_k + 1); the result holds band spectra."""
+    Hermitian) on band spectra of shape n x (dealias_k + 1)."""
     g = state.grid
-    band = g.dealias_k + 1
 
     def proj(c):
-        c = np.asarray(c, dtype=complex)
-        if c.shape not in ((g.n, band), (g.n, g.half_cols)):
-            raise ParameterError(
-                f"state spectrum shape {c.shape} is neither the band shape "
-                f"{(g.n, band)} nor the half spectrum shape "
-                f"{(g.n, g.half_cols)} of grid n={g.n}")
-        return _project(g, c[:, :band])
+        return _project(g, _checked(g, np.asarray(c, dtype=complex)))
 
     return dataclasses.replace(state, omega_hat=proj(state.omega_hat),
                                a_hat=proj(state.a_hat))
@@ -305,33 +298,28 @@ def _decay_rates(kabs: np.ndarray, coeff: float, order: float) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _linear_multipliers(n: int, nu: float, alpha: float, kappa: float, beta: float):
     g = get_grid(n)
-    kabs = g.half_kabs[:, :g.dealias_k + 1]
-    lw = _decay_rates(kabs, nu, 2.0 * alpha)
-    la = _decay_rates(kabs, kappa, 2.0 * beta)
+    lw = _decay_rates(g.half_kabs, nu, 2.0 * alpha)
+    la = _decay_rates(g.half_kabs, kappa, 2.0 * beta)
     lw.setflags(write=False)
     la.setflags(write=False)
     return lw, la
 
 
 def _dealiased(grid: Grid, values: np.ndarray) -> np.ndarray:
-    # the band columns of the half spectrum of a pointwise product,
-    # projected onto the 2/3 band
-    band = grid.dealias_k + 1
-    out = _analysis(values, band)
-    out *= grid.half_dealias[:, :band]
+    # the band spectrum of a pointwise product, projected onto the 2/3 band
+    out = _analysis(values, grid.dealias_k + 1)
+    out *= grid.half_dealias
     return out
 
 
 @functools.lru_cache(maxsize=8)
 def _stress_multipliers(n: int):
-    # real symbols of d1^2 - d2^2 and d1 d2 on the band columns of the half
-    # grid, the 2/3 mask folded in
+    # real symbols of d1^2 - d2^2 and d1 d2 on the band's columns, the 2/3
+    # mask folded in
     g = get_grid(n)
-    band = g.dealias_k + 1
-    k1, k2 = g.k1.astype(float), g.k2[:, :band].astype(float)
-    mask = g.half_dealias[:, :band]
-    m_shear = (k2 * k2 - k1 * k1) * mask
-    m_normal = -(k1 * k2) * mask
+    k1, k2 = g.k1.astype(float), g.k2.astype(float)
+    m_shear = (k2 * k2 - k1 * k1) * g.half_dealias
+    m_normal = -(k1 * k2) * g.half_dealias
     m_shear.setflags(write=False)
     m_normal.setflags(write=False)
     return m_shear, m_normal
@@ -442,8 +430,7 @@ def structure_identities(state: GmhdState) -> IdentityReport:
         return spectral_l2(g, lhs - rhs) / max(1.0, spectral_l2(g, rhs))
 
     coupling = 2.0 * (p_12 * (a_11 - a_22) - a_12 * (p_11 - p_22))  # G
-    current = residual(g.half_ksq[:, :d_a.shape[1]] * d_a,
-                       u_grad_j - b_grad_w - coupling)
+    current = residual(g.half_ksq * d_a, u_grad_j - b_grad_w - coupling)
     forcing = residual(d_w, b_grad_j - u_grad_w)
 
     tiny = np.finfo(float).tiny

@@ -12,7 +12,7 @@ condition.
 
 The norms come from one table per (resolution, corpus field) over the
 distinct NormTerms of all specs, so a term several inequalities share is
-evaluated once.  L2 terms are Parseval sums over a half power spectrum
+evaluated once.  L2 terms are Parseval sums over a band power spectrum
 formed once per field.  Terms of one (field, grad, lam) family that differ
 only in p share one pointwise magnitude: the default battery's 22
 distinct terms need four such families, seven real syntheses per field per
@@ -133,7 +133,7 @@ class InequalitySpec:
 
 
 def _field_power(grid, f, field):
-    # |X(f)|^2 on the half spectrum: the power of the potential, with the
+    # |X(f)|^2 on the band spectrum: the power of the potential, with the
     # Nyquist-zeroed |k|^2 of the perpendicular gradient or the |k|^4 of the
     # Laplacian
     power = f.real**2 + f.imag**2
@@ -145,7 +145,7 @@ def _field_power(grid, f, field):
 
 
 def _norm_table(grid, f_hat, terms) -> dict:
-    """Every NormTerm of `terms` on the potential with half spectrum f_hat,
+    """Every NormTerm of `terms` on the potential with band spectrum f_hat,
     as a dict.
 
     The p = 2 terms are Parseval sums, since the ordered-partials convention
@@ -200,7 +200,7 @@ def _norm_table(grid, f_hat, terms) -> dict:
 @dataclasses.dataclass(frozen=True)
 class Corpus:
     """A reproducible family of unit-L2 band-limited scalar fields, held as
-    k2 >= 0 half spectra.
+    band spectra (spectral's one shape, n x (dealias_k + 1)).
 
     The same (k_max, seed) pair denotes the same continuum field at every
     resolution, which is what makes refinement trends meaningful.  Paired
@@ -334,7 +334,7 @@ def check_positivity(alphas, ps, fields) -> list[PositivityReport]:
     """Check int (Lambda^alpha w) w^(p-1) dx >= 0 for every (alpha, p) over
     the fields, one report per pair in (alpha, p) order.
 
-    fields is an iterable of half spectra, taken in one pass; each field's
+    fields is an iterable of band spectra, taken in one pass; each field's
     grid follows from its shape.  w is synthesized once per field and
     Lambda^alpha w once per (field, alpha).  The integrand is evaluated
     pointwise and integrated by collocation quadrature, which is exact when

@@ -26,36 +26,35 @@ A real field is fixed by its k2 >= 0 half spectrum, the n-by-(n/2+1) array
 coeffs[:, :n//2+1] that numpy's real transforms (rfft2 / irfft2) work on at
 about half the cost of the complex ones.  Inside the 2/3 band only its
 first K + 1 columns can be nonzero, and those columns alone are the band
-spectrum, the one representation of the state and of every tendency; the
-inequality corpus and to_spectral's output are full half spectra.  Every
-function here takes either width and reads it off the array: the Grid's
-multipliers live on the half grid and are sliced to the input's columns.
-Column 0 is the one column inside the 2/3 band that holds both members of
-its conjugate pairs, c(-k1, 0) = conj(c(k1, 0)); a synthesis sees only its
-Hermitian part.
+spectrum, shape (n, K + 1): the one spectrum every function here takes or
+returns, for the state, every tendency, the inequality corpus and
+to_spectral's output alike.  The Grid's multipliers have that shape too,
+so no function reads a width off its input.  Column 0 is the one column
+inside the 2/3 band that holds both members of its conjugate pairs,
+c(-k1, 0) = conj(c(k1, 0)); a synthesis sees only its Hermitian part.
 
 Every transform is two passes.  A synthesis runs the complex pass along
-axis 0 over the columns it is given, into the grid's (n, n/2+1) buffer
-whose other columns stay zero, and then one np.fft.irfftn pass along axis
-1; an analysis runs one np.fft.rfftn pass along axis 1 and then the complex
-pass over the leading `cols` columns only.  With all columns the two
-passes are irfft2 / rfft2 bit for bit.  A band spectrum skips the complex
-pass over the other n/2 - K columns and a dealiased product does not
-compute them (FFT pruning, Markel 1971); each 2-D transform still makes
-exactly one rfftn or irfftn call.
+axis 0 over the band's columns, into the grid's (n, n/2+1) buffer whose
+other columns stay zero, and then one np.fft.irfftn pass along axis 1; an
+analysis runs one np.fft.rfftn pass along axis 1 and then the complex pass
+over the band's columns only.  Per column the passes are those of irfft2
+/ rfft2, so a band spectrum synthesizes to the bits of its zero-padded
+half spectrum, and the other n/2 - K columns are never computed (FFT
+pruning, Markel 1971); each 2-D transform still makes exactly one rfftn or
+irfftn call.
 
 physical_fields is the one place that turns spectra into point values
 of fields and partials, for the solver, the record and every check.  It
 derives only psi = -Delta^{-1} w and j = Delta a; every plane of u =
 perp-grad psi and b = perp-grad a is a signed partial of psi or a, and is
-synthesized over the columns its spectrum has.  Each plane is its own
+synthesized over the band's columns.  Each plane is its own
 synthesis (with a 2 MiB L2, eight n = 256 calls run 1.5x faster than one
 over the stacked planes); for the same reason a field's spectrum is formed
 once per call and released after its partials.
 
 half_power_sum is the one Parseval sum: every spectral norm of the record,
 the identity residuals and the inequality checks is a weighted sum over a
-half or band power spectrum.  magnitude is the one pointwise Euclidean
+band power spectrum.  magnitude is the one pointwise Euclidean
 norm of point values, max_magnitude the one sup of it, and lp_norm(grid, v,
 inf) the one sup norm of a plane.
 
@@ -140,18 +139,19 @@ class ParameterError(ValueError):
 class Grid:
     """Precomputed wavenumber machinery for an n-by-n periodic grid.
 
-    Every multiplier lives on the k2 >= 0 half grid of the real transforms.
+    Every multiplier lives on the band's columns, the k2 = 0, ..., K half
+    of the 2/3 band, and has the band spectrum's shape (n, dealias_k + 1).
 
     Attributes:
         n: points per side (even, >= 8).
+        dealias_k: retained cutoff K of the 2/3 rule.
         half_cols: n//2 + 1, the k2 >= 0 columns of a half spectrum.
         k1, k2: integer wavenumbers broadcast to shapes (n, 1) and
-            (1, n//2 + 1): k1 in fft order, k2 = 0, 1, ..., n/2.
+            (1, dealias_k + 1): k1 in fft order, k2 = 0, 1, ..., K.
         half_ksq, half_kabs: |k|^2 and |k| as floats.
-        half_ik1, half_ik2: derivative multipliers i*k with the Nyquist lines
-            zeroed.
+        half_ik1, half_ik2: derivative multipliers i*k, the Nyquist line
+            k1 = -n/2 zeroed.
         half_inv_ksq: 1/|k|^2 with the zero mode set to 0.
-        dealias_k: retained cutoff K of the 2/3 rule.
         half_dealias: boolean mask selecting max(|k1|, |k2|) <= K.
         half_weight: Parseval weight of each half-spectrum column, (2pi)^2
             for columns 0 and n/2 (they hold both members of their conjugate
@@ -166,33 +166,33 @@ class Grid:
         if n < 8 or n % 2:
             raise ParameterError(f"grid size must be even and >= 8, got {n}")
         self.n = int(n)
-        h = n // 2 + 1
-        self.half_cols = h
-        self.k1 = np.fft.fftfreq(n, 1.0 / n).astype(int)[:, None]
-        self.k2 = np.arange(h)[None, :]
-        self.half_ksq = (self.k1**2 + self.k2**2).astype(float)
-        self.half_kabs = np.sqrt(self.half_ksq)
-        # i*k as a derivative multiplier must send real fields to real fields;
-        # the lone Nyquist lines have no conjugate partner, so they are dropped.
-        self.half_ik1 = 1j * np.where(self.k1 == -(n // 2), 0, self.k1).astype(float)
-        self.half_ik2 = 1j * np.where(self.k2 == n // 2, 0, self.k2).astype(float)
-        inv = np.zeros_like(self.half_ksq)
-        nz = self.half_ksq > 0
-        inv[nz] = 1.0 / self.half_ksq[nz]
-        self.half_inv_ksq = inv
         kcut = n // 3
         if 3 * kcut >= n:
             kcut -= 1
         self.dealias_k = kcut
+        self.half_cols = n // 2 + 1
+        self.k1 = np.fft.fftfreq(n, 1.0 / n).astype(int)[:, None]
+        self.k2 = np.arange(kcut + 1)[None, :]
+        self.half_ksq = (self.k1**2 + self.k2**2).astype(float)
+        self.half_kabs = np.sqrt(self.half_ksq)
+        # i*k as a derivative multiplier must send real fields to real fields;
+        # the lone Nyquist line k1 = -n/2 has no conjugate partner, so it is
+        # dropped (k2 <= K < n/2 never reaches the other one)
+        self.half_ik1 = 1j * np.where(self.k1 == -(n // 2), 0, self.k1).astype(float)
+        self.half_ik2 = 1j * self.k2.astype(float)
+        inv = np.zeros_like(self.half_ksq)
+        nz = self.half_ksq > 0
+        inv[nz] = 1.0 / self.half_ksq[nz]
+        self.half_inv_ksq = inv
         self.half_dealias = (np.abs(self.k1) <= kcut) & (self.k2 <= kcut)
-        self.half_weight = np.full(h, 2.0 * (2.0 * np.pi) ** 2)
+        self.half_weight = np.full(self.half_cols, 2.0 * (2.0 * np.pi) ** 2)
         self.half_weight[[0, -1]] = (2.0 * np.pi) ** 2
         # read-only (n, n) views of one axis: a grid holds no coordinate plane
         x = np.arange(n) * (2.0 * np.pi / n)
         self.x1 = np.broadcast_to(x[:, None], (n, n))
         self.x2 = np.broadcast_to(x[None, :], (n, n))
         self.cell = (2.0 * np.pi / self.n) ** 2
-        self._padded = {}  # column count -> synthesis buffer, see _synthesis
+        self._padded = np.zeros((n, self.half_cols), complex)  # see _synthesis
 
     def __repr__(self) -> str:
         return f"Grid(n={self.n})"
@@ -223,15 +223,12 @@ def get_grid(n: int) -> Grid:
 # time, so a wrapper installed on numpy.fft (e.g. a call counter) sees it.
 
 def _synthesis(grid: Grid, half: np.ndarray) -> np.ndarray:
-    # point values of a half or band spectrum: the complex pass fills the
-    # leading columns of a zero-padded buffer, the real pass reads all of
-    # it.  Every synthesis of that width on the grid reuses that buffer, so
-    # two threads must not synthesize on one grid at once
-    cols = half.shape[1]
-    pad = grid._padded.get(cols)
-    if pad is None:
-        pad = grid._padded[cols] = np.zeros((grid.n, grid.half_cols), complex)
-    np.fft.ifft(half, axis=0, norm="forward", out=pad[:, :cols])
+    # point values of a band spectrum: the complex pass fills the band's
+    # columns of a zero-padded buffer, the real pass reads all of it.  Every
+    # synthesis on the grid reuses that buffer, so two threads must not
+    # synthesize on one grid at once
+    pad = grid._padded
+    np.fft.ifft(half, axis=0, norm="forward", out=pad[:, :grid.dealias_k + 1])
     return np.fft.irfftn(pad, s=(grid.n,), axes=(1,), norm="forward")
 
 
@@ -242,29 +239,31 @@ def _analysis(values: np.ndarray, cols: int) -> np.ndarray:
 
 
 def _checked(grid: Grid, half: np.ndarray) -> np.ndarray:
-    # half itself, if it has the band's dealias_k + 1 columns or all of them
-    if half.shape not in ((grid.n, grid.dealias_k + 1), (grid.n, grid.half_cols)):
+    # half itself, if it has the band spectrum's shape
+    if half.shape != (grid.n, grid.dealias_k + 1):
         raise ParameterError(
-            f"half-spectrum shape {half.shape} does not match grid n={grid.n}")
+            f"spectrum shape {half.shape} is not the band shape "
+            f"{(grid.n, grid.dealias_k + 1)} of grid n={grid.n}")
     return half
 
 
 def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """k2 >= 0 half spectrum of a real field of point values."""
+    """Band spectrum of a real field of point values: the first
+    dealias_k + 1 columns of its k2 >= 0 half spectrum.  The field's
+    coefficients past those columns are not computed."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n, grid.n):
         raise ParameterError(
             f"field shape {values.shape} does not match grid n={grid.n}")
-    return _analysis(values, grid.half_cols)
+    return _analysis(values, grid.dealias_k + 1)
 
 
 def to_physical(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Point values of the real field with k2 >= 0 half spectrum `half`, or
-    with band spectrum `half` (its first dealias_k + 1 columns, the rest
-    zero), synthesized over the columns given.
+    """Point values of the real field with band spectrum `half`, the first
+    dealias_k + 1 columns of its k2 >= 0 half spectrum, the rest zero.
 
-    Column 0 and the Nyquist column hold both members of each conjugate
-    pair; only their Hermitian part contributes.
+    Column 0 holds both members of each conjugate pair; only its Hermitian
+    part contributes.
     """
     return _synthesis(grid, _checked(grid, half))
 
@@ -278,32 +277,31 @@ def fractional_power(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
 
     Args:
         grid: the Grid the coefficients live on.
-        coeffs: k2 >= 0 half spectrum or band spectrum.
+        coeffs: band spectrum.
         s: exponent, finite and >= 0.  s = 0 is the identity (mean kept);
             any s > 0 annihilates the mean mode.
 
     Returns:
-        Spectrum of the same width of Lambda^s applied to the field.  As in
+        Band spectrum of Lambda^s applied to the field.  As in
         half_power_sum, |k|^s weights only nonzero coefficients, and the real
         and imaginary parts separately, so a weight beyond float range gives
         inf where a part is nonzero and 0 elsewhere, never inf * 0 = nan.
     """
     if not np.isfinite(s) or s < 0:
         raise ParameterError(f"fractional exponent must be finite and >= 0, got {s}")
-    coeffs = np.asarray(coeffs, dtype=complex)
+    coeffs = _checked(grid, np.asarray(coeffs, dtype=complex))
     with np.errstate(over="ignore"):  # overflow on empty modes is unused
-        weight = grid.half_kabs[:, :coeffs.shape[1]]**s  # 0**0 == 1: mean kept
+        weight = grid.half_kabs**s  # 0**0 == 1: mean kept
     out = np.zeros_like(coeffs)
     for part, dest in ((coeffs.real, out.real), (coeffs.imag, out.imag)):
         np.multiply(weight, part, out=dest, where=part != 0)
     return out
 
 
-# name -> (source, multiplier) of each field physical_fields forms itself,
-# on the leading columns a source spectrum has
+# name -> (source, multiplier) of each field physical_fields forms itself
 _DERIVED = {
-    "psi": ("w", lambda g, w: -g.half_inv_ksq[:, :w.shape[1]] * w),
-    "j": ("a", lambda g, a: -g.half_ksq[:, :a.shape[1]] * a),
+    "psi": ("w", lambda g, w: -g.half_inv_ksq * w),
+    "j": ("a", lambda g, a: -g.half_ksq * a),
 }
 
 
@@ -326,11 +324,11 @@ def _field_plan(requests: tuple) -> tuple:
 def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
     """Point values of fields and partials, one per request, in order.
 
-    halves maps names to k2 >= 0 half spectra or band spectra; from "w" it
-    forms psi = -Delta^{-1} w and from "a" j = Delta a, so u = perp-grad psi
-    = (-psi_2, psi_1) and b = perp-grad a = (-a_2, a_1) are signed partials
-    of the potentials.  "a_12" (= "a_21") requests d1 d2 a; each distinct
-    plane is one synthesis, over the columns its spectrum has.
+    halves maps names to band spectra; from "w" it forms psi =
+    -Delta^{-1} w and from "a" j = Delta a, so u = perp-grad psi = (-psi_2,
+    psi_1) and b = perp-grad a = (-a_2, a_1) are signed partials of the
+    potentials.  "a_12" (= "a_21") requests d1 d2 a; each distinct plane is
+    one synthesis.
     """
     keys, groups = _field_plan(requests)
     planes = {}
@@ -341,9 +339,8 @@ def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
         elif source in halves:
             base = make(grid, _checked(grid, halves[source]))
         else:
-            raise ParameterError(f"no half spectrum for field {name!r}")
-        cols = base.shape[1]
-        mult = (grid.half_ik1, grid.half_ik2[:, :cols])
+            raise ParameterError(f"no spectrum for field {name!r}")
+        mult = (grid.half_ik1, grid.half_ik2)
         for idx in axes:
             c = base
             for axis in reversed(idx):  # d1 d2 f = d1 (d2 f)
@@ -357,31 +354,31 @@ def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
 # ---------------------------------------------------------------------------
 
 def spectral_l2(grid: Grid, half: np.ndarray) -> float:
-    """L2 norm over [0, 2pi)^2 of the real field with k2 >= 0 half or band
-    spectrum `half` (Parseval)."""
+    """L2 norm over [0, 2pi)^2 of the real field with band spectrum `half`
+    (Parseval)."""
     return float(np.sqrt(half_power_sum(grid, half.real**2 + half.imag**2)))
 
 
 def half_power_sum(grid: Grid, power: np.ndarray, s: float = 0.0) -> float:
     """Parseval sum (2pi)^2 sum_k |k|^{2s} P(k) over the whole spectrum.
 
-    power holds P on the k2 >= 0 half or band spectrum (P = |fhat|^2 gives
+    power holds P on the band spectrum (P = |fhat|^2 gives
     ||Lambda^s f||_2^2, mean kept at s = 0).  |k|^{2s} weights only modes
     with P != 0, so a sum beyond float range reads inf, never nan.  The
     column sums are padded with zeros to all n/2 + 1 columns before the dot
-    with the column weights, so a band spectrum gives the bits of its
-    zero-padded half spectrum (a shorter dot can round differently).
+    with the column weights, so the sum has the bits of the zero-padded
+    half spectrum's (a shorter dot can round differently).
     """
     if not 0.0 <= s < np.inf:
         raise ParameterError(f"Sobolev order must be finite and >= 0, got {s!r}")
-    cols = power.shape[1]
+    power = _checked(grid, power)
     if s != 0.0:
         with np.errstate(over="ignore"):  # overflow on empty modes is unused
-            weight = grid.half_ksq[:, :cols] ** s
+            weight = grid.half_ksq ** s
         power = np.multiply(weight, power, out=np.zeros_like(power),
                             where=power != 0)
     sums = np.zeros(grid.half_cols)
-    np.sum(power, axis=0, out=sums[:cols])
+    np.sum(power, axis=0, out=sums[:grid.dealias_k + 1])
     return float(sums @ grid.half_weight)
 
 
@@ -493,7 +490,7 @@ def random_band_limited_field(
         amplitude: L2 norm of the returned field, finite and >= 0.
 
     Returns:
-        Half spectrum with ||f||_{L2} = amplitude.
+        Band spectrum with ||f||_{L2} = amplitude.
     """
     if not 1 <= k_max <= grid.dealias_k:
         raise ParameterError(
@@ -506,8 +503,8 @@ def random_band_limited_field(
     p, q = _ball_modes(k_max)
     re, im = rng.standard_normal((p.size, 2)).T
     n = grid.n
-    c = np.zeros((n, grid.half_cols), dtype=complex)
-    # a mode (p, q) lands in the half spectrum when q >= 0 and its mirror
+    c = np.zeros((n, grid.dealias_k + 1), dtype=complex)
+    # a mode (p, q) lands in the band spectrum when q >= 0 and its mirror
     # (-p, -q) when q <= 0: both for q = 0, so column 0 holds whole pairs;
     # all entries are distinct, so the assignment order is immaterial
     up, down = q >= 0, q <= 0

@@ -1,17 +1,19 @@
 """Full-spectrum reference operators the tests check the package against.
 
-The package stores and transforms only k2 >= 0 half spectra (rfft2 /
-irfft2: gmhd2d.spectral.to_spectral, to_physical, physical_fields,
-half_power_sum), and holds the state and every tendency as band spectra,
-the first dealias_k + 1 columns of a half spectrum; widen zero-pads a band
-spectrum back to a half spectrum.  These are the plain full n-by-n
-coefficient-array forms of the same operators, built on the complex
-transforms and on full-grid multipliers of their own: the transform pair,
+The package takes and returns only band spectra, the first dealias_k + 1
+columns of a k2 >= 0 half spectrum (the columns of rfft2 / irfft2 that the
+2/3 band can fill: gmhd2d.spectral.to_spectral, to_physical,
+physical_fields, half_power_sum, the state, every tendency and the
+inequality corpus); widen zero-pads a band spectrum back to a half
+spectrum.  These are the plain full n-by-n coefficient-array forms of the
+same operators, built on the complex transforms and on full-grid
+multipliers of their own, full_grid, which shares no array with the
+package's Grid: the transform pair,
 Fourier-multiplier derivatives, the Biot-Savart and potential maps, the
 dealiased product, the gradient coupling of the current equation, the
 Hermitian projection and defect, the half -> full expansion and the
 homogeneous Sobolev norm.  They
-are independent of the half-spectrum code paths, which is what makes them
+are independent of the band-spectrum code paths, which is what makes them
 useful as oracles.  random_band_limited_field_loop is the per-mode loop the
 package's vectorized corpus draw replaced.  norm_of_term is no oracle: it
 reads one NormTerm off the package's own norm table, for tests that need a
@@ -20,8 +22,9 @@ call, for the tests that pin how many planes a layer holds at once.  Nor is
 overflowing_state: a finite state whose point values overflow, for the
 tests that hold such a state to be a blow-up, not bad input.
 unpruned_advance is the IF-RK4 step on widened half spectra with every
-transform one irfft2 or rfft2 call over all columns, the reference the
-package's band-spectrum stepper must equal bit for bit.
+transform one irfft2 or rfft2 call over all columns and every multiplier
+full_grid's, the reference the package's band-spectrum stepper must equal
+bit for bit.
 """
 
 from __future__ import annotations
@@ -88,9 +91,9 @@ def hermitian_defect(coeffs: np.ndarray) -> float:
 
 
 def widen(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """The half spectrum of a band or half spectrum: a band spectrum's
-    columns followed by zeros, a half spectrum itself."""
-    out = np.zeros((grid.n, grid.half_cols), dtype=complex)
+    """The half spectrum of a band spectrum: its columns followed by zeros
+    (a half spectrum is returned as a copy of itself)."""
+    out = np.zeros((grid.n, grid.n // 2 + 1), dtype=complex)
     out[:, :half.shape[1]] = half
     return out
 
@@ -281,7 +284,7 @@ def random_band_limited_field_loop(
 
 
 def norm_of_term(grid: Grid, f_hat: np.ndarray, term) -> float:
-    """One NormTerm on the potential with half spectrum f_hat."""
+    """One NormTerm on the potential with band spectrum f_hat."""
     return _norm_table(grid, f_hat, (term,))[term]
 
 
@@ -309,7 +312,7 @@ def overflowing_state(n: int = 32) -> GmhdState:
     hold nan.
     """
     grid = get_grid(n)
-    a_hat = np.zeros((n, grid.half_cols), dtype=complex)
+    a_hat = np.zeros((n, grid.dealias_k + 1), dtype=complex)
     for k in ((1, 0), (2, 0), (0, 1)):
         a_hat[k] = 1e308
     return project_state(GmhdState(grid=grid, omega_hat=np.zeros_like(a_hat),
@@ -321,20 +324,27 @@ def unpruned_advance(state: GmhdState, params, dt: float, cfl: bool) -> GmhdStat
 
     The same operations in the same order as the package's step, on the
     widened half spectra, with each synthesis one irfft2 and each analysis
-    one rfft2 call; the CFL bound, the decay rates and the projection are
-    the package's own, and the result holds band spectra.
+    one rfft2 call.  The multipliers are full_grid's, cut to the n/2 + 1
+    half-spectrum columns (its column n/2 holds k2 = -n/2: the same |k|,
+    and the mask and the Nyquist-zeroed i*k vanish there); the decay-rate
+    formula, the CFL bound and the projection are the package's own, and
+    the result holds band spectra.
     """
     g = state.grid
     band = g.dealias_k + 1
-    mask = g.half_dealias
-    k1, k2 = g.k1.astype(float), g.k2.astype(float)
+    full = full_grid(g)
+    h = g.n // 2 + 1
+    mask = full.dealias[:, :h]
+    kabs, inv_ksq = full.kabs[:, :h], full.inv_ksq[:, :h]
+    ik1, ik2 = full.ik1, full.ik2[:, :h]
+    k1, k2 = full.k1.astype(float), full.k2[:, :h].astype(float)
     m_shear = (k2 * k2 - k1 * k1) * mask
     m_normal = -(k1 * k2) * mask
 
     def planes(w, a):  # psi_1, psi_2, a_1, a_2
-        psi = -g.half_inv_ksq * w
+        psi = -inv_ksq * w
         return [np.fft.irfft2(m * c, s=(g.n, g.n), norm="forward")
-                for c in (psi, a) for m in (g.half_ik1, g.half_ik2)]
+                for c in (psi, a) for m in (ik1, ik2)]
 
     def tendency(p1, p2, a1, a2):
         t = p1 * p2
@@ -360,8 +370,8 @@ def unpruned_advance(state: GmhdState, params, dt: float, cfl: bool) -> GmhdStat
         k1w, k1a = tendency(*stage)
         if not (dt > 0.0 and np.isfinite(k1w).all() and np.isfinite(k1a).all()):
             raise BlowUpSignal(state.t, state)
-        lw = dynamics._decay_rates(g.half_kabs, params.nu, 2.0 * params.alpha)
-        la = dynamics._decay_rates(g.half_kabs, params.kappa, 2.0 * params.beta)
+        lw = dynamics._decay_rates(kabs, params.nu, 2.0 * params.alpha)
+        la = dynamics._decay_rates(kabs, params.kappa, 2.0 * params.beta)
         ew2 = np.exp(0.5 * dt * lw)
         ea2 = np.exp(0.5 * dt * la)
         ew1 = ew2 * ew2

@@ -58,10 +58,10 @@ def test_criterion_01_fractional_multiplier_exact_on_pure_modes():
     worst = 0.0
     for s in (0.5, 1.0, 1.3, 2.0, 4.0):
         for k1, k2 in modes:
-            # pure cosine mode written directly as a half spectrum: the
+            # pure cosine mode written directly as a band spectrum: the
             # entries of (k1, k2) and (-k1, -k2) that land in columns
-            # 0..n/2 (both when k2 = 0)
-            c = np.zeros((n, g.half_cols), dtype=complex)
+            # 0..K = 42 (both when k2 = 0)
+            c = np.zeros((n, g.dealias_k + 1), dtype=complex)
             for p, q in ((k1, k2), (-k1, -k2)):
                 if q >= 0:
                     c[p % n, q] += 0.5

@@ -146,6 +146,20 @@ class TestConfigGrammar:
         with pytest.raises(ParameterError, match="kind"):
             parse_run_config("initial.kind = vortex\n")
 
+    @pytest.mark.parametrize("key", ["sample_every", "snapshot_every",
+                                     "fixed_dt", "eps_bhat"])
+    def test_infinite_positive_values_rejected(self, key, tmp_path, capsys):
+        # inf is positive but no cadence, step or floor: the config rejects
+        # it before the run writes anything
+        with pytest.raises(ParameterError,
+                           match=f"{key} must be positive and finite"):
+            parse_run_config(f"{key} = inf\n")
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, BASE_CFG.format(out=out) + f"{key} = inf\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_power_of_two_warning(self):
         with pytest.warns(RuntimeWarning, match="power of two"):
             parse_run_config("params.n = 48\n")

@@ -28,10 +28,12 @@ from gmhd2d.dynamics import (
     step,
     structure_identities,
 )
+from gmhd2d.inequalities import Corpus
 from gmhd2d.spectral import (
     ParameterError,
     get_grid,
     physical_fields,
+    random_band_limited_field,
     spectral_l2,
     to_physical,
     to_spectral,
@@ -41,6 +43,7 @@ from oracles import (
     dealiased_product,
     derivative,
     field_from_potential,
+    full_grid,
     full_l2,
     full_spectrum,
     full_to_physical,
@@ -183,57 +186,90 @@ class TestInitialConditions:
                 values, full_to_physical(g, full_spectrum(g, c)),
                 rtol=0, atol=1e-14 * max(1.0, np.max(np.abs(values))))
 
+    SHAPE_SIZES = (8, 66, 90, 256)  # at n = 66 and 90, 3K >= n lowers K
+
     def test_project_state_rejects_full_spectra(self):
-        g = get_grid(16)
-        full = np.zeros((16, 16), complex)
-        with pytest.raises(ParameterError, match="half spectrum shape"):
-            project_state(GmhdState(grid=g, omega_hat=full, a_hat=full))
+        for n in self.SHAPE_SIZES:
+            half = np.zeros((n, n // 2 + 1), complex)
+            with pytest.raises(ParameterError, match="band shape"):
+                project_state(GmhdState(grid=get_grid(n), omega_hat=half,
+                                        a_hat=half))
+
+    @pytest.mark.parametrize("n", SHAPE_SIZES)
+    def test_every_spectrum_is_the_band(self, n, tmp_path):
+        # every producer returns the band shape (n, K + 1), and the callers
+        # that synthesize a spectrum reject the (n, n/2 + 1) half spectrum,
+        # as project_state does
+        g = get_grid(n)
+        band = (n, g.dealias_k + 1)
+        k_max = min(4, g.dealias_k)
+        states = [initial_condition(kind, g, seed=1, k_max=k_max)
+                  for kind in ("orszag_tang", "random_band_limited", "shear",
+                               "single_mode")]
+        save_snapshot(tmp_path / "s.bin", states[1], Params(n=n))
+        states.append(load_snapshot(tmp_path / "s.bin")[0])
+        ten = nonlinear_rhs(states[1], Params(n=n))
+        # project_state of band noise: masked to the 2/3 band, column 0
+        # Hermitian, zero mean
+        rng = np.random.default_rng(n)
+        noise = rng.standard_normal(band) + 1j * rng.standard_normal(band)
+        states.append(project_state(GmhdState(grid=g, omega_hat=noise,
+                                              a_hat=noise)))
+        mask = full_grid(g).dealias[:, :band[1]]
+        np.testing.assert_array_equal(states[-1].a_hat[:, 1:],
+                                      (noise * mask)[:, 1:])
+        assert_column_zero_hermitian(states[-1].a_hat)
+        assert states[-1].a_hat[0, 0] == 0.0
+        spectra = [to_spectral(g, np.cos(g.x1)),
+                   random_band_limited_field(g, k_max, seed=2),
+                   *Corpus(count=2, k_max=k_max).fields(n),
+                   *(c for st in states for c in (st.omega_hat, st.a_hat)),
+                   ten.d_omega, ten.d_a, ten.lin_omega, ten.lin_a]
+        for c in spectra:
+            assert c.shape == band
+        half = np.zeros((n, n // 2 + 1), complex)
+        with pytest.raises(ParameterError, match="band shape"):
+            to_physical(g, half)
+        with pytest.raises(ParameterError, match="band shape"):
+            physical_fields(g, {"a": half}, "a_1")
 
     def test_projection_keeps_huge_and_subnormal_pairs_exact(self):
         # c(1, 0) = c(-1, 0) = 1e308: the pair's sum overflows, its mean
         # does not.  c(2, 0) = c(-2, 0) = 3 * 2**-1074: halving each
         # subnormal member first would round it
         g = get_grid(32)
-        a_hat = np.zeros((32, g.half_cols), complex)
+        a_hat = np.zeros((32, g.dealias_k + 1), complex)
         a_hat[1, 0] = a_hat[-1, 0] = 1e308
         a_hat[2, 0] = a_hat[-2, 0] = 3 * 5e-324
         st = project_state(GmhdState(grid=g, omega_hat=np.zeros_like(a_hat),
                                      a_hat=a_hat))
-        np.testing.assert_array_equal(st.a_hat, a_hat[:, :g.dealias_k + 1])
-
-    @pytest.mark.parametrize("n", [32, 66, 90, 128])
-    def test_project_state_of_either_width_gives_the_same_band(self, n):
-        # a half spectrum with noise past the band, and its first dealias_k
-        # + 1 columns: the same band spectrum, bit for bit
-        g = get_grid(n)
-        band = g.dealias_k + 1
-        rng = np.random.default_rng(n)
-        halves = [rng.standard_normal((n, g.half_cols))
-                  + 1j * rng.standard_normal((n, g.half_cols)) for _ in range(2)]
-        whole = project_state(GmhdState(grid=g, omega_hat=halves[0],
-                                        a_hat=halves[1]))
-        part = project_state(GmhdState(
-            grid=g, omega_hat=np.ascontiguousarray(halves[0][:, :band]),
-            a_hat=np.ascontiguousarray(halves[1][:, :band])))
-        for got, want in ((whole.omega_hat, part.omega_hat),
-                          (whole.a_hat, part.a_hat)):
-            assert got.shape == want.shape == (n, band)
-            assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(st.a_hat, a_hat)
 
     @pytest.mark.parametrize("n", [32, 66, 128])
     def test_band_state_synthesizes_as_its_widened_state(self, n):
         # to_physical and physical_fields over the band's columns give the
-        # bits of the zero-padded half spectrum synthesized over all columns
+        # bits of irfft2 of the zero-padded half spectrum, its multipliers
+        # the oracle grid's
         g = get_grid(n)
+        full = full_grid(g)
         st = TestNonlinearRhs.broadband_state(n, seed=5)
         wide = {"w": widen(g, st.omega_hat), "a": widen(g, st.a_hat)}
+
+        def irfft2(c):
+            return np.fft.irfft2(c, s=(n, n), norm="forward")
+
         for name, c in st.halves().items():
-            assert to_physical(g, c).tobytes() == to_physical(
-                g, wide[name]).tobytes()
+            assert to_physical(g, c).tobytes() == irfft2(wide[name]).tobytes()
+        h = g.half_cols
+        ik1, ik2 = full.ik1, full.ik2[:, :h]
+        psi = -full.inv_ksq[:, :h] * wide["w"]
+        a = wide["a"]
+        wants = (ik1 * psi, ik2 * psi, ik1 * a, ik2 * a, wide["w"],
+                 -full.ksq[:, :h] * a, ik1 * (ik2 * a))
         requests = ("psi_1", "psi_2", "a_1", "a_2", "w", "j", "a_12")
         for got, want in zip(physical_fields(g, st.halves(), *requests),
-                             physical_fields(g, wide, *requests)):
-            assert got.tobytes() == want.tobytes()
+                             wants):
+            assert got.tobytes() == irfft2(want).tobytes()
 
 
 class TestNonlinearRhs:
@@ -250,7 +286,7 @@ class TestNonlinearRhs:
         # omega = 0: d_omega = b.grad j with a = -cos x2 - cos(2 x1)/2
         g = get_grid(64)
         a = -np.cos(g.x2) - 0.5 * np.cos(2 * g.x1)
-        st = project_state(GmhdState(grid=g, omega_hat=np.zeros((64, 33), complex),
+        st = project_state(GmhdState(grid=g, omega_hat=np.zeros((64, 22), complex),
                                      a_hat=to_spectral(g, a), t=0.0))
         ten = nonlinear_rhs(st, Params(n=64))
         expected = 3.0 * np.sin(2 * g.x1) * np.sin(g.x2)  # b.grad j by hand
@@ -423,7 +459,7 @@ class TestIdentityResiduals:
 
     def test_trivial_zero_cases(self):
         g = get_grid(64)
-        z = np.zeros((64, g.half_cols), complex)
+        z = np.zeros((64, g.dealias_k + 1), complex)
         a_only = project_state(GmhdState(
             grid=g, omega_hat=z,
             a_hat=to_spectral(g, np.sin(g.x1) * np.sin(g.x2)), t=0.0))
@@ -435,7 +471,7 @@ class TestIdentityResiduals:
     def test_forcing_single_mode(self):
         g = get_grid(64)
         st = project_state(GmhdState(
-            grid=g, omega_hat=np.zeros((64, g.half_cols), complex),
+            grid=g, omega_hat=np.zeros((64, g.dealias_k + 1), complex),
             a_hat=to_spectral(g, np.sin(g.x1) * np.sin(g.x2)), t=0.0))
         assert structure_identities(st).forcing < 1e-12
 
@@ -479,8 +515,8 @@ class TestCflandStep:
     def test_cfl_closed_forms(self):
         g = get_grid(128)
         zero = project_state(GmhdState(grid=g,
-                                       omega_hat=np.zeros((128, 65), complex),
-                                       a_hat=np.zeros((128, 65), complex)))
+                                       omega_hat=np.zeros((128, 43), complex),
+                                       a_hat=np.zeros((128, 43), complex)))
         assert cfl_dt(zero, Params()) == pytest.approx(0.01)  # dt_max cap
         shear = initial_condition("shear", g)  # |u|_inf = 1, b = 0
         assert cfl_dt(shear, Params(cfl=0.4)) == pytest.approx(0.01)  # capped

@@ -80,7 +80,7 @@ class TestNormTerm:
         # Lambda^400 is the identity on |k| = 1; its weight overflows only on
         # empty modes, which must leave the quadrature norm finite
         g = get_grid(64)
-        f_hat = np.zeros((64, g.half_cols), complex)
+        f_hat = np.zeros((64, g.dealias_k + 1), complex)
         f_hat[1, 0], f_hat[-1, 0] = -0.5j, 0.5j  # sin x1
         want = norm_of_term(g, f_hat, NormTerm("f", 0, 0.0, 3.0))
         assert np.isfinite(want)

@@ -4,8 +4,9 @@ Transforms are checked against a brute-force DFT, derivatives against
 centered finite differences under grid refinement, and the dealiased product
 against a zero-padded exact product on a doubled grid.  Closed-form values
 (shear modes, Biot-Savart of a checkerboard vortex) are frozen as literals.
-The package works on k2 >= 0 half spectra; the full-spectrum operators of
-tests/oracles.py are checked here too, since the other tests lean on them.
+The package works on band spectra, the 2/3 band's first K + 1 columns of
+the k2 >= 0 half spectrum; the full-spectrum operators of tests/oracles.py
+are checked here too, since the other tests lean on them.
 """
 
 import functools
@@ -73,12 +74,15 @@ class TestGrid:
     """Wavenumber layout, dealias cutoff, and validation."""
 
     def test_wavenumber_layout(self):
+        # every multiplier covers the band's columns k2 = 0, ..., K = 2
         g = Grid(8)
         assert g.k1[:, 0].tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
-        assert g.k2[0, :].tolist() == [0, 1, 2, 3, 4]
+        assert g.k2[0, :].tolist() == [0, 1, 2]
         assert g.half_ksq[1, 2] == 5.0
-        assert g.half_ksq[-1, 4] == 17.0
-        assert g.half_kabs[-1, 4] == np.sqrt(17.0)
+        assert g.half_ksq[-3, 2] == 13.0
+        assert g.half_kabs[-3, 2] == np.sqrt(13.0)
+        for mult in (g.half_ksq, g.half_kabs, g.half_inv_ksq, g.half_dealias):
+            assert mult.shape == (8, 3)
         assert g.x1[3, 0] == pytest.approx(3 * 2 * np.pi / 8)
         assert g.x2[0, 3] == pytest.approx(3 * 2 * np.pi / 8)
 
@@ -109,10 +113,11 @@ class TestGrid:
         assert 3 * g.dealias_k < g.n
 
     def test_nyquist_derivative_multiplier_zeroed(self):
+        # the band's columns end at K = 5 < n/2: no k2 Nyquist column
         g = Grid(16)
         assert g.half_ik1[8, 0] == 0
-        assert g.half_ik2[0, 8] == 0
         assert g.half_ik1[7, 0] == 7j
+        assert g.half_ik2.tolist() == [[0j, 1j, 2j, 3j, 4j, 5j]]
 
     def test_grid_identity(self):
         assert Grid(32) == Grid(32)
@@ -140,10 +145,16 @@ class TestTransforms:
     full-spectrum pair."""
 
     def test_round_trip(self):
+        # any band spectrum synthesizes to a real field whose analysis gives
+        # it back, column 0 made Hermitian
         g = get_grid(32)
-        vals = random_values(32, seed=1)
-        np.testing.assert_allclose(to_physical(g, to_spectral(g, vals)), vals,
-                                   atol=1e-13)
+        rng = np.random.default_rng(1)
+        shape = (32, g.dealias_k + 1)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vals = to_physical(g, c)
+        back = to_spectral(g, vals)
+        np.testing.assert_allclose(back[:, 1:], c[:, 1:], atol=1e-15)
+        np.testing.assert_allclose(to_physical(g, back), vals, atol=1e-13)
 
     def test_against_brute_force_dft(self):
         n = 16
@@ -151,8 +162,8 @@ class TestTransforms:
         vals = random_values(n, seed=2)
         analysis = brute_dft_matrix(n, -1)
         brute = analysis @ vals @ analysis.T / n**2
-        np.testing.assert_allclose(to_spectral(g, vals), brute[:, :g.half_cols],
-                                   atol=1e-13)
+        np.testing.assert_allclose(to_spectral(g, vals),
+                                   brute[:, :g.dealias_k + 1], atol=1e-13)
         np.testing.assert_allclose(full_to_spectral(g, vals), brute, atol=1e-13)
 
     def test_single_mode_coefficients(self):
@@ -198,20 +209,18 @@ class TestTransforms:
 
 class TestBandTransforms:
     """The two-pass transforms against numpy's 2-D real pair, bit for bit:
-    over all columns of a half spectrum, and over the 2/3 band's leading
-    K + 1 columns of a band spectrum as over its zero-padded half spectrum.
-    At n = 66 and 90, 3K >= n lowers K by one."""
+    the analysis over all columns of a half spectrum, and both passes over
+    the 2/3 band's leading K + 1 columns of a band spectrum as over its
+    zero-padded half spectrum.  At n = 66 and 90, 3K >= n lowers K by
+    one."""
 
     SIZES = (8, 64, 66, 90, 128, 256)
 
     @staticmethod
-    def half(g, seed, band_limited=True):
+    def band(g, seed):
         rng = np.random.default_rng(seed)
-        shape = (g.n, g.half_cols)
-        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        if band_limited:
-            c[:, g.dealias_k + 1:] = 0.0
-        return c
+        shape = (g.n, g.dealias_k + 1)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     @staticmethod
     def irfft2(g, c):
@@ -223,31 +232,28 @@ class TestBandTransforms:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_all_columns_are_the_2d_pair(self, n):
+        # the analysis's complex pass runs column by column: over all
+        # columns it is rfft2, so any leading columns are rfft2's
         g = get_grid(n)
-        c = self.half(g, seed=n, band_limited=False)
         vals = random_values(n, seed=n + 1)
-        np.testing.assert_array_equal(to_physical(g, c), self.irfft2(g, c))
-        np.testing.assert_array_equal(to_spectral(g, vals),
+        np.testing.assert_array_equal(spectral._analysis(vals, g.half_cols),
                                       np.fft.rfft2(vals, norm="forward"))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_band_synthesis_is_irfft2(self, n):
         g = get_grid(n)
-        band = g.dealias_k + 1
-        c = self.half(g, seed=n)
-        c_band = np.ascontiguousarray(c[:, :band])
-        want = self.irfft2(g, c)
-        # the band columns alone, as the state and the stages hold them, and
-        # the zero-padded half spectrum over all its columns
+        c_band = self.band(g, seed=n)
+        want = self.irfft2(g, widen(g, c_band))
+        # the band columns alone, as every spectrum holds them, give the
+        # zero-padded half spectrum's irfft2
         np.testing.assert_array_equal(spectral._synthesis(g, c_band), want)
-        np.testing.assert_array_equal(spectral._synthesis(g, c), want)
         np.testing.assert_array_equal(to_physical(g, c_band), want)
-        for given in (c, c_band):
-            (w, w_2) = physical_fields(g, {"w": given}, "w", "w_2")
-            np.testing.assert_array_equal(w, want)
-            np.testing.assert_array_equal(w_2, self.irfft2(g, g.half_ik2 * c))
-        # a synthesis over all columns in between leaves the padding zero
-        to_physical(g, self.half(g, seed=n + 2, band_limited=False))
+        (w, w_2) = physical_fields(g, {"w": c_band}, "w", "w_2")
+        np.testing.assert_array_equal(w, want)
+        np.testing.assert_array_equal(
+            w_2, self.irfft2(g, widen(g, g.half_ik2 * c_band)))
+        # a synthesis in between leaves the padding past the band zero
+        to_physical(g, self.band(g, seed=n + 2))
         np.testing.assert_array_equal(spectral._synthesis(g, c_band), want)
 
     @pytest.mark.parametrize("n", SIZES)
@@ -259,27 +265,20 @@ class TestBandTransforms:
         out = spectral._analysis(vals, band)
         assert out.shape == (n, band) and out.flags.c_contiguous
         np.testing.assert_array_equal(out, full[:, :band])
-        np.testing.assert_array_equal(out * g.half_dealias[:, :band],
-                                      (full * g.half_dealias)[:, :band])
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_one_coefficient_past_the_band_takes_all_columns(self, n):
-        g = get_grid(n)
-        c = self.half(g, seed=n + 4)
-        c[1, g.dealias_k + 1] = 1e-3
-        (w, w_1) = physical_fields(g, {"w": c}, "w", "w_1")
-        np.testing.assert_array_equal(w, self.irfft2(g, c))
-        np.testing.assert_array_equal(w_1, self.irfft2(g, g.half_ik1 * c))
+        mask = full_grid(g).dealias[:, :g.half_cols]
+        np.testing.assert_array_equal(out * g.half_dealias,
+                                      (full * mask)[:, :band])
 
     def test_rejects_other_column_counts(self):
         g = get_grid(16)
-        with pytest.raises(ParameterError, match="shape"):
-            physical_fields(g, {"w": np.zeros((16, 4), complex)}, "w")
+        for cols in (4, g.half_cols):
+            with pytest.raises(ParameterError, match="band shape"):
+                physical_fields(g, {"w": np.zeros((16, cols), complex)}, "w")
 
 
 class TestHalfSpectrum:
-    """The half grid and real transforms against the oracles' full-spectrum
-    forms, and the oracles' half -> full expansion."""
+    """The band multipliers and real transforms against the oracles'
+    full-spectrum forms, and the oracles' half -> full expansion."""
 
     @staticmethod
     def random_half(n, seed):
@@ -290,24 +289,27 @@ class TestHalfSpectrum:
     def test_half_multipliers_are_column_slices(self):
         g = get_grid(16)
         full = full_grid(g)
-        h = g.half_cols
-        assert h == 9
+        band = g.dealias_k + 1
+        assert band == 6
         for half, whole in ((g.half_ik1, full.ik1), (g.half_ik2, full.ik2),
                             (g.half_ksq, full.ksq), (g.half_kabs, full.kabs),
                             (g.half_inv_ksq, full.inv_ksq),
                             (g.half_dealias, full.dealias)):
             np.testing.assert_array_equal(
-                np.broadcast_to(half, (16, h)),
-                np.broadcast_to(whole, (16, 16))[:, :h])
+                np.broadcast_to(half, (16, band)),
+                np.broadcast_to(whole, (16, 16))[:, :band])
 
     def test_matches_complex_transforms(self):
         g = get_grid(32)
         vals = random_values(32, seed=6)
         c = full_to_spectral(g, vals)
         half = to_spectral(g, vals)
-        np.testing.assert_allclose(half, c[:, :g.half_cols], atol=1e-15)
-        np.testing.assert_allclose(to_physical(g, half), vals, atol=1e-13)
+        np.testing.assert_allclose(half, c[:, :g.dealias_k + 1], atol=1e-15)
         np.testing.assert_allclose(full_to_physical(g, c), vals, atol=1e-13)
+        # the band's synthesis is the field with c's columns past K dropped
+        c[:, g.dealias_k + 1:-g.dealias_k] = 0.0
+        np.testing.assert_allclose(to_physical(g, half),
+                                   full_to_physical(g, c), atol=1e-13)
 
     def test_full_spectrum_restores_hermitian_arrays(self):
         g = get_grid(32)
@@ -317,15 +319,18 @@ class TestHalfSpectrum:
 
     def test_full_spectrum_is_exactly_hermitian(self):
         # column 0 and the Nyquist column of an arbitrary half are projected;
-        # the synthesis sees only that projection, like to_physical
+        # the synthesis sees only that projection, like to_physical on the
+        # band's columns
         for n in (8, 16, 18):
             g = get_grid(n)
             half = self.random_half(n, seed=n)
             full = full_spectrum(g, half)
             assert hermitian_defect(full) == 0.0
             np.testing.assert_array_equal(full[:, 1:n // 2], half[:, 1:n // 2])
-            np.testing.assert_allclose(to_physical(g, half),
-                                       full_to_physical(g, full), atol=1e-14)
+            band = np.ascontiguousarray(half[:, :g.dealias_k + 1])
+            np.testing.assert_allclose(
+                to_physical(g, band),
+                full_to_physical(g, full_spectrum(g, band)), atol=1e-14)
 
 
 class TestPhysicalFields:
@@ -408,15 +413,15 @@ class TestPhysicalFields:
 
     def test_rejects_bad_requests(self):
         g = get_grid(16)
-        halves = {"a": np.zeros((16, g.half_cols), complex)}
+        halves = {"a": np.zeros((16, g.dealias_k + 1), complex)}
         for bad in ("b1_3", "b1_", "_1", "b 1"):
             with pytest.raises(ParameterError, match="field request"):
                 physical_fields(g, halves, bad)
-        with pytest.raises(ParameterError, match="no half spectrum"):
+        with pytest.raises(ParameterError, match="no spectrum"):
             physical_fields(g, halves, "u1")
         # u and b are partials of the potentials, never derived fields
         both = {"w": halves["a"], "a": halves["a"]}
-        with pytest.raises(ParameterError, match="no half spectrum"):
+        with pytest.raises(ParameterError, match="no spectrum"):
             physical_fields(g, both, "u1")
 
 
@@ -461,6 +466,7 @@ class TestMultipliers:
         c_brute = analysis @ vals @ analysis.T / n**2
         k = np.fft.fftfreq(n, 1.0 / n).astype(int)
         kabs = np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
+        c_brute[:, g.dealias_k + 1:-g.dealias_k] = 0.0  # the band's columns
         brute_vals = np.real(synthesis @ (kabs**1.3 * c_brute) @ synthesis.T)
         ours = to_physical(g, fractional_power(g, to_spectral(g, vals), 1.3))
         np.testing.assert_allclose(ours, brute_vals, atol=1e-12)
@@ -498,7 +504,7 @@ class TestMultipliers:
         # in the real part and must leave the zero imaginary part 0, not
         # inf * 0 = nan from a complex product
         g = get_grid(64)
-        f = np.zeros((64, g.half_cols), complex)
+        f = np.zeros((64, g.dealias_k + 1), complex)
         f[10, 0] = f[-10, 0] = 0.5
         out = fractional_power(g, f, 400.0)
         np.testing.assert_array_equal(out.real[f != 0], np.inf)
@@ -523,7 +529,7 @@ class TestMultipliers:
         g = get_grid(16)
         with pytest.raises(ParameterError, match="axis"):
             derivative(g, np.zeros((16, 16), complex), 2)
-        c = np.zeros((16, g.half_cols), complex)
+        c = np.zeros((16, g.dealias_k + 1), complex)
         with pytest.raises(ParameterError, match="exponent"):
             fractional_power(g, c, -0.5)
         with pytest.raises(ParameterError, match="exponent"):
@@ -589,7 +595,7 @@ class TestProductsAndNorms:
 
     def test_parseval(self):
         g = get_grid(64)
-        vals = random_values(64, seed=13)
+        vals = to_physical(g, to_spectral(g, random_values(64, seed=13)))
         c = to_spectral(g, vals)
         quad = np.sqrt(np.sum(vals**2) * (2 * np.pi / 64) ** 2)
         assert spectral_l2(g, c) == pytest.approx(quad, rel=1e-13)
@@ -733,9 +739,11 @@ class TestHalfPowerSum:
 
     def test_matches_full_spectrum_norm(self):
         g = get_grid(32)
-        c = full_to_spectral(g, random_values(32, seed=17))  # Nyquist lines too
-        assert np.any(c[:, 16] != 0) and np.any(c[16, :] != 0)
-        half = c[:, :g.half_cols]
+        band = g.dealias_k + 1
+        c = full_to_spectral(g, random_values(32, seed=17))
+        c[:, band:-g.dealias_k] = 0.0  # the band's columns and their mirrors
+        assert np.any(c[16, :] != 0)  # the Nyquist row too
+        half = c[:, :band]
         power = half.real**2 + half.imag**2
         for s in (0.0, 0.5, 1.0, 2.0):
             assert half_power_sum(g, power, s) == pytest.approx(
@@ -748,13 +756,25 @@ class TestHalfPowerSum:
         g = get_grid(32)
         exact = np.zeros((32, 32), complex)
         exact[2, 0], exact[-2, 0] = -0.5j, 0.5j
-        half = exact[:, :g.half_cols]
+        half = exact[:, :g.dealias_k + 1]
         with np.errstate(over="raise"):
             got = half_power_sum(g, half.real**2 + half.imag**2, 250.0)
         assert np.isfinite(got)
         assert got == pytest.approx(
             homogeneous_sobolev_norm(g, exact, 250.0) ** 2, rel=1e-12)
         assert got == pytest.approx(2.0**500 * 2 * np.pi**2, rel=1e-12)
+
+    @staticmethod
+    def widened_sum(g, power, s):
+        # the Parseval sum of the zero-padded half spectrum over all n/2 + 1
+        # columns, with the oracle grid's |k|^2
+        wide = np.zeros((g.n, g.half_cols))
+        wide[:, :power.shape[1]] = power
+        if s != 0.0:
+            weight = full_grid(g).ksq[:, :g.half_cols] ** s
+            wide = np.multiply(weight, wide, out=np.zeros_like(wide),
+                               where=wide != 0)
+        return float(np.sum(wide, axis=0) @ g.half_weight)
 
     @pytest.mark.parametrize("n", [32, 64, 66, 90, 128, 256, 512])
     def test_band_input_gives_the_bits_of_its_widened_input(self, n):
@@ -767,19 +787,19 @@ class TestHalfPowerSum:
         for scale in np.logspace(-4, 4, 40):
             c = scale * (rng.standard_normal((n, band))
                          + 1j * rng.standard_normal((n, band)))
-            wide = widen(g, c)
-            assert spectral_l2(g, c) == spectral_l2(g, wide)
             power = c.real**2 + c.imag**2
-            wide_power = wide.real**2 + wide.imag**2
+            assert spectral_l2(g, c) == np.sqrt(self.widened_sum(g, power, 0.0))
             for s in (0.0, 0.5, 1.0, 2.0):
-                assert half_power_sum(g, power, s) == half_power_sum(
-                    g, wide_power, s)
-        np.testing.assert_array_equal(fractional_power(g, c, 0.7),
-                                      fractional_power(g, wide, 0.7)[:, :band])
+                assert half_power_sum(g, power, s) == self.widened_sum(
+                    g, power, s)
+        weight = full_grid(g).kabs[:, :band] ** 0.7
+        want = np.empty_like(c)
+        want.real, want.imag = weight * c.real, weight * c.imag
+        np.testing.assert_array_equal(fractional_power(g, c, 0.7), want)
 
     def test_rejects_bad_order(self):
         g = get_grid(16)
-        power = np.ones((16, g.half_cols))
+        power = np.ones((16, g.dealias_k + 1))
         for s in (-1.0, np.nan, np.inf):
             with pytest.raises(ParameterError, match="order"):
                 half_power_sum(g, power, s)
@@ -814,8 +834,8 @@ class TestRandomFields:
         np.testing.assert_allclose(vf[::2, ::2], vc, atol=1e-13)
 
     def test_hermitian_and_real(self):
-        # column 0 holds whole conjugate pairs, exactly; the Nyquist column
-        # lies outside the ball
+        # column 0 holds whole conjugate pairs, exactly; the band's last
+        # column lies outside the ball
         g = get_grid(32)
         c = random_band_limited_field(g, 8, seed=9)
         col = c[:, 0]
@@ -826,11 +846,11 @@ class TestRandomFields:
         (32, 1, 0), (32, 9, 5), (64, 16, 1), (128, 16, 7), (256, 16, 3),
         (256, 84, 11)])
     def test_matches_per_mode_loop(self, n, k_max, seed, monkeypatch):
-        # the half spectrum is the k2 >= 0 columns of the loop's full draw:
-        # equal entries before normalization, and equal to 1e-15 after it
-        # (the half- and full-spectrum norms differ in roundoff)
+        # the band spectrum is the k2 = 0, ..., K columns of the loop's full
+        # draw: equal entries before normalization, and equal to 1e-15
+        # after it (the band- and full-spectrum norms differ in roundoff)
         g = get_grid(n)
-        h = g.half_cols
+        h = g.dealias_k + 1
         ss = np.random.SeedSequence(seed)
         for draw_seed, amplitude in ((seed, 1.0), (ss, 3.0)):
             want = random_band_limited_field_loop(g, k_max, draw_seed, amplitude)
