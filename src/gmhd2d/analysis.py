@@ -64,6 +64,7 @@ PROVEN_TAGS = frozenset({
 })
 
 COMBINED_EXCEPTION_NOTE = "combined-exponent exception at (0, 2)"
+_UNSOURCED_NOTE = f"{TAG_ALPHA_GE_ONE_SUM_GE_TWO} cites no source"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,6 +74,8 @@ class RegimeVerdict:
     `witnesses` lists every satisfied condition; `verdict` is ProvenRegular
     when at least one unconditional witness holds, ConditionallyRegular when
     only the conditional zero-alpha criterion applies, Open otherwise.
+    `note` flags the (0, 2) exception, or a ProvenRegular verdict whose one
+    unconditional witness cites no source.
     """
 
     alpha: float
@@ -136,11 +139,12 @@ def classify_regime(alpha: float, beta: float) -> RegimeVerdict:
     2*alpha + beta > 2; alpha >= 2 with beta = 0; and a fourth that lies
     beyond them and cites no source, alpha >= 1, beta > 0 with
     alpha + beta >= 2 (the coverage invariant, alpha + beta >= 2 with
-    alpha > 0 proven, rests on it for 1 <= alpha < 2, 0 < beta < 1).  The
+    alpha > 0 proven, rests on it for alpha >= 1, 0 < beta < 1).  The
     conditional criterion is the paper's inviscid result, alpha = 0 with
     beta > 1 while the direction of b stays smooth.  The
     combined-exponent region alpha + beta >= 2 is annotated separately; its
-    single excluded point (0, 2) is noted explicitly.
+    single excluded point (0, 2) is noted explicitly, and so is a proven
+    verdict that rests on the unsourced fourth condition alone.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -149,6 +153,9 @@ def classify_regime(alpha: float, beta: float) -> RegimeVerdict:
                  if holds(alpha, beta)]
 
     note = None
+    if [tag for tag in witnesses if tag in PROVEN_TAGS] == [
+            TAG_ALPHA_GE_ONE_SUM_GE_TWO]:
+        note = _UNSOURCED_NOTE
     at_exception = alpha == 0.0 and beta == 2.0
     if alpha + beta >= 2.0 and not at_exception:
         witnesses.append(TAG_SUM_GE_TWO_COMBINED)

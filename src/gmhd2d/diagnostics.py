@@ -13,36 +13,35 @@ the W^{1,inf}/W^{2,inf} norms of the direction field take the maximum over
 individual partial derivatives instead (documented choice).  H^1 norms are
 inhomogeneous: ||f||_{H^1}^2 = ||f||_2^2 + ||Lambda f||_2^2.
 
-Cost of one record: 14 real syntheses by spectral.physical_fields from the
+Cost of one record: 12 real syntheses by spectral.physical_fields from the
 band spectra of omega and a, each over the 2/3 band's columns, and no
-other transform.  Every plane past w and j is a partial of a potential:
-u = perp-grad psi and b = perp-grad a, so div u = div b = 0 hold by
-construction.  They come in three
-groups, in this order, and each group is reduced to its scalars and dropped
-before the next is synthesized: (w, j); the Hessian of psi, which is grad
-u; and the nine first to third partials of a.  The last group runs the
-direction-field chain rule on v = (d2 a, d1 a) = (-b1, b2), whose Jacobian
-is the Hessian of a: |v| = |b|, and the partials of vhat are those of bhat
-up to sign, so the max-over-partials norms are bhat's.  grad j = (a_111 +
-a_122, a_112 + a_222) comes from the same planes.  The chain rule runs over
-row blocks of 8192 points: a block's partials of vhat are formed, reduced
-to their sups and dropped before the next block, and its second partials
-are formed one at a time in reused buffers.  So one record holds the nine
-partials of a and about one block of its own: 13 n x n float64 planes at
-once at n = 256 and 15 at n = 128 (tracemalloc peak), against 14 for one
-step.  Up to n = 90 one block covers the grid, and a record holds 19.2
-planes at n = 64.
+other transform.  Every plane is a partial of a potential: u = perp-grad
+psi and b = perp-grad a, so div u = div b = 0 hold by construction.  They
+come in two groups, and the first is reduced to its scalars and dropped
+before the second is synthesized: the Hessian of psi, which is grad u and
+whose trace is w = Delta psi; and the nine first to third partials of a,
+whose trace a_11 + a_22 is j.  The second group runs the direction-field
+chain rule on v = (d2 a, d1 a) = (-b1, b2), whose Jacobian is the Hessian
+of a: |v| = |b|, and the partials of vhat are those of bhat up to sign, so
+the max-over-partials norms are bhat's.  grad j = (a_111 + a_122, a_112 +
+a_222) comes from the same planes.  The chain rule runs over row blocks of
+8192 points: a block's partials of vhat are formed, reduced to their sups
+and dropped before the next block, and its second partials are formed one
+at a time in reused buffers.  So one record holds the nine partials of a
+and about one block of its own: 13 n x n float64 planes at once at n = 256
+and 15 at n = 128 (tracemalloc peak), against 14 for one step.  Up to
+n = 90 one block covers the grid, and a record holds 19.2 planes at n = 64.
 
-The quadratic quantities (energy, the dissipation sums, h2, cross
-helicity) are spectral.half_power_sum Parseval sums over the band power
-spectra |w_hat|^2 and |a_hat|^2 of the state.  That sum weights only modes
-with nonzero power, so an overflowing |k|^{2s} gives inf on a sum that is
-truly beyond float range and never inf * 0 = nan on an empty mode.
-Every pointwise magnitude (|grad j|, a block's |b| and floored |b|) is
-spectral.magnitude, and the sups of |grad u| and |b| are
-spectral.max_magnitude; both
-stay finite, and nonzero where a component is, wherever the components are
-finite, however far their squares leave the float range.
+The quadratic quantities (energy, the dissipation sums, the L2 norms of
+omega and j, h1, h2, cross helicity) are spectral.half_power_sum Parseval
+sums over the band power spectra |w_hat|^2 and |a_hat|^2 of the state.
+That sum weights only modes with nonzero power, so an overflowing
+|k|^{2s} gives inf on a sum that is truly beyond float range and never
+inf * 0 = nan on an empty mode.  Every pointwise magnitude (|grad j|, a
+block's |b| and floored |b|) is spectral.magnitude, and the sups of
+|grad u| and |b| are spectral.max_magnitude; both stay finite, and nonzero
+where a component is, wherever the components are finite, however far
+their squares leave the float range.
 """
 
 from __future__ import annotations
@@ -157,22 +156,19 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
     g = state.grid
     halves = state.halves()
     sums = _spectral_sums(g, halves["w"], halves["a"], params)
-    # the record's 14 syntheses in three groups (module docstring); each
-    # group is reduced to scalars and dropped before the next is synthesized
-    w, j = physical_fields(g, halves, "w", "j")
-    omega_l2 = lp_norm(g, w, 2)
-    j_l2 = lp_norm(g, j, 2)
-    omega_linf = lp_norm(g, w, np.inf)
-    j_linf = lp_norm(g, j, np.inf)
-    omega_lp = {p: lp_norm(g, w, p) for p in ps}
-    del w, j
+    omega_l2, j_l2 = (float(np.sqrt(sums[k])) for k in ("w_sq", "j_sq"))
     h1 = omega_l2**2 + j_l2**2
     h2 = omega_l2**2 + sums["grad_w_sq"] + j_l2**2 + sums["grad_j_sq"]
 
+    # the record's 12 syntheses in two groups (module docstring); the first
+    # is reduced to scalars and dropped before the second is synthesized
     psi_11, psi_12, psi_22 = physical_fields(
         g, halves, "psi_11", "psi_12", "psi_22")
     # u = perp-grad psi: grad u = (-psi_12, -psi_22, psi_11, psi_12)
     grad_u_linf = max_magnitude(psi_12, psi_12, psi_22, psi_11)
+    psi_11 += psi_22  # w = Delta psi
+    omega_linf = lp_norm(g, psi_11, np.inf)
+    omega_lp = {p: lp_norm(g, psi_11, p) for p in ps}
     del psi_11, psi_12, psi_22
 
     # bhat's norms from v = (a_2, a_1) = (-b1, b2): |v| = |b|, and the
@@ -180,7 +176,8 @@ def _compute_record(state, params, ps, eps_bhat, prev, e0):
     (a_1, a_2, a_11, a_12, a_22, a_111, a_112, a_122, a_222) = physical_fields(
         g, halves, "a_1", "a_2", "a_11", "a_12", "a_22",
         "a_111", "a_112", "a_122", "a_222")
-    grad_j_mag = magnitude(a_111 + a_122, a_112 + a_222)  # j = a_11 + a_22
+    j_linf = lp_norm(g, a_11 + a_22, np.inf)  # j = Delta a
+    grad_j_mag = magnitude(a_111 + a_122, a_112 + a_222)
     grad_j_lp = {p: lp_norm(g, grad_j_mag, p) for p in ps}
     del grad_j_mag
 
@@ -246,6 +243,8 @@ def _spectral_sums(grid: Grid, wh: np.ndarray, ah: np.ndarray, params: Params) -
         "diss_u": half_power_sum(grid, pu, params.alpha),
         "diss_b": half_power_sum(grid, pb, params.beta),
         "diss_omega": half_power_sum(grid, pw, params.alpha),
+        "w_sq": half_power_sum(grid, pw),
+        "j_sq": half_power_sum(grid, pj),
         "grad_w_sq": half_power_sum(grid, pw, 1.0),
         "grad_j_sq": half_power_sum(grid, pj, 1.0),
         "a_sq": half_power_sum(grid, pa),

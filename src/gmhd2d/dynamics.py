@@ -307,7 +307,7 @@ def _linear_multipliers(n: int, nu: float, alpha: float, kappa: float, beta: flo
 
 def _dealiased(grid: Grid, values: np.ndarray) -> np.ndarray:
     # the band spectrum of a pointwise product, projected onto the 2/3 band
-    out = _analysis(values, grid.dealias_k + 1)
+    out = _analysis(grid, values)
     out *= grid.half_dealias
     return out
 
@@ -334,10 +334,9 @@ def _stress_tendency(grid: Grid, p1, p2, a1, a2):
     # 3 real analyses, the signs of u and b folded in; see the module docstring
     # each product plane is formed in place, so at most two are alive at once
     m_shear, m_normal = _stress_multipliers(grid.n)
-    band = grid.dealias_k + 1
     t = p1 * p2
     t -= a1 * a2
-    dw = _analysis(t, band)
+    dw = _analysis(grid, t)
     dw *= m_shear
     t = a1 + a2
     t *= a1 - a2
@@ -345,7 +344,7 @@ def _stress_tendency(grid: Grid, p1, p2, a1, a2):
     s *= p1 - p2
     t -= s
     del s
-    normal = _analysis(t, band)
+    normal = _analysis(grid, t)
     normal *= m_normal
     dw += normal
     del normal

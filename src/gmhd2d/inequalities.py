@@ -386,10 +386,10 @@ def log_inequality_check(corpus: Corpus | None = None,
         h2_sq = (half_power_sum(grid, pw) + half_power_sum(grid, pw, 2.0)
                  + half_power_sum(grid, pj) + half_power_sum(grid, pj, 2.0))
         del pw, pj
-        psi_11, psi_12, psi_22, w = physical_fields(  # grad u: psi's Hessian
-            grid, {"w": w_hat}, "psi_11", "psi_12", "psi_22", "w")
+        psi_11, psi_12, psi_22 = physical_fields(  # grad u: psi's Hessian
+            grid, {"w": w_hat}, "psi_11", "psi_12", "psi_22")
         lhs = max_magnitude(psi_12, psi_22, psi_11, psi_12)
-        w_inf = lp_norm(grid, w, np.inf)
+        w_inf = lp_norm(grid, psi_11 + psi_22, np.inf)  # w = Delta psi
         return lhs / (1.0 + u_l2 + 2.0 * w_inf * (1.0 + math.log1p(h2_sq)))
 
     return _constant_report("velocity_gradient_log_bound", [

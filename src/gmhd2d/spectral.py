@@ -45,7 +45,7 @@ irfftn call.
 
 physical_fields is the one place that turns spectra into point values
 of fields and partials, for the solver, the record and every check.  It
-derives only psi = -Delta^{-1} w and j = Delta a; every plane of u =
+derives only psi = Delta^{-1} w and j = Delta a; every plane of u =
 perp-grad psi and b = perp-grad a is a signed partial of psi or a, and is
 synthesized over the band's columns.  Each plane is its own
 synthesis (with a 2 MiB L2, eight n = 256 calls run 1.5x faster than one
@@ -232,10 +232,10 @@ def _synthesis(grid: Grid, half: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(pad, s=(grid.n,), axes=(1,), norm="forward")
 
 
-def _analysis(values: np.ndarray, cols: int) -> np.ndarray:
-    # the leading cols columns of the half spectrum of real point values
+def _analysis(grid: Grid, values: np.ndarray) -> np.ndarray:
+    # the band's columns of the half spectrum of real point values
     rows = np.fft.rfftn(values, axes=(1,), norm="forward")
-    return np.fft.fft(rows[:, :cols], axis=0, norm="forward")
+    return np.fft.fft(rows[:, :grid.dealias_k + 1], axis=0, norm="forward")
 
 
 def _checked(grid: Grid, half: np.ndarray) -> np.ndarray:
@@ -255,7 +255,7 @@ def to_spectral(grid: Grid, values: np.ndarray) -> np.ndarray:
     if values.shape != (grid.n, grid.n):
         raise ParameterError(
             f"field shape {values.shape} does not match grid n={grid.n}")
-    return _analysis(values, grid.dealias_k + 1)
+    return _analysis(grid, values)
 
 
 def to_physical(grid: Grid, half: np.ndarray) -> np.ndarray:
@@ -325,7 +325,7 @@ def physical_fields(grid: Grid, halves: dict, *requests: str) -> list:
     """Point values of fields and partials, one per request, in order.
 
     halves maps names to band spectra; from "w" it forms psi =
-    -Delta^{-1} w and from "a" j = Delta a, so u = perp-grad psi = (-psi_2,
+    Delta^{-1} w and from "a" j = Delta a, so u = perp-grad psi = (-psi_2,
     psi_1) and b = perp-grad a = (-a_2, a_1) are signed partials of the
     potentials.  "a_12" (= "a_21") requests d1 d2 a; each distinct plane is
     one synthesis.

@@ -64,6 +64,18 @@ class TestClassifier:
         assert "AlphaGeHalfBetaGeOne" in v.witnesses
         assert "AlphaGeOneSumGeTwo" in v.witnesses
         assert "SumGeTwoCombined" in v.witnesses
+        assert v.note is None  # a sourced witness holds too
+
+    def test_unsourced_witness_alone_is_noted(self):
+        # 1 <= alpha < 2, 0 < beta < 1: only the fourth, unsourced condition
+        # proves the point, and the verdict says so
+        v = classify_regime(1.5, 0.5)
+        assert v.verdict == VERDICT_PROVEN
+        assert v.witnesses == ("AlphaGeOneSumGeTwo", "SumGeTwoCombined")
+        assert v.note == "AlphaGeOneSumGeTwo cites no source"
+        assert v.describe() == (
+            "ProvenRegular [AlphaGeOneSumGeTwo; SumGeTwoCombined; "
+            "AlphaGeOneSumGeTwo cites no source]")
 
     def test_open_point(self):
         v = classify_regime(0.1, 1.0)

@@ -202,6 +202,16 @@ class TestRunCommand:
                 "AlphaGeOneSumGeTwo; SumGeTwoCombined]") in summary
         assert "blow_up = no" in summary
 
+    def test_summary_notes_an_unsourced_verdict(self, tmp_path):
+        out = tmp_path / "out"
+        text = BASE_CFG.format(out=out).replace(
+            "params.alpha = 1.0", "params.alpha = 1.5").replace(
+            "params.beta = 1.0", "params.beta = 0.5")
+        assert main(["run", "--config", str(write_cfg(tmp_path, text))]) == 0
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert ("regime = ProvenRegular [AlphaGeOneSumGeTwo; SumGeTwoCombined; "
+                "AlphaGeOneSumGeTwo cites no source]") in summary
+
     def test_t_end_zero_single_record(self, tmp_path):
         out = tmp_path / "out"
         text = BASE_CFG.format(out=out).replace("params.t_end = 0.05",
@@ -528,6 +538,12 @@ class TestClassifyCommand:
         out = capsys.readouterr().out.strip()
         assert out == ("ProvenRegular [AlphaGeHalfBetaGeOne; "
                        "AlphaGeOneSumGeTwo; SumGeTwoCombined]")
+
+    def test_unsourced_witness_note(self, capsys):
+        assert main(["classify", "--alpha", "1.5", "--beta", "0.5"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == ("ProvenRegular [AlphaGeOneSumGeTwo; SumGeTwoCombined; "
+                       "AlphaGeOneSumGeTwo cites no source]")
 
     def test_open_point(self, capsys):
         assert main(["classify", "--alpha", "0.1", "--beta", "1"]) == 0

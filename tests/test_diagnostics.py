@@ -347,6 +347,9 @@ class TestComputeRecord:
                 else:
                     rel = 1e-9 if name == "bhat_w2inf" else 1e-12
                     assert got[name] == pytest.approx(want, rel=rel), name
+            # the Parseval L2 norms against their collocation forms
+            for name in ("omega_l2", "j_l2", "h1", "h2"):
+                assert got[name] == pytest.approx(ref[name], rel=1e-13), name
 
 
 class TestTransformBudget:
@@ -369,11 +372,12 @@ class TestTransformBudget:
             monkeypatch.setattr(np.fft, name, counted)
         return calls
 
-    def test_record_is_fourteen_syntheses(self, fft_calls):
+    def test_record_is_twelve_syntheses(self, fft_calls):
+        # psi's Hessian and nine partials of a: w and j are their traces
         g = get_grid(64)
         st = initial_condition("random_band_limited", g, seed=1, k_max=8)
         compute_record(st, Params(n=64))
-        assert fft_calls == {"irfftn": 14}
+        assert fft_calls == {"irfftn": 12}
 
     def test_direction_field_is_two_analyses_and_ten_syntheses(self, fft_calls):
         g = get_grid(64)
@@ -405,7 +409,7 @@ class TestTransformBudget:
         assert fft_calls == {"irfftn": 4, "rfftn": 3}
 
     def test_adaptive_run_takes_dt_from_stage_one(self, fft_calls):
-        # k CFL-limited steps cost 28 k transforms and each record 14: the
+        # k CFL-limited steps cost 28 k transforms and each record 12: the
         # CFL speed adds no synthesis of its own
         g = get_grid(64)
         st = initial_condition("random_band_limited", g, seed=1, k_max=8)
@@ -419,7 +423,7 @@ class TestTransformBudget:
                 steps += 1
             s = replace(s, t=t_target)
         assert steps > 4 and len(res.records) == 3
-        assert counts == {"irfftn": 16 * steps + 14 * 3, "rfftn": 12 * steps}
+        assert counts == {"irfftn": 16 * steps + 12 * 3, "rfftn": 12 * steps}
 
     @pytest.mark.parametrize("check, counts", [
         (lambda st: cfl_dt(st, Params(n=64)), {"irfftn": 4}),
@@ -458,10 +462,10 @@ class TestTransformBudget:
                            resolutions=(64,))
         assert fft_calls == {"irfftn": 7}
 
-    def test_log_check_is_four_syntheses_per_pair(self, fft_calls):
-        # grad u as the stream function's Hessian (three planes), and w
+    def test_log_check_is_three_syntheses_per_pair(self, fft_calls):
+        # grad u as the stream function's Hessian, whose trace is w
         log_inequality_check(Corpus(count=3), resolutions=(64,))
-        assert fft_calls == {"irfftn": 4 * 3}
+        assert fft_calls == {"irfftn": 3 * 3}
 
     def test_package_makes_no_complex_transform(self, fft_calls, tmp_path):
         # one spectral representation: states, snapshots, records and the

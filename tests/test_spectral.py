@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from gmhd2d import spectral
+from gmhd2d.dynamics import initial_condition
 from gmhd2d.spectral import (
     Grid,
     ParameterError,
@@ -234,9 +235,9 @@ class TestBandTransforms:
     def test_all_columns_are_the_2d_pair(self, n):
         # the analysis's complex pass runs column by column: over all
         # columns it is rfft2, so any leading columns are rfft2's
-        g = get_grid(n)
         vals = random_values(n, seed=n + 1)
-        np.testing.assert_array_equal(spectral._analysis(vals, g.half_cols),
+        rows = np.fft.rfftn(vals, axes=(1,), norm="forward")
+        np.testing.assert_array_equal(np.fft.fft(rows, axis=0, norm="forward"),
                                       np.fft.rfft2(vals, norm="forward"))
 
     @pytest.mark.parametrize("n", SIZES)
@@ -262,7 +263,7 @@ class TestBandTransforms:
         band = g.dealias_k + 1
         vals = random_values(n, seed=n + 3)
         full = np.fft.rfft2(vals, norm="forward")
-        out = spectral._analysis(vals, band)
+        out = spectral._analysis(g, vals)
         assert out.shape == (n, band) and out.flags.c_contiguous
         np.testing.assert_array_equal(out, full[:, :band])
         mask = full_grid(g).dealias[:, :g.half_cols]
@@ -371,6 +372,21 @@ class TestPhysicalFields:
                 want = full_to_physical(g, c)
                 err = np.max(np.abs(sign * plane - want)) / np.max(np.abs(want))
                 assert err < 1e-12, (n, req, name, digits, err)
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    @pytest.mark.parametrize("kind", ["orszag_tang", "random_band_limited"])
+    def test_laplacians_are_hessian_traces(self, kind, n):
+        # the record and the log bound take w = Delta psi and j = Delta a as
+        # the traces psi_11 + psi_22 and a_11 + a_22, which rests on the sign
+        # psi = Delta^{-1} w
+        g = get_grid(n)
+        kw = {"seed": n, "k_max": g.dealias_k} if kind != "orszag_tang" else {}
+        st = initial_condition(kind, g, **kw)
+        w, psi_11, psi_22, j, a_11, a_22 = physical_fields(
+            g, st.halves(), "w", "psi_11", "psi_22", "j", "a_11", "a_22")
+        for want, trace in ((w, psi_11 + psi_22), (j, a_11 + a_22)):
+            err = np.max(np.abs(trace - want))
+            assert err <= 1e-13 * np.max(np.abs(want)), (kind, n, err)
 
     def test_mixed_partials_and_request_order(self):
         g = get_grid(32)
